@@ -1,6 +1,6 @@
 """cryoctrl benchmark: one workload, one seed, one run.
 
-    python3 perfbench/run.py --workload playback --seed 1 --seconds 24 --trace 0
+    python3 perfbench/run.py --workload playback --seed 1 --seconds 20 --trace 0
 
 Runs from the root of a source checkout and imports the package from its
 ``src/``. With ``--trace 0`` it runs the workload closed loop for
@@ -17,6 +17,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import json
+import math
 import resource
 import statistics
 import subprocess
@@ -29,9 +30,10 @@ import workloads
 
 HERE = Path(__file__).resolve().parent
 ROOT = HERE.parent
-SETUP_REPEATS = 7
-# Every input runs at least twice, and the cli workload's 22 calls per pass
-# then give 44 samples, so that ten lie beyond the raw p75.
+# Set-up probes per run, spread evenly over the run.
+SETUP_REPEATS = 9
+# Every input runs at least twice, and the cli workload's 20 calls per pass
+# then give 40 samples, so that ten lie beyond the raw p75.
 MIN_PASSES = 2
 # A seed kept out of tuning, for confirming a claimed gain.
 CONFIRM_SEED = 1009
@@ -41,7 +43,7 @@ def parse_args(argv=None):
     p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     p.add_argument("--workload", required=True)
     p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--seconds", type=float, default=24.0)
+    p.add_argument("--seconds", type=float, default=20.0)
     p.add_argument("--trace", type=int, choices=(0, 1), default=0)
     p.add_argument("--setup-probe", action="store_true",
                    help="set up the workload, print 'ready' and exit")
@@ -56,33 +58,34 @@ def check_checkout() -> None:
     sys.path.insert(0, str(ROOT / "src"))
 
 
-def setup_seconds(workload: str, seed: int) -> list[float]:
+def setup_seconds(workload: str, seed: int) -> float:
     """Wall time from starting a fresh benchmark process until it is set up
-    and could start its first timed operation, ``SETUP_REPEATS`` times."""
-    samples = []
-    for _ in range(SETUP_REPEATS):
-        t0 = time.perf_counter()
-        proc = subprocess.Popen(
-            [sys.executable, str(HERE / "run.py"), "--workload", workload,
-             "--seed", str(seed), "--setup-probe"],
-            cwd=ROOT, stdout=subprocess.PIPE, text=True)
-        try:
-            line = proc.stdout.readline()
-            elapsed = time.perf_counter() - t0
-            proc.communicate(timeout=60)
-        finally:
-            if proc.poll() is None:
-                proc.kill()
-                proc.wait()
-        if line.strip() != "ready" or proc.returncode != 0:
-            raise RuntimeError(f"set-up probe failed (exit {proc.returncode})")
-        samples.append(elapsed)
-    return samples
+    and could start its first timed operation."""
+    t0 = time.perf_counter()
+    proc = subprocess.Popen(
+        [sys.executable, str(HERE / "run.py"), "--workload", workload,
+         "--seed", str(seed), "--setup-probe"],
+        cwd=ROOT, stdout=subprocess.PIPE, text=True)
+    try:
+        line = proc.stdout.readline()
+        elapsed = time.perf_counter() - t0
+        proc.communicate(timeout=60)
+    finally:
+        if proc.poll() is None:
+            proc.kill()
+            proc.wait()
+    if line.strip() != "ready" or proc.returncode != 0:
+        raise RuntimeError(f"set-up probe failed (exit {proc.returncode})")
+    return elapsed
 
 
-def peak_rss_mb(in_process: bool) -> float:
-    who = resource.RUSAGE_SELF if in_process else resource.RUSAGE_CHILDREN
-    return resource.getrusage(who).ru_maxrss / 1024.0
+def peak_rss_mb(w) -> float:
+    """Peak RSS of the process doing the work: this one, or the largest
+    child on ``cli``. The set-up probes are children too, so ``cli`` takes
+    each call's own figure."""
+    if not w.in_process:
+        return w.peak_rss_mb
+    return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
 
 
 class Outcomes:
@@ -123,20 +126,40 @@ def timed(w, item, counter):
 def run_untraced(w, args, counter):
     """Whole passes over the inputs until ``--seconds`` have passed, at least
     ``MIN_PASSES``. Each input's time is the fastest of its repeats, or of
-    its group's (one CLI subcommand over all scenario files): on a shared
-    host the slower repeats measure the neighbours, not the program."""
+    its group's (a CLI subcommand with its options, over all scenario
+    files): on a shared host the slower repeats measure the neighbours, not
+    the program.
+    ``SETUP_REPEATS`` set-up probes run between operations, spread evenly
+    over the run; their time is not part of ``--seconds``."""
     times = [[] for _ in w.inputs]      # ms per repeat, per input
     digests = []
+    setups = []
+    probe_s = 0.0
     start = time.perf_counter()
+
+    def probe():
+        nonlocal probe_s
+        t0 = time.perf_counter()
+        setups.append(setup_seconds(args.workload, args.seed))
+        probe_s += time.perf_counter() - t0
+
+    def elapsed():
+        return time.perf_counter() - start - probe_s
+
     passes = 0
-    while passes < MIN_PASSES or time.perf_counter() - start < args.seconds:
+    while passes < MIN_PASSES or elapsed() < args.seconds:
         for k, item in enumerate(w.inputs):
+            if (len(setups) < SETUP_REPEATS
+                    and elapsed() >= args.seconds * len(setups) / SETUP_REPEATS):
+                probe()
             dt, d = timed(w, item, counter)
             times[k].append(dt * 1e3)
             if passes == 0:
                 digests.append(d)
         passes += 1
-    rss = peak_rss_mb(w.in_process)
+    while len(setups) < SETUP_REPEATS:
+        probe()
+    rss = peak_rss_mb(w)
 
     calls = {}
     if w.in_process:
@@ -151,12 +174,11 @@ def run_untraced(w, args, counter):
             counter.record(["output with the tracer installed differs"])
     stats, fails = w.verify()
     counter.record(fails)
-    setups = setup_seconds(args.workload, args.seed)
 
     fastest = {}
     for item, ts in zip(w.inputs, times):
         key = w.group(item)
-        fastest[key] = min(fastest.get(key, ts[0]), *ts)
+        fastest[key] = min(fastest.get(key, math.inf), *ts)
     best = [fastest[w.group(item)] for item in w.inputs]
     work = sum(w.work_units(item) for item in w.inputs)
     metrics = {
@@ -197,6 +219,7 @@ def run_traced(w, args, counter, tracer, setup_counts):
     start = time.perf_counter()
     untraced_s, digests = one_pass(lambda name: contextlib.nullcontext())
 
+    census = getattr(w, "census", None)
     tracer.install()
     try:
         traced_s = []
@@ -207,8 +230,9 @@ def run_traced(w, args, counter, tracer, setup_counts):
                 op_calls = tracer.counts_since(before)
                 if traced_digests != digests:
                     counter.record(["traced pass output differs from the untraced pass"])
-            tracer.run_id = "census"
-            counter.record(workloads.census(args.seed, tracer.span))
+            if census is not None:
+                tracer.run_id = "census"
+                counter.record(census(tracer.span))
             if not traced_s:
                 first = tracer.counts_since(before)
             traced_s.append(pass_s)
@@ -244,7 +268,7 @@ def layer_metrics(tracer, first, setup_counts, passes, imports) -> dict:
     dac = [n for n in tracer.agg if n.startswith("dac.")]
     noise = [n for n in tracer.agg if n.startswith("noise.")]
     m = {f"import.{k}": (v, "ms") for k, v in imports.items()}
-    for cmd in ("bounds", "estimate", "capacity", "sweep", "simulate"):
+    for cmd in ("bounds", "estimate", "capacity", "sweep"):
         m[f"cli.{cmd}_ms"] = mean(f"cli.{cmd}", "ms")
     m.update({
         "config.load_scenario_us": mean("config.load_scenario", "us"),

@@ -146,9 +146,10 @@ class Tracer:
     def install(self) -> None:
         """Wrap every target; a module-level function is replaced in every
         ``cryoctrl`` module that imported it by name."""
+        targets = layer_targets()   # imports the modules first
         modules = [m for n, m in sorted(sys.modules.items())
                    if (n == "cryoctrl" or n.startswith("cryoctrl.")) and m is not None]
-        for name, owner, attr, span in layer_targets():
+        for name, owner, attr, span in targets:
             original = getattr(owner, attr)
             wrapper = self.wrap(name, original, span)
             owners = [owner] if isinstance(owner, type) else \

@@ -11,7 +11,8 @@ the timed operation; ``check(item, result)``, untimed, which returns
 ``(digest, failures)``: a SHA-256 of everything the operation produced and
 the correctness checks it failed; ``work_units(item)``; ``group(item)``,
 the inputs whose fastest repeat is pooled; and ``verify()``,
-run once after the timed loop, which returns ``(stats, failures)``.
+run once after the timed loop, which returns ``(stats, failures)``. The
+``cli`` workload also has ``census(span)`` for the traced run.
 Repeating an input must reproduce its digest byte for byte.
 """
 
@@ -27,6 +28,7 @@ import os
 import random
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -47,10 +49,13 @@ REFERENCE_TOTALS = {
     "14nm-sram-10mv": (3.0e2, 0.20, 7.0e-7, 0.20),
 }
 
-PLAYBACK_PLAYS = 300
+# Operations of a few tens of ms: on a shared host, short operations catch
+# the brief fast spells, so their fastest repeats vary less between runs.
+PLAYBACK_SEQUENCES = 4            # 16-word sequences loaded and played
+PLAYBACK_PLAYS = 96
 PLAYBACK_PACE_NS = 110.0          # > 32 samples * 3.33 ns: the buffer never overflows
-PLAYBACK_START_NS = 20_000.0      # after 9 bias + 256 RF words have been shifted in
-TUNEUP_SIM_NS = 20e6              # 20 ms simulated per input
+PLAYBACK_START_NS = 20_000.0      # after the bias and RF words have been shifted in
+TUNEUP_SIM_NS = 5e6               # 5 ms simulated per input
 TUNEUP_BURST_EVERY_NS = 1e6
 TUNEUP_RAMP_NS = 150_000.0
 SAMPLES_PER_PLAY = 32             # two sets of one 16-sample sequence
@@ -73,8 +78,7 @@ def rng_for(workload: str, seed: int, index: int) -> random.Random:
 
 def cli_argvs(seed: int) -> list[list[str]]:
     """The calls of one pass: bounds, estimate, capacity and a 4-point v_dd
-    sweep on every scenario file, plus one DAC sweep and one short simulation
-    on a seeded file. The order is shuffled by the seed."""
+    sweep on every scenario file. The sweep points and the order are seeded."""
     rng = rng_for("cli", seed, 0)
     files = sorted(p.name for p in SCENARIO_DIR.glob("*.json"))
     argvs = []
@@ -90,26 +94,8 @@ def cli_argvs(seed: int) -> list[list[str]]:
             ["sweep", "--scenario", sc, "--param", "v_dd",
              "--points", ",".join(repr(p) for p in points)],
         ]
-    argvs.append(["sweep", "--scenario", f"scenarios/{rng.choice(files)}",
-                  "--unit", "dac", "--conditions", rng.choice(["bias", "rf"])])
-    argvs.append(["simulate", "--scenario", "scenarios/paper-defaults.json",
-                  "--stimulus", str(cli_stimulus_path(seed).relative_to(ROOT)),
-                  "--until", "30us"])
     rng.shuffle(argvs)
     return argvs
-
-
-def cli_stimulus_path(seed: int) -> Path:
-    return OUT_DIR / f"cli-stimulus-{seed}.txt"
-
-
-def cli_stimulus(seed: int) -> str:
-    rng = rng_for("cli-stimulus", seed, 0)
-    lines = [f"0 write-bias {e} {rng.randrange(4096)}" for e in range(8)]
-    lines += [f"0 write-rf {a} {rng.randrange(1024)}" for a in range(32)]
-    lines += [f"{5000 + 110 * i} play {rng.randrange(2)} {rng.randrange(2)} "
-              f"{rng.randrange(2)} {rng.randrange(2)}" for i in range(8)]
-    return "\n".join(lines) + "\n"
 
 
 def cli_env() -> dict:
@@ -118,18 +104,30 @@ def cli_env() -> dict:
     return env
 
 
-def cli_call(argv: list[str], env: dict) -> tuple[int, str, str]:
-    """One fresh-interpreter call; returns (exit code, stdout, stderr)."""
-    proc = subprocess.Popen([sys.executable, "-m", "cryoctrl.cli", *argv], cwd=ROOT,
-                            env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
-                            text=True)
-    try:
-        out, err = proc.communicate(timeout=CLI_TIMEOUT_S)
-    except subprocess.TimeoutExpired:
-        proc.kill()
-        out, err = proc.communicate()
-        return -1, out, err + "timeout"
-    return proc.returncode, out, err
+def cli_call(argv: list[str], env: dict) -> tuple[int, str, str, float]:
+    """One fresh-interpreter call; returns (exit code, stdout, stderr, peak RSS
+    in MB). The child is reaped with ``os.wait4``, which gives its own peak
+    RSS, so its output goes to files: with pipes, a child blocked on a full
+    pipe would never exit. A child still running after ``CLI_TIMEOUT_S`` is
+    killed."""
+    with open(OUT_DIR / "cli-stdout.txt", "w+") as out, \
+            open(OUT_DIR / "cli-stderr.txt", "w+") as err:
+        proc = subprocess.Popen([sys.executable, "-m", "cryoctrl.cli", *argv], cwd=ROOT,
+                                env=env, stdout=out, stderr=err)
+        timer = threading.Timer(CLI_TIMEOUT_S, proc.kill)
+        timer.start()
+        try:
+            _, status, usage = os.wait4(proc.pid, 0)
+        except BaseException:
+            proc.kill()
+            proc.wait()
+            raise
+        finally:
+            timer.cancel()
+        proc.returncode = os.waitstatus_to_exitcode(status)
+        out.seek(0)
+        err.seek(0)
+        return proc.returncode, out.read(), err.read(), usage.ru_maxrss / 1024.0
 
 
 def cli_inprocess(argv: list[str]) -> tuple[int, str]:
@@ -161,17 +159,18 @@ class CliWorkload:
         for path in sorted(SCENARIO_DIR.glob("*.json")):
             cryoctrl.load_scenario(path)
         OUT_DIR.mkdir(exist_ok=True)
-        cli_stimulus_path(seed).write_text(cli_stimulus(seed))
         self.seed = seed
         self.inputs = cli_argvs(seed)
         self.env = cli_env()
         self.stdout = {}
+        self.peak_rss_mb = 0.0
 
     def run(self, argv):
         return cli_call(argv, self.env)
 
     def check(self, argv, result):
-        code, out, err = result
+        code, out, err, rss_mb = result
+        self.peak_rss_mb = max(self.peak_rss_mb, rss_mb)
         fails = []
         if code != 0:
             fails.append(f"exit {code}: {' '.join(argv)}: {err.strip()[-200:]}")
@@ -188,9 +187,11 @@ class CliWorkload:
     def work_units(self, argv) -> float:
         return 1.0
 
-    def group(self, argv) -> str:
-        """Calls of one subcommand do the same work up to the scenario."""
-        return argv[0]
+    def group(self, argv) -> tuple:
+        """A subcommand with its options: calls that differ only in the
+        scenario file and a sweep's seeded points do the same work."""
+        points = argv[argv.index("--points") + 1] if "--points" in argv else None
+        return tuple(a for a in argv if not a.startswith("scenarios/") and a != points)
 
     def verify(self):
         """Every child's output equals ``cli.main`` run in this process."""
@@ -201,6 +202,18 @@ class CliWorkload:
             if code != 0 or (child is not None and child != out):
                 fails.append(f"in-process output differs: {' '.join(argv)}")
         return {"calls_per_pass": len(self.inputs)}, fails
+
+    def census(self, span) -> list[str]:
+        """The pass's calls once more through ``cli.main`` in this process,
+        each in a span named after its subcommand. The traced run times the
+        cli layer this way, as the tracer cannot see into the children."""
+        fails = []
+        for argv in self.inputs:
+            with span(f"cli.{argv[0]}"):
+                code, _ = cli_inprocess(argv)
+            if code != 0:
+                fails.append(f"census: exit {code}: {' '.join(argv)}")
+        return fails
 
 
 # ---------------------------------------------------------------------------
@@ -328,16 +341,16 @@ class DesignSweepWorkload:
 # playback and tuneup: the event-level simulator in process
 
 def playback_stimulus(seed: int, index: int) -> dict:
-    """Bias codes and the whole RF memory loaded over the serial protocol,
-    then back-to-back play commands."""
+    """Bias codes and ``PLAYBACK_SEQUENCES`` RF sequences loaded over the
+    serial protocol, then back-to-back play commands of those sequences."""
     rng = rng_for("playback", seed, index)
     lines = [f"0 write-bias {e} {rng.randrange(1, 4096)}" for e in range(8)]
     lines.append(f"0 write-bias 8 {rng.randrange(8)}")
-    rf = [rng.randrange(1024) for _ in range(256)]
+    rf = [rng.randrange(1024) for _ in range(16 * PLAYBACK_SEQUENCES)]
     lines += [f"0 write-rf {a} {code}" for a, code in enumerate(rf)]
     plays = []
     for i in range(PLAYBACK_PLAYS):
-        ids = tuple(rng.randrange(16) for _ in range(4))
+        ids = tuple(rng.randrange(PLAYBACK_SEQUENCES) for _ in range(4))
         plays.append(ids)
         lines.append(f"{PLAYBACK_START_NS + PLAYBACK_PACE_NS * i:.1f} play "
                      + " ".join(map(str, ids)))
@@ -347,7 +360,7 @@ def playback_stimulus(seed: int, index: int) -> dict:
 
 def tuneup_stimulus(seed: int, index: int) -> dict:
     """Bursts of bias writes to all 9 registers alternating with ramp
-    windows, a few RF reloads and sparse plays over 20 ms simulated."""
+    windows, a few RF reloads and sparse plays over 5 ms simulated."""
     rng = rng_for("tuneup", seed, index)
     lines = []
     plays = []
@@ -465,8 +478,8 @@ class SimWorkload:
         return fails
 
     def group(self, item) -> int:
-        """All inputs: they differ in values only, not in the work they ask."""
-        return 0
+        """Each stimulus on its own."""
+        return item["index"]
 
     def work_units(self, item) -> float:
         """Simulated microseconds."""
@@ -493,26 +506,3 @@ WORKLOADS = {
     "playback": lambda: SimWorkload("playback", playback_stimulus, strict=True),
     "tuneup": lambda: SimWorkload("tuneup", tuneup_stimulus, strict=False),
 }
-
-
-def census(seed: int, span) -> list[str]:
-    """One in-process call of every layer's entry point, so that each layer
-    is timed on every workload: ``cli.main`` over the cli workload's calls
-    (which reaches config, report, analog, digital, dac, noise and the
-    simulator) plus a temperature re-sizing of each bundled design point."""
-    from cryoctrl import REFERENCE_SCENARIOS, report
-
-    OUT_DIR.mkdir(exist_ok=True)
-    path = cli_stimulus_path(seed)
-    if not path.exists():
-        path.write_text(cli_stimulus(seed))
-    fails = []
-    for argv in cli_argvs(seed):
-        with span(f"cli.{argv[0]}"):
-            code, _ = cli_inprocess(argv)
-        if code != 0:
-            fails.append(f"census: exit {code}: {' '.join(argv)}")
-    rng = rng_for("census", seed, 0)
-    for make in REFERENCE_SCENARIOS.values():
-        report.assemble(report.temperature_adjust(make(), round(rng.uniform(0.1, 4.0), 4)))
-    return fails
