@@ -14,12 +14,12 @@ from cryoctrl import baseline_scenario, dac_sweep, dac_sweep_csv
 sc = baseline_scenario()
 
 for condition in ("bias", "rf"):
-    rows = dac_sweep(sc, n_values=range(2, 17), condition=condition)
+    rows = dac_sweep(sc, condition=condition)
     out = Path(f"dac_comparison_{condition}.csv")
     out.write_text(dac_sweep_csv(rows))
     print(f"wrote {out} ({len(rows)} rows)")
 
-rows = dac_sweep(sc, n_values=range(2, 17), condition="bias")
+rows = dac_sweep(sc, condition="bias")
 by_arch = {}
 for r in rows:
     by_arch.setdefault(r["arch"], []).append(r)

@@ -9,13 +9,11 @@ this script brackets the crossover and writes the sweep as CSV.
 from dataclasses import replace
 from pathlib import Path
 
-import numpy as np
-
 from cryoctrl import assemble, baseline_scenario, sweep, sweep_csv
 
 sc = baseline_scenario()
 
-points = [round(float(v), 6) for v in np.geomspace(1.0, 0.01, 13)]
+points = [round(10 ** (-k / 6), 6) for k in range(13)]  # 1 V to 10 mV, log spaced
 rows = sweep(sc, "v_dd", points)
 Path("supply_sweep.csv").write_text(sweep_csv(rows))
 print(f"wrote supply_sweep.csv ({len(rows)} rows)")

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -115,35 +116,28 @@ def _cmd_bounds(args) -> int:
     if args.format == "json":
         data = {name: {"kind": b.kind.value, "value": b.value, "binding": b.binding_spec}
                 for name, b in rows}
-        _write_out(json.dumps(data, indent=2, sort_keys=True) + "\n", None)
-    elif args.format == "csv":
+        sys.stdout.write(json.dumps(data, indent=2, sort_keys=True) + "\n")
+        return 0
+    if args.format == "csv":
         lines = ["bound,kind,value,binding"]
         lines += [f"{name},{b.kind.value},{b.value!r},\"{b.binding_spec}\"" for name, b in rows]
-        _write_out("\n".join(lines) + "\n", None)
     else:
         width = max(len(name) for name, _ in rows)
         lines = [f"{name:<{width}}  {b.kind.value:<16} {b.value:.6g}  ({b.binding_spec})"
                  for name, b in rows]
-        _write_out("\n".join(lines) + "\n", None)
+    sys.stdout.write("\n".join(lines) + "\n")
     return 0
 
 
 def _report_text(rep) -> str:
-    d = rep.to_dict()
     lines = [f"{'unit':<10} {'area/um^2':>12} {'power/W':>12}"]
-    for unit in ("bias_gen", "rf_gen", "memory", "managing"):
-        lines.append(f"{unit:<10} {d[unit]['area_um2']:>12.4g} {d[unit]['power_w']:>12.4g}")
-    t = d["totals"]
-    lines.append(f"{'total':<10} {t['area_um2']:>12.4g} {t['power_w']:>12.4g}")
+    lines += [f"{unit:<10} {area:>12.4g} {power:>12.4g}" for unit, area, power in rep.rows()]
     return "\n".join(lines) + "\n"
 
 
 def _report_csv(rep) -> str:
-    d = rep.to_dict()
     lines = ["unit,area_um2,power_w"]
-    for unit in ("bias_gen", "rf_gen", "memory", "managing"):
-        lines.append(f"{unit},{d[unit]['area_um2']!r},{d[unit]['power_w']!r}")
-    lines.append(f"total,{d['totals']['area_um2']!r},{d['totals']['power_w']!r}")
+    lines += [f"{unit},{area!r},{power!r}" for unit, area, power in rep.rows()]
     return "\n".join(lines) + "\n"
 
 
@@ -197,7 +191,13 @@ def _cmd_simulate(args) -> int:
     stim_path = Path(args.stimulus)
     if not stim_path.is_file():
         raise ConfigError(f"stimulus file not found: {stim_path}")
-    t_end = parse_duration_ns(args.until)
+    try:
+        t_end = parse_duration_ns(args.until)
+        valid = 0 < t_end < math.inf
+    except ValueError:
+        valid = False
+    if not valid:
+        raise UsageError(f"--until must be a positive, finite duration, got '{args.until}'")
     trace = run_simulation(sc, stim_path, t_end)
     if args.trace:
         Path(args.trace).write_text(trace.to_csv())

@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import noise
-from .config import DacArchitecture, TechnologyParams
+from .config import DEFAULT_LADDER_UNIT_RES, DacArchitecture, TechnologyParams
 
 
 @dataclass(frozen=True)
@@ -45,7 +45,6 @@ def default_unit_value(arch: DacArchitecture, tech: TechnologyParams) -> float:
     if arch is DacArchitecture.KELVIN:
         return tech.r_min
     if arch is DacArchitecture.LADDER:
-        from .config import DEFAULT_LADDER_UNIT_RES
         return max(DEFAULT_LADDER_UNIT_RES, tech.r_min)
     return tech.c_min
 

@@ -17,11 +17,11 @@ calibration values, see the budget file.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass
 from importlib import resources
-from pathlib import Path
 
 from .analog import derived_clocks
 from .config import MemoryArch, Scenario
@@ -59,11 +59,7 @@ class MemoryDesign:
     bias_width: int
     rf_registers: int
     rf_width: int
-    rf_read_ports: int = 2
-
-    def __post_init__(self):
-        if self.rf_read_ports != 2:
-            raise ValueError("the pulse memory has exactly two read ports")
+    rf_read_ports = 2  # the pulse memory's two read ports (a constant, not a field)
 
     @property
     def bias_bits(self) -> int:
@@ -106,10 +102,9 @@ def _sram_periphery_transistors(d: MemoryDesign, column_transistors: int) -> int
     return decoders + columns * column_transistors
 
 
-def memory_report(d: MemoryDesign, sc: Scenario, budget: "DigitalBudget | None" = None) -> UnitReport:
+def memory_report(d: MemoryDesign, sc: Scenario) -> UnitReport:
     """Area and operating power of both memory banks."""
     tech = sc.tech
-    budget = budget or load_budget()
     clocks = derived_clocks(sc)
 
     if d.arch is MemoryArch.FLIP_FLOP:
@@ -118,7 +113,7 @@ def memory_report(d: MemoryDesign, sc: Scenario, budget: "DigitalBudget | None" 
         c_bit = tech.c_ff_equiv
     else:
         cell_area = (d.bias_bits + d.rf_bits) * tech.a_sram_cell * tech.sram_area_scale
-        periph = _sram_periphery_transistors(d, budget.sram_column_transistors)
+        periph = _sram_periphery_transistors(d, load_budget().sram_column_transistors)
         c_bit = tech.c_sram_bit
     area = cell_area + periph * tech.a_mos * tech.logic_area_scale
 
@@ -159,18 +154,10 @@ class DigitalBudget:
         raise KeyError(name)
 
 
-_DEFAULT_BUDGET: DigitalBudget | None = None
-
-
-def load_budget(path: str | Path | None = None) -> DigitalBudget:
-    """Load the managing-component budget; the packaged default is cached."""
-    global _DEFAULT_BUDGET
-    if path is None and _DEFAULT_BUDGET is not None:
-        return _DEFAULT_BUDGET
-    if path is None:
-        text = resources.files("cryoctrl.data").joinpath("managing_budget.json").read_text()
-    else:
-        text = Path(path).read_text()
+@functools.cache
+def load_budget() -> DigitalBudget:
+    """The managing-component budget shipped as package data, read once."""
+    text = resources.files("cryoctrl.data").joinpath("managing_budget.json").read_text()
     raw = json.loads(text)
     subunits = tuple(
         Subunit(
@@ -182,34 +169,26 @@ def load_budget(path: str | Path | None = None) -> DigitalBudget:
         )
         for name, entry in raw["subunits"].items()
     )
-    budget = DigitalBudget(
+    return DigitalBudget(
         subunits=subunits,
         sram_column_transistors=int(raw["memory_periphery"]["sram_column_transistors"]),
     )
-    if path is None:
-        _DEFAULT_BUDGET = budget
-    return budget
 
 
-def managing_report(
-    sc: Scenario,
-    include_data_input: bool = False,
-    budget: DigitalBudget | None = None,
-) -> UnitReport:
+def managing_report(sc: Scenario, include_data_input: bool = False) -> UnitReport:
     """Area and power of the managing component.
 
     The data-input subunit is only active while memories are being loaded;
     it always contributes area but its power is counted only when
     ``include_data_input`` is set.
     """
-    budget = budget or load_budget()
     tech = sc.tech
     clocks = derived_clocks(sc)
     freq = {"bias": clocks.f_clk_bias, "rf": clocks.f_clk_rf}
 
     area = 0.0
     power = 0.0
-    for u in budget.subunits:
+    for u in load_budget().subunits:
         logic = u.logic_for(sc.memory_arch)
         area += (u.flipflops * tech.a_ff + logic * tech.a_mos) * tech.logic_area_scale
         if not u.operation_regime and not include_data_input:

@@ -12,11 +12,9 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 
-import scipy.constants
-
 from .config import DacArchitecture
 
-K_B = scipy.constants.Boltzmann
+K_B = 1.380649e-23  # Boltzmann constant [J/K], exact since the 2019 SI
 
 
 class BoundKind(str, Enum):

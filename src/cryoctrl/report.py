@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from operator import attrgetter
 
 from . import noise
 from .analog import (
@@ -15,7 +16,13 @@ from .analog import (
     rf_gen_report,
 )
 from .config import DacArchitecture, Scenario, scenario_to_dict
+from .dac import dac_analog_power, dac_area, dac_output_noise, dac_switch_power, design_dac
 from .digital import UnitReport, managing_report, memory_design, memory_report
+
+# The report's units in report order. Every per-unit output (totals, dicts,
+# CSV columns, CLI tables) follows this tuple through Report.units().
+UNITS = ("bias_gen", "rf_gen", "memory", "managing")
+_unit_reports = attrgetter(*UNITS)
 
 
 @dataclass(frozen=True)
@@ -33,50 +40,45 @@ class Report:
     include_data_input: bool
     notes: tuple[str, ...] = ()
 
+    def units(self) -> tuple[tuple[str, GenReport | UnitReport], ...]:
+        """``(name, unit report)`` for each unit, in report order."""
+        return tuple(zip(UNITS, _unit_reports(self)))
+
+    def rows(self) -> tuple[tuple[str, float, float], ...]:
+        """``(unit, area_um2, power_w)`` for each unit, then the ``total`` row."""
+        rows = [(name, u.area_um2, u.power_w) for name, u in self.units()]
+        area = power = 0.0
+        for _, a, p in rows:
+            area += a
+            power += p
+        rows.append(("total", area, power))
+        return tuple(rows)
+
     @property
     def total_area_um2(self) -> float:
-        return (self.bias_gen.area_um2 + self.rf_gen.area_um2
-                + self.memory.area_um2 + self.managing.area_um2)
+        return self.rows()[-1][1]
 
     @property
     def total_power_w(self) -> float:
-        return (self.bias_gen.power_w + self.rf_gen.power_w
-                + self.memory.power_w + self.managing.power_w)
+        return self.rows()[-1][2]
 
     def unit_powers(self) -> dict:
-        return {
-            "bias_gen": self.bias_gen.power_w,
-            "rf_gen": self.rf_gen.power_w,
-            "memory": self.memory.power_w,
-            "managing": self.managing.power_w,
-        }
+        return {name: u.power_w for name, u in self.units()}
 
     def to_dict(self) -> dict:
-        return {
-            "bias_gen": {
-                "area_um2": self.bias_gen.area_um2,
-                "p_analog_w": self.bias_gen.p_analog_w,
-                "p_digital_w": self.bias_gen.p_digital_w,
-                "power_w": self.bias_gen.power_w,
-            },
-            "rf_gen": {
-                "area_um2": self.rf_gen.area_um2,
-                "p_analog_w": self.rf_gen.p_analog_w,
-                "p_digital_w": self.rf_gen.p_digital_w,
-                "power_w": self.rf_gen.power_w,
-            },
-            "memory": {"area_um2": self.memory.area_um2, "power_w": self.memory.power_w},
-            "managing": {"area_um2": self.managing.area_um2, "power_w": self.managing.power_w},
-            "totals": {"area_um2": self.total_area_um2, "power_w": self.total_power_w},
-            "clocks_hz": {
-                "f_refresh": self.f_refresh,
-                "f_clk_bias": self.f_clk_bias,
-                "f_clk_rf": self.f_clk_rf,
-            },
-            "include_data_input": self.include_data_input,
-            "notes": list(self.notes),
-            "scenario": scenario_to_dict(self.scenario),
+        """Each unit's fields plus its power, the totals, clocks and inputs."""
+        d = {name: {**vars(u), "power_w": u.power_w} for name, u in self.units()}
+        _, area, power = self.rows()[-1]
+        d["totals"] = {"area_um2": area, "power_w": power}
+        d["clocks_hz"] = {
+            "f_refresh": self.f_refresh,
+            "f_clk_bias": self.f_clk_bias,
+            "f_clk_rf": self.f_clk_rf,
         }
+        d["include_data_input"] = self.include_data_input
+        d["notes"] = list(self.notes)
+        d["scenario"] = scenario_to_dict(self.scenario)
+        return d
 
 
 def assemble(sc: Scenario, include_data_input: bool = False) -> Report:
@@ -111,10 +113,10 @@ def assemble(sc: Scenario, include_data_input: bool = False) -> Report:
 
 SWEEP_PARAMS = ("n_bias", "n_rf", "v_dd")
 
-SWEEP_CSV_HEADER = (
-    "param,value,bias_gen_area_um2,bias_gen_power_w,rf_gen_area_um2,rf_gen_power_w,"
-    "memory_area_um2,memory_power_w,managing_area_um2,managing_power_w,"
-    "total_area_um2,total_power_w,status"
+SWEEP_CSV_HEADER = ",".join(
+    ["param", "value"]
+    + [f"{unit}_{column}" for unit in (*UNITS, "total") for column in ("area_um2", "power_w")]
+    + ["status"]
 )
 
 
@@ -150,36 +152,28 @@ def sweep(sc: Scenario, param: str, values) -> list[SweepRow]:
 
 def sweep_csv(rows: list[SweepRow]) -> str:
     lines = [SWEEP_CSV_HEADER]
+    empty = [""] * (2 * (len(UNITS) + 1))  # area and power per unit and total
     for row in rows:
         if row.report is None:
-            cells = [row.param, repr(row.value)] + [""] * 10 + [row.status]
+            cells = empty
         else:
-            r = row.report
-            cells = [
-                row.param, repr(row.value),
-                repr(r.bias_gen.area_um2), repr(r.bias_gen.power_w),
-                repr(r.rf_gen.area_um2), repr(r.rf_gen.power_w),
-                repr(r.memory.area_um2), repr(r.memory.power_w),
-                repr(r.managing.area_um2), repr(r.managing.power_w),
-                repr(r.total_area_um2), repr(r.total_power_w),
-                row.status,
-            ]
-        lines.append(",".join(cells))
+            cells = [repr(x) for _, area, power in row.report.rows() for x in (area, power)]
+        lines.append(",".join([row.param, repr(row.value), *cells, row.status]))
     return "\n".join(lines) + "\n"
 
 
 DAC_SWEEP_CSV_HEADER = "arch,n,area_um2,p_analog_w,p_switch_w,noise_vrms"
+_DAC_SWEEP_COLUMNS = DAC_SWEEP_CSV_HEADER.split(",")
 
 
-def dac_sweep(sc: Scenario, n_values=range(2, 17), condition: str = "bias") -> list[dict]:
-    """Single-DAC comparison rows for all three architectures.
+def dac_sweep(sc: Scenario, condition: str = "bias") -> list[dict]:
+    """Single-DAC comparison rows for all three architectures at resolutions
+    2 to 16.
 
     ``condition`` selects the operating point: "bias" (full range at the
     refresh rate) or "rf" (pulse amplitude at the sample rate). Switches are
     clocked at twice the conversion rate.
     """
-    from .dac import dac_analog_power, dac_area, dac_output_noise, dac_switch_power, design_dac
-
     s = sc.spec
     clocks = derived_clocks(sc)
     if condition == "bias":
@@ -191,7 +185,7 @@ def dac_sweep(sc: Scenario, n_values=range(2, 17), condition: str = "bias") -> l
 
     rows = []
     for arch in DacArchitecture:
-        for n in n_values:
+        for n in range(2, 17):
             d = design_dac(arch, n, sc.tech)
             rows.append({
                 "arch": arch.value,
@@ -208,10 +202,8 @@ def dac_sweep(sc: Scenario, n_values=range(2, 17), condition: str = "bias") -> l
 def dac_sweep_csv(rows: list[dict]) -> str:
     lines = [DAC_SWEEP_CSV_HEADER]
     for r in rows:
-        lines.append(",".join([
-            r["arch"], str(r["n"]), repr(r["area_um2"]),
-            repr(r["p_analog_w"]), repr(r["p_switch_w"]), repr(r["noise_vrms"]),
-        ]))
+        cells = (r[c] for c in _DAC_SWEEP_COLUMNS)
+        lines.append(",".join(c if isinstance(c, str) else repr(c) for c in cells))
     return "\n".join(lines) + "\n"
 
 

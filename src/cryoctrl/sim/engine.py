@@ -102,19 +102,11 @@ class Command:
     line: int
 
 
-def parse_stimulus(source) -> list[Command]:
-    """Parse a stimulus file (path, text, or iterable of lines)."""
-    if isinstance(source, Path):
-        lines = source.read_text().splitlines()
-    elif isinstance(source, str):
-        p = Path(source)
-        text = p.read_text() if ("\n" not in source and p.is_file()) else source
-        lines = text.splitlines()
-    else:
-        lines = [str(l) for l in source]
-
+def parse_stimulus(source: Path | str) -> list[Command]:
+    """Parse a stimulus file (a ``Path``) or stimulus text (a ``str``)."""
+    text = source.read_text() if isinstance(source, Path) else source
     commands: list[Command] = []
-    for lineno, raw in enumerate(lines, start=1):
+    for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
@@ -450,9 +442,9 @@ class Simulator:
 
     # run ---------------------------------------------------------------------
 
-    def run(self, stimulus=None, t_end_ns: float = 0.0) -> Trace:
-        if t_end_ns <= 0:
-            raise ValueError("t_end_ns must be positive")
+    def run(self, stimulus: Path | str | None = None, t_end_ns: float = 0.0) -> Trace:
+        if not 0 < t_end_ns < math.inf:
+            raise ValueError(f"t_end_ns must be positive and finite, got {t_end_ns!r}")
         self._t_end_ns = t_end_ns
         self._now = 0.0
 
@@ -483,8 +475,12 @@ class Simulator:
         return self.trace
 
 
-def run_simulation(scenario: Scenario, stimulus=None, t_end_ns: float = 0.0) -> Trace:
-    """Run one deterministic simulation and return its trace (with stats)."""
+def run_simulation(scenario: Scenario, stimulus: Path | str | None = None,
+                   t_end_ns: float = 0.0) -> Trace:
+    """Run one deterministic simulation and return its trace (with stats).
+
+    ``stimulus`` is a stimulus file (a ``Path``) or stimulus text (a ``str``).
+    """
     return Simulator(scenario).run(stimulus, t_end_ns)
 
 

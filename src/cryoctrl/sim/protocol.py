@@ -129,6 +129,9 @@ def decode_rf_command(bits: str) -> RfCommandWord:
 class DataInputController:
     """Clocked reception FSM: shift register plus 5-bit cycle counter.
 
+    The model counts received bits in the shift register itself; the cycle
+    counter only bounds the frame length, which ``__init__`` enforces.
+
     ``step(bit)`` advances one clock with the given line value and returns
     the events raised on that edge as (signal, value) tuples. After the
     last payload bit the addressed register is selected, enable pulses, and
@@ -156,7 +159,6 @@ class DataInputController:
     def reset(self):
         self.state = self.IDLE
         self.bits: list[str] = []
-        self.counter = 0
         self.word: DataWord | None = None
         self.write_index = 0
 
@@ -177,13 +179,11 @@ class DataInputController:
         if self.state == self.IDLE:
             if bit == 1:
                 self.bits = ["1"]
-                self.counter = 1
                 self.state = self.RECEIVE
             return events
 
         if self.state == self.RECEIVE:
             self.bits.append(str(bit))
-            self.counter = (self.counter + 1) % (2 ** RECEPTION_COUNTER_BITS)
             if len(self.bits) == self._frame_length():
                 try:
                     self.word = decode_dataword("".join(self.bits), self.n_bias, self.n_rf)

@@ -131,7 +131,7 @@ def test_sweep_rows_ordered_by_value(baseline):
 
 
 def test_dac_sweep_csv(baseline):
-    rows = dac_sweep(baseline, n_values=range(2, 17))
+    rows = dac_sweep(baseline)
     assert len(rows) == 3 * 15
     csv = dac_sweep_csv(rows)
     assert csv.splitlines()[0] == "arch,n,area_um2,p_analog_w,p_switch_w,noise_vrms"

@@ -40,6 +40,19 @@ def test_stimulus_comments_and_sorting():
     assert cmds[0].args == (1, 2)
 
 
+def test_long_single_line_stimulus_is_text():
+    line = "0 write-bias 0 1 # " + "x" * 4981
+    assert len(line) == 5000
+    cmds = parse_stimulus(line)
+    assert [(c.op, c.args) for c in cmds] == [("write-bias", (0, 1))]
+
+
+@pytest.mark.parametrize("t_end_ns", [math.inf, math.nan, 0.0, -1.0])
+def test_run_rejects_bad_end_time(baseline, t_end_ns):
+    with pytest.raises(ValueError, match="positive and finite"):
+        run_simulation(baseline, None, t_end_ns)
+
+
 def test_empty_stimulus_gives_only_clock_events(baseline):
     trace = run_simulation(baseline, None, 100_000.0)
     assert sorted(trace.signals()) == ["clk_bias_hz", "clk_rf_hz"]
