@@ -172,6 +172,8 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_capacity(args) -> int:
+    if not 0 < args.budget < math.inf:
+        raise UsageError(f"--budget must be a positive, finite power in W, got '{args.budget}'")
     rep = assemble(_scenario(args))
     result = qubit_capacity(rep, args.budget, sig_figs=None if args.exact else 2)
     if args.format == "json":

@@ -15,6 +15,7 @@ typo cannot silently fall back to a default.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field, fields, replace
 from enum import Enum
 from pathlib import Path
@@ -22,6 +23,16 @@ from pathlib import Path
 
 class ConfigError(ValueError):
     """A scenario file failed to parse or violated an invariant."""
+
+
+def _check_positive(obj, names) -> None:
+    """Raise ConfigError unless each named field of ``obj`` is positive and
+    finite; a field left ``None`` (derived or defaulted) is skipped."""
+    inf = math.inf
+    for name in names:
+        v = getattr(obj, name)
+        if v is not None and not 0 < v < inf:
+            raise ConfigError(f"{name} must be {'positive' if v <= 0 else 'finite'}")
 
 
 class MemoryArch(str, Enum):
@@ -76,13 +87,7 @@ class SystemSpec:
     n_pulses: int = 16
 
     def validate(self) -> None:
-        for name in (
-            "n_bias_signals", "v_range_bias", "dv_bias", "n_bias",
-            "n_rf_signals", "v_range_rf", "n_rf", "dv_rf", "f_sample_rf",
-            "l_pulse", "n_pulses",
-        ):
-            if getattr(self, name) <= 0:
-                raise ConfigError(f"{name} must be positive")
+        _check_positive(self, vars(self))
         for name in ("n_bias", "n_rf"):
             if not 1 <= getattr(self, name) <= 24:
                 raise ConfigError(f"{name} must be in [1, 24]")
@@ -127,9 +132,7 @@ class TechnologyParams:
         return self.r_off * self.r_off_multiplier
 
     def validate(self) -> None:
-        for f in fields(self):
-            if getattr(self, f.name) <= 0:
-                raise ConfigError(f"{f.name} must be positive")
+        _check_positive(self, vars(self))
 
 
 @dataclass(frozen=True)
@@ -153,17 +156,7 @@ class OperatingPoint:
     sigma_con: float = 0.5
 
     def validate(self) -> None:
-        if self.t_el <= 0:
-            raise ConfigError("t_el must be positive")
-        if self.v_dd <= 0:
-            raise ConfigError("v_dd must be positive")
-        for name in ("f_clk_bias", "f_clk_rf"):
-            v = getattr(self, name)
-            if v is not None and v <= 0:
-                raise ConfigError(f"{name} must be positive")
-        for name in ("b_bias", "b_rf"):
-            if getattr(self, name) <= 0:
-                raise ConfigError(f"{name} must be positive")
+        _check_positive(self, ("t_el", "v_dd", "f_clk_bias", "f_clk_rf", "b_bias", "b_rf"))
         for name in ("sigma_biasmem", "sigma_rfmem", "sigma_con"):
             s = getattr(self, name)
             if not 0 < s <= 0.5:
@@ -190,8 +183,7 @@ class Scenario:
         self.spec.validate()
         self.tech.validate()
         self.op.validate()
-        if self.c_h <= 0:
-            raise ConfigError("c_h must be positive")
+        _check_positive(self, ("c_h", "bias_dac_unit", "rf_dac_unit"))
         hold_min = noise.min_hold_cap(
             self.spec.n_bias_signals, self.spec.dv_bias, self.op.t_el
         ).value
@@ -200,10 +192,6 @@ class Scenario:
                 f"c_h={self.c_h:.3e} F is below the thermal-noise minimum "
                 f"{hold_min:.3e} F at t_el={self.op.t_el} K"
             )
-        for name in ("bias_dac_unit", "rf_dac_unit"):
-            v = getattr(self, name)
-            if v is not None and v <= 0:
-                raise ConfigError(f"{name} must be positive")
 
 
 def apply_node(tech: TechnologyParams, node: Node | str) -> TechnologyParams:

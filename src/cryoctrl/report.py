@@ -129,10 +129,10 @@ class SweepRow:
 
 
 def _with_param(sc: Scenario, param: str, value) -> Scenario:
-    if param == "n_bias":
-        return replace(sc, spec=replace(sc.spec, n_bias=int(value)))
-    if param == "n_rf":
-        return replace(sc, spec=replace(sc.spec, n_rf=int(value)))
+    if param in ("n_bias", "n_rf"):
+        if not float(value).is_integer():
+            raise ValueError(f"{param} must be an integer, got {value!r}")
+        return replace(sc, spec=replace(sc.spec, **{param: int(value)}))
     if param == "v_dd":
         return replace(sc, op=replace(sc.op, v_dd=float(value)))
     raise ValueError(f"unknown sweep parameter '{param}' (one of {SWEEP_PARAMS})")
@@ -236,8 +236,8 @@ def qubit_capacity(report, budget_w: float, sig_figs: int | None = 2) -> Capacit
     per_qubit = report.total_power_w if isinstance(report, Report) else float(report)
     if per_qubit <= 0:
         raise ValueError("per-qubit power must be positive")
-    if budget_w <= 0:
-        raise ValueError("budget must be positive")
+    if not 0 < budget_w < math.inf:
+        raise ValueError(f"budget must be positive and finite, got {budget_w!r}")
     if sig_figs is not None:
         per_qubit = round_sig(per_qubit, sig_figs)
     return CapacityResult(budget_w, per_qubit, math.floor(budget_w / per_qubit))

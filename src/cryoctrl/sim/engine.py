@@ -26,6 +26,7 @@ from __future__ import annotations
 import heapq
 import math
 from dataclasses import dataclass, field
+from operator import attrgetter
 from pathlib import Path
 
 from ..analog import derived_clocks
@@ -44,6 +45,10 @@ from .protocol import (
 
 PRIORITY_BIAS = 0
 PRIORITY_RF = 1
+
+# The bias domain never idles, so this bounds a run's host time (a few us per
+# conversion); 1 ms simulated at the defaults is ~1.1k conversions.
+MAX_CONVERSIONS = 10_000_000
 
 
 class StimulusError(ValueError):
@@ -67,12 +72,8 @@ class Trace:
 
     events: list[TraceEvent] = field(default_factory=list)
     stats: dict = field(default_factory=dict)
-    _last: dict = field(default_factory=dict, repr=False)
 
-    def emit(self, t_ns: float, signal: str, value: float, on_change: bool = False):
-        if on_change and self._last.get(signal) == value:
-            return
-        self._last[signal] = value
+    def emit(self, t_ns: float, signal: str, value: float):
         self.events.append(TraceEvent(t_ns, signal, value))
 
     def signals(self) -> set[str]:
@@ -144,7 +145,7 @@ def parse_stimulus(source: Path | str) -> list[Command]:
             commands.append(Command(t_ns, op, (args[0] == "on",), lineno))
         else:
             fail(f"unknown command '{op}'")
-    commands.sort(key=lambda c: (c.t_ns, c.line))
+    commands.sort(key=attrgetter("t_ns", "line"))
     return commands
 
 
@@ -225,7 +226,7 @@ class RfController:
         self.staging = cmd
         if not self.playing and not self.latched:
             self._latch_from_staging(t_ns)
-            sim.schedule_sample_edges()
+            sim.schedule_sample_edges(t_ns)
 
     def _latch_from_staging(self, t_ns: float):
         if self.staging is None:
@@ -248,9 +249,8 @@ class RfController:
         addr_a = id_a * sim.l_pulse + self.sample_counter
         addr_b = id_b * sim.l_pulse + self.sample_counter
         code_a, code_b = sim.memory.read_rf_dual(addr_a, addr_b)
-        lsb = sim.v_range_rf / (1 << sim.n_rf)
-        sim.trace.emit(t_ns, "rf_a", code_a * lsb)
-        sim.trace.emit(t_ns, "rf_b", code_b * lsb)
+        sim.trace.emit(t_ns, "rf_a", code_a * sim.rf_lsb)
+        sim.trace.emit(t_ns, "rf_b", code_b * sim.rf_lsb)
         sim.rf_samples_emitted += 1
 
         self.sample_counter += 1
@@ -285,7 +285,7 @@ class Simulator:
         self.n_rf = s.n_rf
         self.l_pulse = s.l_pulse
         self.v_range_bias = s.v_range_bias
-        self.v_range_rf = s.v_range_rf
+        self.rf_lsb = s.v_range_rf / (1 << s.n_rf)
 
         clocks = derived_clocks(scenario)
         self.f_clk_bias = clocks.f_clk_bias
@@ -315,21 +315,16 @@ class Simulator:
         self.caps = [HoldCap() for _ in range(self.n_electrodes)]
 
         self.trace = Trace()
-        for e in range(self.n_electrodes):
-            self.trace._last[f"bias_e{e}"] = 0.0  # electrodes start discharged
         self.max_refresh_deviation = [0.0] * self.n_electrodes
         self.backpressure_count = 0
         self.rf_samples_emitted = 0
 
         self._queue: list = []
         self._seq = 0
-        self._now = 0.0
         self._t_end_ns = 0.0
         self._write_queue: list[DataWord] = []
-        self._word_bits: str = ""
+        self._word_bits = ""  # the serial word in flight, empty when the line is free
         self._word_pos = 0
-        self._word_in_flight = False
-        self._sample_edges_scheduled = False
 
     # event queue -----------------------------------------------------------
 
@@ -349,10 +344,12 @@ class Simulator:
             dev = abs(v_ideal - v_pre)
             if dev > self.max_refresh_deviation[electrode]:
                 self.max_refresh_deviation[electrode] = dev
+        # the hold capacitor holds the last emitted value, 0 V at start
+        if v_ideal != cap.v:
+            self.trace.emit(t_ns, f"bias_e{electrode}", v_ideal)
         cap.v = v_ideal
         cap.t_set_ns = t_ns
         cap.code = code
-        self.trace.emit(t_ns, f"bias_e{electrode}", v_ideal, on_change=True)
 
     def electrode_voltage(self, electrode: int, t_ns: float) -> float:
         return self.caps[electrode].voltage(t_ns, self.tau_s)
@@ -367,12 +364,10 @@ class Simulator:
     # rf domain: serial data input -------------------------------------------
 
     def _start_next_word(self, t_ns: float):
-        if self._word_in_flight or not self._write_queue:
+        if self._word_bits or not self._write_queue:
             return
-        word = self._write_queue.pop(0)
-        self._word_bits = encode_dataword(word)
+        self._word_bits = encode_dataword(self._write_queue.pop(0))
         self._word_pos = 0
-        self._word_in_flight = True
         self._push(t_ns, PRIORITY_RF, self._word_clock_event)
 
     def _word_clock_event(self, t_ns: float, _):
@@ -384,17 +379,15 @@ class Simulator:
             self._push(t_ns + self.t_rf_ns, PRIORITY_RF, self._word_clock_event)
         else:
             # feedback issued; the next queued word may start on the next clock
-            self._word_in_flight = False
+            self._word_bits = ""
             self._start_next_word(t_ns + self.t_rf_ns)
 
     # rf domain: playback ----------------------------------------------------
 
-    def schedule_sample_edges(self):
-        if self._sample_edges_scheduled:
-            return
-        self._sample_edges_scheduled = True
-        t = self._next_sample_grid(self._now)
-        self._push(t, PRIORITY_RF, self._sample_event)
+    def schedule_sample_edges(self, t_ns: float):
+        """Start the sample clock on the grid. Only called when the RF
+        controller was idle: an edge is pending while it plays, latches or stages."""
+        self._push(self._next_sample_grid(t_ns), PRIORITY_RF, self._sample_event)
 
     def _next_sample_grid(self, t_ns: float) -> float:
         k = math.ceil(t_ns / self.sample_period_ns - 1e-9)
@@ -404,63 +397,56 @@ class Simulator:
         self.rf_ctrl.sample_edge(t_ns)
         if self.rf_ctrl.playing or self.rf_ctrl.latched or self.rf_ctrl.staging_full:
             self._push(t_ns + self.sample_period_ns, PRIORITY_RF, self._sample_event)
-        else:
-            self._sample_edges_scheduled = False
 
     # stimulus ---------------------------------------------------------------
 
-    def _command_event(self, t_ns: float, cmd: Command):
-        if cmd.op == "write-bias":
-            addr, code = cmd.args
-            self._enqueue_word(WordType.BIAS, addr, code, self.n_bias, cmd, t_ns)
-        elif cmd.op == "write-rf":
-            addr, code = cmd.args
-            self._enqueue_word(WordType.RF, addr, code, self.n_rf, cmd, t_ns)
-        elif cmd.op == "play":
-            try:
-                word = RfCommandWord(*cmd.args)
-            except ProtocolError as exc:
-                raise StimulusError(f"stimulus line {cmd.line}: {exc}") from exc
-            # 17-bit serial reception precedes staging
-            bits = encode_rf_command(word)
-            done = self.rf_receiver.feed(bits)
-            t_done = t_ns + len(bits) * self.t_rf_ns
-            self._push(t_done, PRIORITY_RF,
-                       lambda t, _a, w=done: self.rf_ctrl.command_received(t, w))
-        elif cmd.op == "ramp-mode":
-            self.bias_ctrl.ramp_mode = cmd.args[0]
-            self.trace.emit(t_ns, "ramp_mode", 1.0 if cmd.args[0] else 0.0)
-
-    def _enqueue_word(self, kind: WordType, addr: int, code: int,
-                      width: int, cmd: Command, t_ns: float):
-        try:
-            word = DataWord(kind, addr, code, width)
-        except ProtocolError as exc:
-            raise StimulusError(f"stimulus line {cmd.line}: {exc}") from exc
+    def _write_event(self, t_ns: float, word: DataWord):
         self._write_queue.append(word)
         self._start_next_word(t_ns)
 
+    def _play_event(self, t_ns: float, word: RfCommandWord):
+        # 17-bit serial reception precedes staging
+        bits = encode_rf_command(word)
+        received = self.rf_receiver.feed(bits)
+        self._push(t_ns + len(bits) * self.t_rf_ns, PRIORITY_RF,
+                   self.rf_ctrl.command_received, received)
+
+    def _ramp_mode_event(self, t_ns: float, on: bool):
+        self.bias_ctrl.ramp_mode = on
+        self.trace.emit(t_ns, "ramp_mode", 1.0 if on else 0.0)
+
+    def _event(self, cmd: Command):
+        """The handler of ``cmd`` and its checked argument."""
+        try:
+            if cmd.op == "write-bias":
+                return self._write_event, DataWord(WordType.BIAS, *cmd.args, self.n_bias)
+            if cmd.op == "write-rf":
+                return self._write_event, DataWord(WordType.RF, *cmd.args, self.n_rf)
+            if cmd.op == "play":
+                return self._play_event, RfCommandWord(*cmd.args)
+        except ProtocolError as exc:
+            raise StimulusError(f"stimulus line {cmd.line}: {exc}") from exc
+        return self._ramp_mode_event, cmd.args[0]
+
     # run ---------------------------------------------------------------------
 
-    def run(self, stimulus: Path | str | None = None, t_end_ns: float = 0.0) -> Trace:
+    def run(self, stimulus: Path | str | None, t_end_ns: float) -> Trace:
+        """Simulate up to ``t_end_ns``; the whole stimulus is checked first."""
         if not 0 < t_end_ns < math.inf:
             raise ValueError(f"t_end_ns must be positive and finite, got {t_end_ns!r}")
+        if t_end_ns / self.conversion_period_ns > MAX_CONVERSIONS:
+            raise ValueError(f"t_end_ns={t_end_ns!r} exceeds the limit of "
+                             f"{MAX_CONVERSIONS} bias conversions per run")
         self._t_end_ns = t_end_ns
-        self._now = 0.0
+        for cmd in parse_stimulus(stimulus) if stimulus is not None else []:
+            self._push(cmd.t_ns, PRIORITY_RF, *self._event(cmd))
 
         self.trace.emit(0.0, "clk_bias_hz", self.f_clk_bias)
         self.trace.emit(0.0, "clk_rf_hz", self.f_clk_rf)
-
-        commands = parse_stimulus(stimulus) if stimulus is not None else []
-        for cmd in commands:
-            if cmd.t_ns <= t_end_ns:
-                self._push(cmd.t_ns, PRIORITY_RF, self._command_event, cmd)
-
         self._push(0.0, PRIORITY_BIAS, self._conversion_event)
 
         while self._queue:
             t_ns, _prio, _seq, fn, arg = heapq.heappop(self._queue)
-            self._now = t_ns
             fn(t_ns, arg)
 
         self.trace.stats = {
@@ -475,8 +461,8 @@ class Simulator:
         return self.trace
 
 
-def run_simulation(scenario: Scenario, stimulus: Path | str | None = None,
-                   t_end_ns: float = 0.0) -> Trace:
+def run_simulation(scenario: Scenario, stimulus: Path | str | None,
+                   t_end_ns: float) -> Trace:
     """Run one deterministic simulation and return its trace (with stats).
 
     ``stimulus`` is a stimulus file (a ``Path``) or stimulus text (a ``str``).

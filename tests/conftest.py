@@ -1,3 +1,4 @@
+import os
 from pathlib import Path
 
 import pytest
@@ -16,3 +17,10 @@ def baseline() -> Scenario:
 @pytest.fixture
 def scenario_dir() -> Path:
     return SCENARIO_DIR
+
+
+@pytest.fixture
+def src_env() -> dict:
+    """Environment for a child interpreter that imports cryoctrl from src/."""
+    paths = [str(REPO_ROOT / "src"), os.environ.get("PYTHONPATH")]
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths))}

@@ -1,9 +1,13 @@
 import hashlib
 import json
+import subprocess
+import sys
+import time
 
 import pytest
 
 from cryoctrl.cli import main
+from cryoctrl.report import qubit_capacity
 
 
 def run_cli(capsys, *argv):
@@ -73,6 +77,16 @@ def test_capacity_reference_value(capsys, scenario_dir):
                            str(scenario_dir / "14nm-sram-10mv.json"), "--budget", "1e-3")
     assert code == 0
     assert out.strip() == "1428"
+
+
+@pytest.mark.parametrize("budget", ["inf", "nan", "0", "-1"])
+def test_capacity_bad_budget_is_usage_error(capsys, scenario_dir, budget):
+    with pytest.raises(ValueError, match="positive and finite"):
+        qubit_capacity(1e-6, float(budget))
+    code, out, err = run_cli(capsys, "capacity", "--budget", budget, "--scenario",
+                             str(scenario_dir / "paper-defaults.json"))
+    assert (code, out) == (1, "")
+    assert "--budget" in err
 
 
 def test_capacity_exact_flag(capsys, scenario_dir):
@@ -156,6 +170,20 @@ def test_simulate_bad_until_is_usage_error(capsys, scenario_dir, tmp_path, until
                            "--stimulus", str(stim), "--until", until)
     assert code == 1
     assert "--until" in err
+
+
+def test_simulate_over_run_budget_fails_fast(scenario_dir, tmp_path, src_env):
+    stim = tmp_path / "stim.txt"
+    stim.write_text("0 write-bias 0 2048\n")
+    t0 = time.perf_counter()
+    proc = subprocess.run(
+        [sys.executable, "-m", "cryoctrl.cli", "simulate", "--scenario",
+         str(scenario_dir / "paper-defaults.json"), "--stimulus", str(stim),
+         "--until", "1e30ns"],
+        capture_output=True, text=True, env=src_env, timeout=10)
+    assert time.perf_counter() - t0 < 1.0
+    assert proc.returncode != 0
+    assert "bias conversions" in proc.stderr and "Traceback" not in proc.stderr
 
 
 def test_outputs_deterministic(capsys, scenario_dir):

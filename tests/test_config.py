@@ -1,4 +1,5 @@
 import json
+import math
 from dataclasses import replace
 
 import pytest
@@ -26,6 +27,10 @@ def test_negative_vdd_rejected(tmp_path):
     p.write_text('{"op": {"v_dd": -1}}')
     with pytest.raises(ConfigError, match="v_dd must be positive"):
         load_scenario(p)
+    for value in ("NaN", "Infinity"):  # json accepts both
+        p.write_text(f'{{"op": {{"v_dd": {value}}}}}')
+        with pytest.raises(ConfigError, match="v_dd must be finite"):
+            load_scenario(p)
 
 
 def test_idempotent_override(tmp_path):
@@ -105,6 +110,13 @@ def test_spec_invariants():
         replace(SystemSpec(), n_bias=25).validate()
     with pytest.raises(ConfigError, match="must be positive"):
         replace(SystemSpec(), dv_bias=0).validate()
+    for value in (math.inf, math.nan):
+        with pytest.raises(ConfigError, match="dv_bias must be finite"):
+            replace(SystemSpec(), dv_bias=value).validate()
+        with pytest.raises(ConfigError, match="r_off must be finite"):
+            replace(TechnologyParams(), r_off=value).validate()
+        with pytest.raises(ConfigError, match="c_h must be finite"):
+            replace(Scenario(), c_h=value).validate()
 
 
 def test_operating_point_invariants():
@@ -112,6 +124,11 @@ def test_operating_point_invariants():
         replace(OperatingPoint(), sigma_con=0.6).validate()
     with pytest.raises(ConfigError, match="t_el"):
         replace(OperatingPoint(), t_el=0).validate()
+    for value in (math.inf, math.nan):
+        with pytest.raises(ConfigError, match="v_dd must be finite"):
+            replace(OperatingPoint(), v_dd=value).validate()
+        with pytest.raises(ConfigError, match="f_clk_rf must be finite"):
+            replace(OperatingPoint(), f_clk_rf=value).validate()
 
 
 def test_hold_cap_below_noise_floor_rejected():

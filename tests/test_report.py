@@ -1,3 +1,4 @@
+import math
 from dataclasses import replace
 
 import pytest
@@ -123,6 +124,12 @@ def test_sweep_marks_invalid_rows(baseline):
     csv = sweep_csv(rows)
     assert csv.splitlines()[0] == SWEEP_CSV_HEADER
     assert "invalid:" in csv
+    rows = sweep(baseline, "v_dd", [math.inf, math.nan, 1.0])
+    assert sorted(r.status for r in rows) == ["invalid: v_dd must be finite"] * 2 + ["ok"]
+    for param in ("n_bias", "n_rf"):
+        rows = sweep(baseline, param, [math.inf, math.nan, 12.7, 10.0])
+        assert [r.status.split(":")[0] for r in rows].count("invalid") == 3
+        assert all(r.report is None for r in rows if r.value != 10.0)
 
 
 def test_sweep_rows_ordered_by_value(baseline):

@@ -1,7 +1,10 @@
+import hashlib
+import json
 import math
 from dataclasses import replace
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cryoctrl import baseline_scenario
 from cryoctrl.sim import (
@@ -245,6 +248,16 @@ def test_stimulus_value_range_checks(baseline):
         run_simulation(baseline, "0 play 16 0 0 0\n", 1_000.0)
 
 
+@pytest.mark.parametrize("bad", ["5000 write-bias 0 4096", "5000 write-rf 0 1024",
+                                 "5000 play 0 0 0 16"])
+def test_whole_stimulus_checked_before_the_run(baseline, bad):
+    # the bad command lies after t_end_ns, so it would never execute
+    sim = Simulator(baseline)
+    with pytest.raises(StimulusError, match="line 2"):
+        sim.run(f"0 write-bias 0 1\n{bad}\n", 1_000.0)
+    assert sim.trace.events == []
+
+
 def test_trace_csv_format(baseline):
     trace = run_simulation(baseline, "0 write-bias 0 2048\n", 20_000.0)
     lines = trace.to_csv().splitlines()
@@ -254,3 +267,88 @@ def test_trace_csv_format(baseline):
     assert t_values == sorted(t_values)
     vcd = trace.to_vcd_text().splitlines()
     assert vcd[0].startswith("#")
+
+
+# One stimulus per simulator behaviour. The digests pin the trace CSV, the
+# VCD text and the stats, so a refactor of the engine that changes any event,
+# its order or a figure fails here.
+SIM_GOLDEN_STIMULI = {
+    # every electrode written once, one rewritten mid-run: round-robin
+    # refresh, droop and value-change emission
+    "bias-refresh": (
+        "\n".join(f"0 write-bias {e} {511 * (e + 1)}" for e in range(8))
+        + "\n150000 write-bias 3 17\n",
+        300_000.0,
+    ),
+    # ramp target written, ramp on and off again while refresh resumes
+    "ramp-mode": ("0 write-bias 0 4000\n0 write-bias 8 2\n200 ramp-mode on\n"
+                  "25000 ramp-mode off\n", 60_000.0),
+    # two stored sequences; the third play finds staging full
+    "playback-backpressure": (
+        "\n".join(f"0 write-rf {i} {31 * i}" for i in range(32))
+        + "\n20000 play 0 0 1 1\n20040 play 1 1 0 0\n20042 play 2 2 2 2\n"
+          "40001 play 1 0 0 1\n",
+        90_000.0,
+    ),
+    # three plays before playback starts: the latch holds one word
+    "latch": (
+        "\n".join(f"0 write-rf {i} {i}" for i in range(16))
+        + "\n20000 play 0 0 0 0\n20001 play 1 1 1 1\n20002 play 2 2 2 2\n",
+        90_000.0,
+    ),
+}
+
+SIM_GOLDEN_SHA256 = {  # (to_csv, to_vcd_text, stats as sorted JSON)
+    "bias-refresh": (
+        "a47792288a943db331a616f3a1535d05b3390e7ec450c61cffec70363f2df4f0",
+        "499affbbd02960c4c99b6f1b108d784afb013aa71c1e1df0c43675a9b70c5f95",
+        "9176dcc9414a825101931de3bc3cfac40b9261e0466c121b298ef6d4d3f9c15f",
+    ),
+    "ramp-mode": (
+        "259cec3812a31f69125a29777eaf723ac7074deab7b93560fa90e6d34fa3349b",
+        "0a328b83752baf32793ac248c0c29a5a0eab879429b06efcc7b12b89f51cee87",
+        "9f0e0246f27a90fb4b1440d03b070ac35b00f4862c844a86625dcd611f02f99e",
+    ),
+    "playback-backpressure": (
+        "1e79a142fa3161a9641c723accbdbca81f5cb2a71e8b9709dddf14ad7f0dbfdc",
+        "2d1f24ea5b54c0bc12f928dd499f4664063f39b0238ba1285ca29deea9af5acd",
+        "d48750b07e29e34d15bd2ee3d9ac8dc125916923e71444895eb0e76817a75cef",
+    ),
+    "latch": (
+        "692c2f0d2b65ec7aff2afe645e0ec4655bf7f459725d5b7cd14154b53a374215",
+        "34dfbf60d5990cb1f9f3a2d6b3ea87f3907f6f8e56a1d0acd0da3784e518ab18",
+        "3eb15597f9ebaa1f2672e8992b647e41ef39779ee9c40a2d3c8cca4e3f1aa977",
+    ),
+}
+
+
+@pytest.mark.parametrize("key", sorted(SIM_GOLDEN_SHA256))
+def test_simulator_output_golden(baseline, key):
+    stimulus, t_end_ns = SIM_GOLDEN_STIMULI[key]
+    trace = run_simulation(baseline, stimulus, t_end_ns)
+    outputs = (trace.to_csv(), trace.to_vcd_text(), json.dumps(trace.stats, sort_keys=True))
+    assert tuple(hashlib.sha256(o.encode()).hexdigest() for o in outputs) \
+        == SIM_GOLDEN_SHA256[key]
+
+
+_command = st.one_of(
+    st.tuples(st.just("write-bias"), st.integers(0, 8), st.integers(0, 4095)),
+    st.tuples(st.just("write-rf"), st.integers(0, 255), st.integers(0, 1023)),
+    st.tuples(st.just("play"), *[st.integers(0, 15)] * 4),
+    st.tuples(st.just("ramp-mode"), st.sampled_from(["on", "off"])),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(commands=st.lists(st.tuples(st.floats(0, 40_000), _command), max_size=30),
+       t_end_ns=st.floats(1_000, 50_000))
+def test_trace_ordered_and_bias_emitted_on_change(commands, t_end_ns):
+    stimulus = "\n".join(f"{t!r} {op} " + " ".join(map(str, args))
+                         for t, (op, *args) in commands)
+    trace = run_simulation(baseline_scenario(), stimulus, t_end_ns)
+    times = [e.t_ns for e in trace.events]
+    assert times == sorted(times)
+    assert times[-1] <= t_end_ns
+    for e in range(8):
+        values = [0.0] + [ev.value for ev in trace.of(f"bias_e{e}")]  # starts discharged
+        assert all(a != b for a, b in zip(values, values[1:]))
