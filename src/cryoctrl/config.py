@@ -87,6 +87,9 @@ class SystemSpec:
     n_pulses: int = 16
 
     def validate(self) -> None:
+        for name in ("n_bias_signals", "n_bias", "n_rf_signals", "n_rf", "l_pulse", "n_pulses"):
+            if type(getattr(self, name)) is not int:
+                raise ConfigError(f"{name} must be an integer")
         _check_positive(self, vars(self))
         for name in ("n_bias", "n_rf"):
             if not 1 <= getattr(self, name) <= 24:

@@ -139,10 +139,10 @@ def _with_param(sc: Scenario, param: str, value) -> Scenario:
 
 
 def sweep(sc: Scenario, param: str, values) -> list[SweepRow]:
-    """One report per parameter value, ordered by value; a value that fails
-    validation yields an invalid row instead of aborting the sweep."""
+    """One report per parameter value, ordered by value with NaN last; a value
+    that fails validation yields an invalid row instead of aborting the sweep."""
     rows = []
-    for value in sorted(values):
+    for value in sorted(values, key=lambda v: (math.isnan(v), v)):
         try:
             rows.append(SweepRow(param, value, assemble(_with_param(sc, param, value)), "ok"))
         except ValueError as exc:

@@ -103,6 +103,15 @@ def test_node_shorthand_with_override(tmp_path):
     assert sc.tech.digital_cap_scale == 0.5
 
 
+@pytest.mark.parametrize("spec", ['{"l_pulse": 16.0}', '{"n_bias": 12.5}',
+                                  '{"n_bias": true}'])
+def test_integer_spec_fields_reject_other_numbers(tmp_path, spec):
+    p = tmp_path / "s.json"
+    p.write_text(f'{{"spec": {spec}}}')
+    with pytest.raises(ConfigError, match="must be an integer"):
+        load_scenario(p)
+
+
 def test_spec_invariants():
     with pytest.raises(ConfigError, match="power of two"):
         replace(SystemSpec(), l_pulse=12).validate()

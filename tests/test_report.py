@@ -135,6 +135,8 @@ def test_sweep_marks_invalid_rows(baseline):
 def test_sweep_rows_ordered_by_value(baseline):
     rows = sweep(baseline, "v_dd", [0.5, 1.0, 0.1])
     assert [r.value for r in rows] == [0.1, 0.5, 1.0]
+    rows = sweep(baseline, "v_dd", [1.0, math.nan, 0.5])  # NaN sorts last
+    assert [repr(r.value) for r in rows] == ["0.5", "1.0", "nan"]
 
 
 def test_dac_sweep_csv(baseline):

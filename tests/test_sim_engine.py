@@ -1,7 +1,9 @@
 import hashlib
+import heapq
 import json
 import math
 from dataclasses import replace
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -11,6 +13,8 @@ from cryoctrl.sim import (
     SimulationConfigError,
     StimulusError,
     Simulator,
+    TraceEvent,
+    engine,
     parse_duration_ns,
     parse_stimulus,
     run_simulation,
@@ -35,6 +39,9 @@ def test_stimulus_parse_errors_carry_line_numbers():
         parse_stimulus("0 frobnicate 1 2\n")
     with pytest.raises(StimulusError, match="line 3"):
         parse_stimulus("# comment\n\n0 ramp-mode maybe\n")
+    for t in ("-1", "nan", "inf"):
+        with pytest.raises(StimulusError, match="line 2: time must be non-negative and finite"):
+            parse_stimulus(f"0 write-bias 0 1\n{t} write-bias 0 1\n")
 
 
 def test_stimulus_comments_and_sorting():
@@ -249,10 +256,12 @@ def test_stimulus_value_range_checks(baseline):
 
 
 @pytest.mark.parametrize("bad", ["5000 write-bias 0 4096", "5000 write-rf 0 1024",
-                                 "5000 play 0 0 0 16"])
+                                 "5000 play 0 0 0 16", "5000 write-rf 200 5",
+                                 "5000 play 15 15 0 0"])
 def test_whole_stimulus_checked_before_the_run(baseline, bad):
-    # the bad command lies after t_end_ns, so it would never execute
-    sim = Simulator(baseline)
+    # the bad command lies after t_end_ns, so it would never execute; with 4
+    # stored sequences (64 pulse registers) RF address 200 and id 15 are bad too
+    sim = Simulator(replace(baseline, spec=replace(baseline.spec, n_pulses=4)))
     with pytest.raises(StimulusError, match="line 2"):
         sim.run(f"0 write-bias 0 1\n{bad}\n", 1_000.0)
     assert sim.trace.events == []
@@ -267,6 +276,12 @@ def test_trace_csv_format(baseline):
     assert t_values == sorted(t_values)
     vcd = trace.to_vcd_text().splitlines()
     assert vcd[0].startswith("#")
+
+
+def test_trace_event_is_a_named_tuple():
+    e = TraceEvent(1.5, "rf_a", 0.25)
+    assert (e.t_ns, e.signal, e.value) == (1.5, "rf_a", 0.25)
+    assert e == (1.5, "rf_a", 0.25)
 
 
 # One stimulus per simulator behaviour. The digests pin the trace CSV, the
@@ -296,6 +311,21 @@ SIM_GOLDEN_STIMULI = {
         + "\n20000 play 0 0 0 0\n20001 play 1 1 1 1\n20002 play 2 2 2 2\n",
         90_000.0,
     ),
+    # two stored sequences, four plays (two of them staged inside a running
+    # sequence) and RF writes that complete mid-sequence. The conversion at
+    # 18420.0 ns (the 20th, 20 x 921.0) falls on the same float time as a
+    # ramp-mode command, a sample edge and a bit clock, and the one at
+    # 27630.0 ns on a ramp-mode command and a bit clock: the write times were
+    # searched for so that the bit clock lands there. The conversion runs
+    # first, in the mode it had before the command.
+    "rf-write-during-playback": (
+        "\n".join(f"0 write-rf {i} {29 * i + 3}" for i in range(32))
+        + "\n18384 play 0 1 1 0\n18389.999999999978 write-rf 12 1000\n"
+          "18389.999999999978 write-rf 28 7\n18400 play 1 0 0 1\n18420 ramp-mode on\n"
+          "27599.999999999978 write-rf 3 512\n27602 play 1 1 0 0\n27630 ramp-mode off\n"
+          "27640 play 0 0 1 1\n",
+        28_000.0,
+    ),
 }
 
 SIM_GOLDEN_SHA256 = {  # (to_csv, to_vcd_text, stats as sorted JSON)
@@ -319,6 +349,11 @@ SIM_GOLDEN_SHA256 = {  # (to_csv, to_vcd_text, stats as sorted JSON)
         "34dfbf60d5990cb1f9f3a2d6b3ea87f3907f6f8e56a1d0acd0da3784e518ab18",
         "3eb15597f9ebaa1f2672e8992b647e41ef39779ee9c40a2d3c8cca4e3f1aa977",
     ),
+    "rf-write-during-playback": (
+        "bef4b0aa80a13c81fa01212bf755241af614e606af7c8a0ed4efad5f5691ec75",
+        "d5dd50fe8cb662a8fae7f8aa98114aeb3c4fbe71c0440dcd4ba31b4c0e61f119",
+        "9ea272a0d69ade3705a54caff4fe04bed1f8692600a480a5127c781524bed867",
+    ),
 }
 
 
@@ -329,6 +364,10 @@ def test_simulator_output_golden(baseline, key):
     outputs = (trace.to_csv(), trace.to_vcd_text(), json.dumps(trace.stats, sort_keys=True))
     assert tuple(hashlib.sha256(o.encode()).hexdigest() for o in outputs) \
         == SIM_GOLDEN_SHA256[key]
+
+
+def _stimulus_text(commands) -> str:
+    return "\n".join(f"{t!r} {op} " + " ".join(map(str, args)) for t, (op, *args) in commands)
 
 
 _command = st.one_of(
@@ -343,8 +382,7 @@ _command = st.one_of(
 @given(commands=st.lists(st.tuples(st.floats(0, 40_000), _command), max_size=30),
        t_end_ns=st.floats(1_000, 50_000))
 def test_trace_ordered_and_bias_emitted_on_change(commands, t_end_ns):
-    stimulus = "\n".join(f"{t!r} {op} " + " ".join(map(str, args))
-                         for t, (op, *args) in commands)
+    stimulus = _stimulus_text(commands)
     trace = run_simulation(baseline_scenario(), stimulus, t_end_ns)
     times = [e.t_ns for e in trace.events]
     assert times == sorted(times)
@@ -352,3 +390,35 @@ def test_trace_ordered_and_bias_emitted_on_change(commands, t_end_ns):
     for e in range(8):
         values = [0.0] + [ev.value for ev in trace.of(f"bias_e{e}")]  # starts discharged
         assert all(a != b for a, b in zip(values, values[1:]))
+
+
+@settings(max_examples=60, deadline=None)
+@given(n_loaded=st.integers(0, 4),
+       commands=st.lists(st.tuples(st.floats(19_800, 20_600) | st.just(20262.0), _command),
+                         max_size=25),
+       t_end_ns=st.floats(20_100, 21_500))
+def test_returned_edges_match_push_then_pop(n_loaded, commands, t_end_ns):
+    # Reference: every returned edge goes through a separate heappush and
+    # heappop, as in a loop where each clocked handler pushes its own edge.
+    # The window is narrow, so plays land inside running sequences and RF
+    # writes complete mid-sequence; commands may fall on the conversion at
+    # 20262.0 ns.
+    loads = [(0.0, ("write-rf", a, (37 * a) % 1024)) for a in range(16 * n_loaded)]
+    stimulus = _stimulus_text(loads + commands)
+    fast = run_simulation(baseline_scenario(), stimulus, t_end_ns)
+
+    pushpops = []
+
+    def push_then_pop(queue, item):
+        pushpops.append(item)
+        heapq.heappush(queue, item)
+        return heapq.heappop(queue)
+
+    reference = SimpleNamespace(heappush=heapq.heappush, heappop=heapq.heappop,
+                                heappushpop=push_then_pop)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(engine, "heapq", reference)
+        slow = run_simulation(baseline_scenario(), stimulus, t_end_ns)
+    assert pushpops  # the conversion clock alone returns an edge
+    assert slow.to_csv() == fast.to_csv()
+    assert slow.stats == fast.stats
