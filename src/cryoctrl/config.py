@@ -227,17 +227,40 @@ def apply_node(tech: TechnologyParams, node: Node | str) -> TechnologyParams:
 # JSON loading / saving
 
 _ENUM_FIELDS = {
+    "node": Node,
     "memory_arch": MemoryArch,
     "bias_dac_arch": DacArchitecture,
     "rf_dac_arch": DacArchitecture,
 }
 
 
-def _merge_dataclass(cls, defaults, data: dict, path: str):
+def _choice(key: str, value):
+    try:
+        return _ENUM_FIELDS[key](value)
+    except ValueError:
+        choices = ", ".join(e.value for e in _ENUM_FIELDS[key])
+        raise ConfigError(f"{key} must be one of: {choices}") from None
+
+
+def _check_number(name: str, value, default) -> None:
+    """Raise ConfigError unless a JSON ``value`` suits a number field with this
+    ``default``: an int or float but not a bool, or null where the default is
+    None. Ranges and integrality are left to the ``validate`` methods."""
+    if value is None and default is None:
+        return
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        kind = "an integer" if type(default) is int else "a number"
+        raise ConfigError(f"{name} must be {kind}" + (" or null" if default is None else ""))
+
+
+def _merge_dataclass(cls, defaults, data, path: str):
+    if not isinstance(data, dict):
+        raise ConfigError(f"'{path}' must be a JSON object")
     known = {f.name for f in fields(cls)}
-    for key in data:
+    for key, value in data.items():
         if key not in known:
             raise ConfigError(f"unknown key '{path}.{key}' in scenario file")
+        _check_number(f"{path}.{key}", value, getattr(defaults, key))
     return replace(defaults, **data)
 
 
@@ -258,7 +281,7 @@ def scenario_from_dict(data: dict) -> Scenario:
 
     sc = Scenario()
     node = data.pop("node", None)
-    tech = apply_node(sc.tech, node) if node is not None else sc.tech
+    tech = apply_node(sc.tech, _choice("node", node)) if node is not None else sc.tech
 
     known = {f.name for f in fields(Scenario)}
     for key in data:
@@ -272,11 +295,9 @@ def scenario_from_dict(data: dict) -> Scenario:
     simple: dict = {}
     for key, value in data.items():
         if key in _ENUM_FIELDS:
-            try:
-                value = _ENUM_FIELDS[key](value)
-            except ValueError:
-                choices = ", ".join(e.value for e in _ENUM_FIELDS[key])
-                raise ConfigError(f"{key} must be one of: {choices}") from None
+            value = _choice(key, value)
+        else:
+            _check_number(key, value, getattr(sc, key))
         simple[key] = value
 
     sc = replace(sc, spec=spec, tech=tech, op=op, **simple)

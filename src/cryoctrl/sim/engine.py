@@ -24,13 +24,23 @@ outputs are emitted once per sample.
 
 Stimulus files are line based, times in nanoseconds, ``#`` comments::
 
-    <time_ns> write-bias <reg 0-8> <code>
-    <time_ns> write-rf <addr 0-255> <code>
+    <time_ns> write-bias <reg> <code>
+    <time_ns> write-rf <addr> <code>
     <time_ns> play <idA> <idB> <idC> <idD>
     <time_ns> ramp-mode <on|off>
 
-An RF address must also lie below ``n_pulses * l_pulse`` and a sequence id
-below ``n_pulses``, the pulse memory of the scenario.
+The limits come from the scenario's memory, as ``digital.memory_design``
+sizes it: a bias register below ``n_bias_signals + 1`` (register
+``n_bias_signals`` holds the ramp target), an RF address below
+``n_pulses * l_pulse`` and a sequence id below ``n_pulses``. A code must fit
+the ``n_bias`` or ``n_rf`` bits of its register.
+
+``Simulator`` refuses, with ``SimulationConfigError``, a scenario the wire
+format cannot address: more than ``2**ADDRESS_BITS`` bias registers
+(``n_bias_signals > 255``) or pulse registers, more than
+``2**SEQUENCE_ID_BITS`` stored sequences, ``n_rf_signals`` other than the
+two outputs the pulse memory's read ports drive, and a resolution beyond
+the reception counter's payload limit.
 """
 
 from __future__ import annotations
@@ -44,8 +54,11 @@ from typing import NamedTuple
 
 from ..analog import derived_clocks
 from ..config import Scenario
+from ..digital import memory_design
 from .memory import MemoryBank
 from .protocol import (
+    ADDRESS_BITS,
+    SEQUENCE_ID_BITS,
     DataInputController,
     DataWord,
     ProtocolError,
@@ -287,10 +300,22 @@ class Simulator:
     def __init__(self, scenario: Scenario):
         scenario.validate()
         s = scenario.spec
-        if s.n_pulses * s.l_pulse > 256:
+        d = memory_design(scenario)
+        for n, what, bits, field_name in (
+                (d.bias_registers, "bias registers (n_bias_signals + 1)", ADDRESS_BITS,
+                 "word address"),
+                (d.rf_registers, "pulse registers (n_pulses * l_pulse)", ADDRESS_BITS,
+                 "word address"),
+                (s.n_pulses, "pulse sequences (n_pulses)", SEQUENCE_ID_BITS, "sequence id")):
+            if n > 2 ** bits:
+                raise SimulationConfigError(
+                    f"{n} {what} exceed the {2 ** bits}-entry address space "
+                    f"of the {bits}-bit {field_name}"
+                )
+        if s.n_rf_signals != d.rf_read_ports:
             raise SimulationConfigError(
-                "n_pulses * l_pulse exceeds the 256-register address space "
-                "of the 8-bit word address"
+                f"n_rf_signals={s.n_rf_signals}, but the pulse memory's "
+                f"{d.rf_read_ports} read ports drive exactly {d.rf_read_ports} outputs"
             )
         self.scenario = scenario
         self.n_electrodes = s.n_bias_signals
@@ -314,13 +339,12 @@ class Simulator:
         self.tau_s = scenario.tech.r_off_effective() * scenario.c_h
 
         self.memory = MemoryBank(
-            n_bias=s.n_bias, n_rf=s.n_rf,
-            bias_registers=s.n_bias_signals + 1,
-            rf_registers=s.n_pulses * s.l_pulse,
+            n_bias=d.bias_width, n_rf=d.rf_width,
+            bias_registers=d.bias_registers, rf_registers=d.rf_registers,
         )
         try:
             # rejects payloads the 5-bit reception counter cannot time
-            self.data_input = DataInputController(self.memory, s.n_bias, s.n_rf)
+            self.data_input = DataInputController(self.memory, d.bias_width, d.rf_width)
         except ProtocolError as exc:
             raise SimulationConfigError(str(exc)) from exc
         self.rf_receiver = RfCommandReceiver()
@@ -433,13 +457,13 @@ class Simulator:
     def _event(self, cmd: Command):
         """The handler of ``cmd`` and its checked argument."""
         try:
-            if cmd.op == "write-bias":
-                return self._write_event, DataWord(WordType.BIAS, *cmd.args, self.n_bias)
-            if cmd.op == "write-rf":
-                word = DataWord(WordType.RF, *cmd.args, self.n_rf)
-                if word.address >= self.n_pulses * self.l_pulse:
-                    raise ProtocolError(f"address {word.address} beyond the "
-                                        f"{self.n_pulses * self.l_pulse} pulse registers")
+            if cmd.op == "write-bias" or cmd.op == "write-rf":
+                kind = WordType.BIAS if cmd.op == "write-bias" else WordType.RF
+                word = DataWord(kind, *cmd.args,
+                                self.n_bias if kind is WordType.BIAS else self.n_rf)
+                if not self.memory.holds(kind, word.address):
+                    raise ProtocolError(f"{kind.value} register {word.address} does not "
+                                        f"exist in the scenario's memory")
                 return self._write_event, word
             if cmd.op == "play":
                 word = RfCommandWord(*cmd.args)

@@ -3,21 +3,32 @@
 Both banks are written serially (one bit per write clock into the selected
 register) and read in parallel (a full register per read clock). The pulse
 bank has two read ports so two sequences can feed the two output DACs
-simultaneously.
+simultaneously. The default bank is the one ``digital.memory_design`` sizes
+for the default scenario.
 """
 
 from __future__ import annotations
 
+from ..config import Scenario
+from ..digital import memory_design
+
+_DEFAULT = memory_design(Scenario())
+
 
 class MemoryBank:
-    def __init__(self, n_bias: int = 12, n_rf: int = 10,
-                 bias_registers: int = 9, rf_registers: int = 256):
+    def __init__(self, n_bias: int = _DEFAULT.bias_width, n_rf: int = _DEFAULT.rf_width,
+                 bias_registers: int = _DEFAULT.bias_registers,
+                 rf_registers: int = _DEFAULT.rf_registers):
         self.n_bias = n_bias
         self.n_rf = n_rf
         self.bias = [0] * bias_registers
         self.rf = [0] * rf_registers
         self._bias_mask = (1 << n_bias) - 1
         self._rf_mask = (1 << n_rf) - 1
+
+    def holds(self, kind: str, addr: int) -> bool:
+        """Whether the ``kind`` bank (``"bias"`` or ``"rf"``) has register ``addr``."""
+        return 0 <= addr < len(self.bias if kind == "bias" else self.rf)
 
     # serial write path -----------------------------------------------------
 

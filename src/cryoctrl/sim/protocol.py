@@ -50,10 +50,11 @@ class DataWord:
     width: int  # payload bits
 
     def __post_init__(self):
-        limit = 9 if self.kind is WordType.BIAS else 256
-        if not 0 <= self.address < limit:
+        # the wire limit only; whether the register exists is the memory's
+        # answer (``MemoryBank.holds``)
+        if not 0 <= self.address < 2 ** ADDRESS_BITS:
             raise ProtocolError(
-                f"address {self.address} out of range for {self.kind.value} word"
+                f"address {self.address} out of range for the {ADDRESS_BITS}-bit address field"
             )
         if not 1 <= self.width <= MAX_PAYLOAD_BITS:
             raise ProtocolError(f"payload width must be in [1, {MAX_PAYLOAD_BITS}]")
@@ -137,7 +138,9 @@ class DataInputController:
     last payload bit the addressed register is selected, enable pulses, and
     the payload is shifted into the memory over ``width`` write clocks;
     completion is acknowledged on the feedback output. A new header is
-    accepted only after feedback, line activity in between is ignored.
+    accepted only after feedback, line activity in between is ignored. A
+    frame addressed to a register the memory does not hold raises
+    ``protocol_error`` and writes nothing.
     """
 
     IDLE = "idle"
@@ -187,6 +190,9 @@ class DataInputController:
             if len(self.bits) == self._frame_length():
                 try:
                     self.word = decode_dataword("".join(self.bits), self.n_bias, self.n_rf)
+                    if not self.memory.holds(self.word.kind, self.word.address):
+                        raise ProtocolError(f"no {self.word.kind.value} register "
+                                            f"{self.word.address}")
                 except ProtocolError:
                     events.append(("protocol_error", 1.0))
                     self.reset()

@@ -1,5 +1,6 @@
 import json
 import math
+import re
 from dataclasses import replace
 
 import pytest
@@ -109,6 +110,27 @@ def test_integer_spec_fields_reject_other_numbers(tmp_path, spec):
     p = tmp_path / "s.json"
     p.write_text(f'{{"spec": {spec}}}')
     with pytest.raises(ConfigError, match="must be an integer"):
+        load_scenario(p)
+
+
+@pytest.mark.parametrize("text, message", [
+    ('{"spec": {"dv_bias": "3e-6"}}', "spec.dv_bias must be a number"),
+    ('{"c_h": "3e-13"}', "c_h must be a number"),
+    ('{"op": {"sigma_con": "0.5"}}', "op.sigma_con must be a number"),
+    ('{"spec": {"v_range_bias": [1]}}', "spec.v_range_bias must be a number"),
+    ('{"spec": {"dv_bias": null}}', "spec.dv_bias must be a number"),
+    ('{"c_h": null}', "c_h must be a number"),
+    ('{"spec": {"dv_bias": true}}', "spec.dv_bias must be a number"),
+    ('{"op": {"f_clk_rf": "6e8"}}', "op.f_clk_rf must be a number or null"),
+    ('{"spec": {"n_pulses": "16"}}', "spec.n_pulses must be an integer"),
+    ('{"spec": 5}', "'spec' must be a JSON object"),
+    ('{"tech": null}', "'tech' must be a JSON object"),
+    ('{"node": "7nm"}', "node must be one of: 65nm, 14nm"),
+])
+def test_json_types_checked_at_load(tmp_path, text, message):
+    p = tmp_path / "s.json"
+    p.write_text(text)
+    with pytest.raises(ConfigError, match=re.escape(message)):
         load_scenario(p)
 
 

@@ -32,7 +32,7 @@ def test_encode_rf_word_layout():
 
 def test_word_field_validation():
     with pytest.raises(ProtocolError, match="address"):
-        DataWord(WordType.BIAS, 9, 0, N_BIAS)
+        DataWord(WordType.BIAS, 256, 0, N_BIAS)
     with pytest.raises(ProtocolError, match="address"):
         DataWord(WordType.RF, 256, 0, N_RF)
     with pytest.raises(ProtocolError, match="payload"):
@@ -140,13 +140,16 @@ def test_fsm_idle_line_stays_idle():
     assert not ctrl.busy
 
 
-def test_fsm_bad_address_emits_error_and_resets():
-    ctrl, mem = _controller()
-    bad = "1" + "0" + format(42, "08b") + "0" * N_BIAS  # bias address 42
+@pytest.mark.parametrize("registers, address", [(9, 9), (9, 42), (5, 7)])
+def test_fsm_bad_address_emits_error_and_resets(registers, address):
+    # a well-formed frame addressed to a bias register the bank does not hold
+    mem = MemoryBank(n_bias=N_BIAS, n_rf=N_RF, bias_registers=registers)
+    ctrl = DataInputController(mem, N_BIAS, N_RF)
+    bad = "1" + "0" + format(address, "08b") + "1" * N_BIAS
     events = ctrl.feed(bad)
     assert ("protocol_error", 1.0) in events
     assert not ctrl.busy
-    assert mem.bias == [0] * 9
+    assert mem.bias == [0] * registers
 
 
 def test_fsm_abort_mid_word():

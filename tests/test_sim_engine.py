@@ -6,7 +6,7 @@ from dataclasses import replace
 from types import SimpleNamespace
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from cryoctrl import baseline_scenario
 from cryoctrl.sim import (
@@ -234,11 +234,22 @@ def test_write_during_playback_does_not_disturb_bias(baseline):
     assert trace.stats["rf_samples_emitted"] == 32
 
 
-def test_config_guard_address_space():
+@pytest.mark.parametrize("spec", [
+    {"n_pulses": 32},                   # 32*16 = 512 pulse registers > 256
+    {"n_bias_signals": 300},            # 301 bias registers > 256
+    {"n_pulses": 32, "l_pulse": 8},     # 32 sequences > 16 four-bit ids
+], ids=["pulse-registers", "bias-registers", "sequence-ids"])
+def test_config_guard_address_space(spec):
     sc = baseline_scenario()
-    sc = replace(sc, spec=replace(sc.spec, n_pulses=32))  # 32*16 = 512 > 256
+    sc = replace(sc, spec=replace(sc.spec, **spec))
     with pytest.raises(SimulationConfigError, match="address space"):
         Simulator(sc)
+
+
+def test_config_guard_pulse_outputs():
+    sc = baseline_scenario()
+    with pytest.raises(SimulationConfigError, match="n_rf_signals=4"):
+        Simulator(replace(sc, spec=replace(sc.spec, n_rf_signals=4)))
 
 
 def test_config_guard_payload_width():
@@ -257,10 +268,11 @@ def test_stimulus_value_range_checks(baseline):
 
 @pytest.mark.parametrize("bad", ["5000 write-bias 0 4096", "5000 write-rf 0 1024",
                                  "5000 play 0 0 0 16", "5000 write-rf 200 5",
-                                 "5000 play 15 15 0 0"])
+                                 "5000 play 15 15 0 0", "5000 write-bias 9 1"])
 def test_whole_stimulus_checked_before_the_run(baseline, bad):
     # the bad command lies after t_end_ns, so it would never execute; with 4
-    # stored sequences (64 pulse registers) RF address 200 and id 15 are bad too
+    # stored sequences (64 pulse registers) RF address 200 and id 15 are bad
+    # too, and 8 electrodes have bias registers 0-8 only
     sim = Simulator(replace(baseline, spec=replace(baseline.spec, n_pulses=4)))
     with pytest.raises(StimulusError, match="line 2"):
         sim.run(f"0 write-bias 0 1\n{bad}\n", 1_000.0)
@@ -422,3 +434,61 @@ def test_returned_edges_match_push_then_pop(n_loaded, commands, t_end_ns):
     assert pushpops  # the conversion clock alone returns an edge
     assert slow.to_csv() == fast.to_csv()
     assert slow.stats == fast.stats
+
+
+@settings(max_examples=100, deadline=None)
+@given(n_bias_signals=st.integers(1, 300),
+       n_pulses=st.sampled_from([2 ** k for k in range(9)]),
+       l_pulse=st.sampled_from([2 ** k for k in range(9)]),
+       n_rf_signals=st.integers(1, 3))
+@example(n_bias_signals=255, n_pulses=16, l_pulse=16, n_rf_signals=2)   # the largest
+@example(n_bias_signals=256, n_pulses=16, l_pulse=16, n_rf_signals=2)
+@example(n_bias_signals=16, n_pulses=16, l_pulse=16, n_rf_signals=2)
+def test_register_map_follows_the_scenario(n_bias_signals, n_pulses, l_pulse, n_rf_signals):
+    # A scenario the 8-bit word address, the 4-bit sequence ids or the two
+    # pulse outputs cannot serve is refused; on any other, every bias
+    # register (the ramp register included) and the first and last pulse
+    # register can be written over the serial protocol.
+    sc = baseline_scenario()
+    sc = replace(sc, spec=replace(sc.spec, n_bias_signals=n_bias_signals, n_pulses=n_pulses,
+                                  l_pulse=l_pulse, n_rf_signals=n_rf_signals))
+    if (n_bias_signals + 1 > 256 or n_pulses * l_pulse > 256 or n_pulses > 16
+            or n_rf_signals != 2):
+        with pytest.raises(SimulationConfigError):
+            Simulator(sc)
+        return
+    sim = Simulator(sc)
+    bias = {reg: (37 * reg + 1) % 4096 for reg in range(n_bias_signals + 1)}
+    rf = {addr: (29 * addr + 3) % 1024 for addr in (0, n_pulses * l_pulse - 1)}
+    writes = [(0.0, ("write-bias", reg, code)) for reg, code in bias.items()]
+    writes += [(0.0, ("write-rf", addr, code)) for addr, code in rf.items()]
+    sim.run(_stimulus_text(writes), len(writes) * 40 * sim.t_rf_ns + 1_000.0)
+    assert sim.memory.bias == list(bias.values())
+    assert [sim.memory.rf[addr] for addr in rf] == list(rf.values())
+
+
+_number_token = st.one_of(
+    st.integers(-2 ** 80, 2 ** 80).map(str),
+    st.floats().map(repr),
+    st.sampled_from(["0x", "0x1f", "0b2", "1_0", "-0", "nan", "NaN", "inf", "-inf", "1e400"]),
+)
+_word_token = st.one_of(
+    st.sampled_from(["write-bias", "write-rf", "play", "ramp-mode", "on", "off", "#"]),
+    st.text(max_size=6),
+)
+_token = _number_token | _word_token
+_stimulus_line = st.one_of(
+    st.tuples(_number_token, _word_token, st.lists(_token, max_size=5))
+    .map(lambda p: " ".join([p[0], p[1], *p[2]])),
+    st.lists(_token, max_size=7).map(" ".join),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(lines=st.lists(_stimulus_line, max_size=8))
+def test_parse_stimulus_raises_only_stimulus_error(lines):
+    try:
+        commands = parse_stimulus("\n".join(lines))
+    except StimulusError:
+        return
+    assert all(c.op in ("write-bias", "write-rf", "play", "ramp-mode") for c in commands)
