@@ -8,22 +8,15 @@ leakage, range, and stability, not by the supply) is all that remains.
 
 from cryoctrl import REFERENCE_SCENARIOS, assemble
 
-UNITS = ("bias_gen", "rf_gen", "memory", "managing")
-
 reports = {name: assemble(build()) for name, build in REFERENCE_SCENARIOS.items()}
+# one (unit, area, power) row per unit and a total row, in report order
+columns = [report.rows() for report in reports.values()]
 
 print(f"{'':16}" + "".join(f"{name:>18}" for name in reports))
-print("area / um^2")
-for unit in UNITS:
-    row = [getattr(reports[name], unit).area_um2 for name in reports]
-    print(f"  {unit:<14}" + "".join(f"{v:>18.3g}" for v in row))
-print(f"  {'total':<14}" + "".join(f"{r.total_area_um2:>18.3g}" for r in reports.values()))
-
-print("power / W")
-for unit in UNITS:
-    row = [getattr(reports[name], unit).power_w for name in reports]
-    print(f"  {unit:<14}" + "".join(f"{v:>18.3g}" for v in row))
-print(f"  {'total':<14}" + "".join(f"{r.total_power_w:>18.3g}" for r in reports.values()))
+for title, field in (("area / um^2", 1), ("power / W", 2)):
+    print(title)
+    for rows in zip(*columns):
+        print(f"  {rows[0][0]:<14}" + "".join(f"{row[field]:>18.3g}" for row in rows))
 
 base = reports["65nm-ff-1v"]
 digital = base.memory.power_w + base.managing.power_w

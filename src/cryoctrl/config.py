@@ -181,7 +181,8 @@ class Scenario:
     rf_dac_unit: float | None = None
 
     def validate(self) -> None:
-        from . import noise  # deferred: noise imports the enums above
+        from . import noise  # deferred: noise and analog import the enums above
+        from .analog import derived_clocks
 
         self.spec.validate()
         self.tech.validate()
@@ -195,6 +196,19 @@ class Scenario:
                 f"c_h={self.c_h:.3e} F is below the thermal-noise minimum "
                 f"{hold_min:.3e} F at t_el={self.op.t_el} K"
             )
+        clocks = derived_clocks(self)
+        for name in ("f_refresh", "f_clk_bias", "f_clk_rf"):
+            if not math.isfinite(getattr(clocks, name)):
+                raise ConfigError(f"the derived {name} is not finite; check the tech "
+                                  f"and spec values it is derived from")
+        # an explicit clock may not be slower than the conversions it drives
+        for name, floor, what in (
+                ("f_clk_bias", 2.0 * clocks.f_refresh, "the derived refresh rate"),
+                ("f_clk_rf", 2.0 * self.spec.f_sample_rf, "spec.f_sample_rf")):
+            value = getattr(self.op, name)
+            if value is not None and value < floor:
+                raise ConfigError(f"op.{name}={value:.6g} Hz is below {floor:.6g} Hz, "
+                                  f"twice {what}")
 
 
 def apply_node(tech: TechnologyParams, node: Node | str) -> TechnologyParams:

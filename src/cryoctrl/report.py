@@ -234,13 +234,16 @@ def qubit_capacity(report, budget_w: float, sig_figs: int | None = 2) -> Capacit
     division.
     """
     per_qubit = report.total_power_w if isinstance(report, Report) else float(report)
-    if per_qubit <= 0:
-        raise ValueError("per-qubit power must be positive")
+    if not 0 < per_qubit < math.inf:
+        raise ValueError(f"per-qubit power must be positive and finite, got {per_qubit!r} W")
     if not 0 < budget_w < math.inf:
         raise ValueError(f"budget must be positive and finite, got {budget_w!r}")
     if sig_figs is not None:
         per_qubit = round_sig(per_qubit, sig_figs)
-    return CapacityResult(budget_w, per_qubit, math.floor(budget_w / per_qubit))
+    n_qubits = budget_w / per_qubit
+    if n_qubits == math.inf:
+        raise ValueError(f"budget {budget_w!r} W over {per_qubit!r} W per qubit overflows")
+    return CapacityResult(budget_w, per_qubit, math.floor(n_qubits))
 
 
 # ---------------------------------------------------------------------------

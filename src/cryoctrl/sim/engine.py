@@ -7,14 +7,20 @@ number); the bias domain has priority at equal times, and the sequence
 number makes ordering total, so a given stimulus always produces a
 bit-identical trace.
 
-The clocked handlers (bias conversion, serial bit clock, RF sample edge)
-return their next edge time, or ``None`` once their clock stops, instead of
-pushing it. ``Simulator.run`` gives that edge the next sequence number and
-hands it to ``heapq.heappushpop``, which returns it at once while it is
-ahead of the queue's head and otherwise pushes it and pops the head. That
-is the same push-then-pop on the same ``(time, priority, sequence)`` keys,
-so the event order is unchanged; it holds because every handler makes its
-other pushes before it returns.
+Each clocked unit is one queue handler that returns its next edge time,
+or ``None`` once its clock stops, instead of pushing it:
+
+- ``BiasController.conversion``: every ``conversion_period_ns``, never stops.
+- ``Simulator._word_clock_event``, the serial data line: one bit per RF
+  clock while ``DataInputController.busy``, then the next queued frame.
+- ``RfController.sample_edge``: the sample clock runs while a pair is active
+  or latched; ``command_received`` starts it on the grid when neither is.
+
+``Simulator.run`` hands a returned edge, with the next sequence number, to
+``heapq.heappushpop``: the same push-then-pop on the same ``(time, priority,
+sequence)`` keys, so the event order is unchanged, as every handler makes
+its other pushes before it returns. A play reaches ``command_received``
+``RF_COMMAND_BITS`` RF clocks after its time, once its frame is in.
 
 Analog behaviour is idealized: DACs convert straight-binary unipolar codes
 with zero settling time, and hold capacitors droop exponentially through
@@ -47,6 +53,7 @@ from __future__ import annotations
 
 import heapq
 import math
+from collections import deque
 from dataclasses import dataclass, field
 from operator import attrgetter
 from pathlib import Path
@@ -58,6 +65,7 @@ from ..digital import memory_design
 from .memory import MemoryBank
 from .protocol import (
     ADDRESS_BITS,
+    RF_COMMAND_BITS,
     SEQUENCE_ID_BITS,
     DataInputController,
     DataWord,
@@ -65,8 +73,6 @@ from .protocol import (
     RfCommandWord,
     WordType,
     encode_dataword,
-    encode_rf_command,
-    RfCommandReceiver,
 )
 
 PRIORITY_BIAS = 0
@@ -207,7 +213,7 @@ class BiasController:
         self.electrode_counter = 0
         self.ramp_counter = 0
 
-    def conversion(self, t_ns: float):
+    def conversion(self, t_ns: float, _) -> float:
         sim = self.sim
         if self.ramp_mode:
             target = sim.memory.read_bias(sim.n_electrodes) % sim.n_electrodes
@@ -218,6 +224,7 @@ class BiasController:
             code = sim.memory.read_bias(target)
             self.electrode_counter = (self.electrode_counter + 1) % sim.n_electrodes
         sim.refresh_electrode(t_ns, target, code)
+        return t_ns + sim.conversion_period_ns
 
 
 class RfController:
@@ -237,39 +244,30 @@ class RfController:
         self.latched: list[tuple[int, int]] = []
         self.active: tuple[int, int] | None = None
         self.sample_counter = 0
-        self.playing = False
-
-    @property
-    def staging_full(self) -> bool:
-        return self.staging is not None
 
     def command_received(self, t_ns: float, cmd: RfCommandWord):
         sim = self.sim
-        if self.staging_full:
+        if self.staging is not None:
             sim.trace.emit(t_ns, "rf_cmd_ignored", 1.0)
             sim.backpressure_count += 1
             return
         self.staging = cmd
-        if not self.playing and not self.latched:
+        if self.active is None and not self.latched:
+            # the sample clock is stopped: latch, and start it on the grid
             self._latch_from_staging(t_ns)
-            sim.schedule_sample_edges(t_ns)
+            period = sim.sample_period_ns
+            sim._push(math.ceil(t_ns / period - 1e-9) * period, PRIORITY_RF, self.sample_edge)
 
     def _latch_from_staging(self, t_ns: float):
-        if self.staging is None:
-            return
         self.latched.extend(self.staging.pairs())
         self.staging = None
         self.sim.trace.emit(t_ns, "latch_transfer", 1.0)
 
-    def sample_edge(self, t_ns: float):
+    def sample_edge(self, t_ns: float, _) -> float | None:
         sim = self.sim
         if self.active is None:
-            if not self.latched:
-                self.playing = False
-                return
             self.active = self.latched.pop(0)
             self.sample_counter = 0
-            self.playing = True
 
         id_a, id_b = self.active
         addr_a = id_a * sim.l_pulse + self.sample_counter
@@ -286,9 +284,10 @@ class RfController:
             # the latch array holds one command word; staging transfers in
             # only once both of its sets have been consumed
             if not self.latched:
+                if self.staging is None:
+                    return None
                 self._latch_from_staging(t_ns)
-            if not self.latched:
-                self.playing = False
+        return t_ns + sim.sample_period_ns
 
 
 # ---------------------------------------------------------------------------
@@ -347,7 +346,6 @@ class Simulator:
             self.data_input = DataInputController(self.memory, d.bias_width, d.rf_width)
         except ProtocolError as exc:
             raise SimulationConfigError(str(exc)) from exc
-        self.rf_receiver = RfCommandReceiver()
         self.bias_ctrl = BiasController(self)
         self.rf_ctrl = RfController(self)
         self.caps = [HoldCap() for _ in range(self.n_electrodes)]
@@ -359,10 +357,9 @@ class Simulator:
 
         self._queue: list = []
         self._seq = 0
-        self._t_end_ns = 0.0
-        self._write_queue: list[DataWord] = []
-        self._word_bits = ""  # the serial word in flight, empty when the line is free
-        self._word_pos = 0
+        self._t_end_ns = 0.0  # set when the run starts
+        self._frames: deque[str] = deque()  # encoded data words, the one in flight first
+        self._frame_pos = 0
 
     # event queue -----------------------------------------------------------
 
@@ -392,63 +389,33 @@ class Simulator:
     def electrode_voltage(self, electrode: int, t_ns: float) -> float:
         return self.caps[electrode].voltage(t_ns, self.tau_s)
 
-    # bias domain -----------------------------------------------------------
-
-    def _conversion_event(self, t_ns: float, _) -> float:
-        self.bias_ctrl.conversion(t_ns)
-        return t_ns + self.conversion_period_ns
-
     # rf domain: serial data input -------------------------------------------
 
-    def _start_next_word(self) -> bool:
-        """Put the next queued word on the line if it is free; True if one started."""
-        if self._word_bits or not self._write_queue:
-            return False
-        self._word_bits = encode_dataword(self._write_queue.pop(0))
-        self._word_pos = 0
-        return True
-
     def _word_clock_event(self, t_ns: float, _) -> float | None:
-        bit = int(self._word_bits[self._word_pos]) if self._word_pos < len(self._word_bits) else 0
-        self._word_pos += 1
-        for signal, value in self.data_input.step(bit):
+        frame = self._frames[0]
+        pos = self._frame_pos
+        self._frame_pos = pos + 1
+        # the line idles low after the frame, through the write clocks
+        for signal, value in self.data_input.step(int(frame[pos]) if pos < len(frame) else 0):
             self.trace.emit(t_ns, signal, value)
-        if self.data_input.busy or self._word_pos < len(self._word_bits):
+        if self.data_input.busy:
             return t_ns + self.t_rf_ns
-        # feedback issued; the next queued word may start on the next clock
-        self._word_bits = ""
-        return t_ns + self.t_rf_ns if self._start_next_word() else None
-
-    # rf domain: playback ----------------------------------------------------
-
-    def schedule_sample_edges(self, t_ns: float):
-        """Start the sample clock on the grid. Only called when the RF
-        controller was idle: an edge is pending while it plays, latches or stages."""
-        self._push(self._next_sample_grid(t_ns), PRIORITY_RF, self._sample_event)
-
-    def _next_sample_grid(self, t_ns: float) -> float:
-        k = math.ceil(t_ns / self.sample_period_ns - 1e-9)
-        return k * self.sample_period_ns
-
-    def _sample_event(self, t_ns: float, _) -> float | None:
-        self.rf_ctrl.sample_edge(t_ns)
-        if self.rf_ctrl.playing or self.rf_ctrl.latched or self.rf_ctrl.staging_full:
-            return t_ns + self.sample_period_ns
-        return None
+        # feedback issued; the next queued frame may start on the next clock
+        self._frames.popleft()
+        self._frame_pos = 0
+        return t_ns + self.t_rf_ns if self._frames else None
 
     # stimulus ---------------------------------------------------------------
 
     def _write_event(self, t_ns: float, word: DataWord):
-        self._write_queue.append(word)
-        if self._start_next_word():
+        self._frames.append(encode_dataword(word))
+        if len(self._frames) == 1:  # the line was free
             self._push(t_ns, PRIORITY_RF, self._word_clock_event)
 
     def _play_event(self, t_ns: float, word: RfCommandWord):
-        # 17-bit serial reception precedes staging
-        bits = encode_rf_command(word)
-        received = self.rf_receiver.feed(bits)
-        self._push(t_ns + len(bits) * self.t_rf_ns, PRIORITY_RF,
-                   self.rf_ctrl.command_received, received)
+        # the command's serial frame is received before it is staged
+        self._push(t_ns + RF_COMMAND_BITS * self.t_rf_ns, PRIORITY_RF,
+                   self.rf_ctrl.command_received, word)
 
     def _ramp_mode_event(self, t_ns: float, on: bool):
         self.bias_ctrl.ramp_mode = on
@@ -478,7 +445,9 @@ class Simulator:
     # run ---------------------------------------------------------------------
 
     def run(self, stimulus: Path | str | None, t_end_ns: float) -> Trace:
-        """Simulate up to ``t_end_ns``; the whole stimulus is checked first."""
+        """Simulate up to ``t_end_ns``, once; the whole stimulus is checked first."""
+        if self._t_end_ns:
+            raise RuntimeError("this Simulator has already run; build a new one")
         if not 0 < t_end_ns < math.inf:
             raise ValueError(f"t_end_ns must be positive and finite, got {t_end_ns!r}")
         if t_end_ns / self.conversion_period_ns > MAX_CONVERSIONS:
@@ -490,7 +459,7 @@ class Simulator:
 
         self.trace.emit(0.0, "clk_bias_hz", self.f_clk_bias)
         self.trace.emit(0.0, "clk_rf_hz", self.f_clk_rf)
-        self._push(0.0, PRIORITY_BIAS, self._conversion_event)
+        self._push(0.0, PRIORITY_BIAS, self.bias_ctrl.conversion)
 
         queue = self._queue
         pop, pushpop = heapq.heappop, heapq.heappushpop

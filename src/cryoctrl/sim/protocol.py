@@ -236,7 +236,12 @@ class DataInputController:
 
 
 class RfCommandReceiver:
-    """17-bit clocked reception of a pulse playback command."""
+    """17-bit clocked reception of a pulse playback command.
+
+    The model of the command frame. A whole frame gives back the word that
+    was encoded, so the simulator does not clock one: it stages a play's word
+    ``RF_COMMAND_BITS`` RF clocks after the play.
+    """
 
     def __init__(self):
         self.bits: list[str] = []

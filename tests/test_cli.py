@@ -6,6 +6,8 @@ import time
 
 import pytest
 
+from cryoctrl import baseline_scenario
+from cryoctrl.analog import derived_clocks
 from cryoctrl.cli import main
 from cryoctrl.report import qubit_capacity
 
@@ -184,6 +186,57 @@ def test_simulate_over_run_budget_fails_fast(scenario_dir, tmp_path, src_env):
     assert time.perf_counter() - t0 < 1.0
     assert proc.returncode != 0
     assert "bias conversions" in proc.stderr and "Traceback" not in proc.stderr
+
+
+def _scenario_file(tmp_path, data) -> str:
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(data))
+    return str(path)
+
+
+def test_clock_floor(capsys, tmp_path):
+    # 1.5 MHz is below twice the derived refresh rate (2.17 MHz): the
+    # estimate would call it cheaper, yet the hold capacitors droop past the
+    # budget, so the file is refused
+    code, out, err = run_cli(capsys, "estimate", "--scenario",
+                             _scenario_file(tmp_path, {"op": {"f_clk_bias": 1.5e6}}))
+    assert (code, out) == (1, "")
+    assert "op.f_clk_bias" in err and "refresh rate" in err
+    code, out, err = run_cli(capsys, "estimate", "--scenario",
+                             _scenario_file(tmp_path, {"op": {"f_clk_rf": 5e8}}))
+    assert (code, out) == (1, "")
+    assert "op.f_clk_rf" in err and "f_sample_rf" in err
+    # the derived clocks given explicitly pass and give the same report
+    derived = derived_clocks(baseline_scenario())
+    explicit = {"op": {"f_clk_bias": derived.f_clk_bias, "f_clk_rf": derived.f_clk_rf}}
+    code, out, err = run_cli(capsys, "estimate", "--format", "csv", "--scenario",
+                             _scenario_file(tmp_path, explicit))
+    assert (code, err) == (0, "")
+    assert out == run_cli(capsys, "estimate", "--format", "csv", "--scenario",
+                          _scenario_file(tmp_path, {}))[1]
+
+
+@pytest.mark.parametrize("data, command, code", [
+    # the refresh rate overflows to inf: a derived clock is not finite
+    ({"tech": {"r_off": 1e-300}}, ("estimate",), 1),
+    ({"tech": {"r_off": 1e-300}}, ("capacity", "--budget", "1e-3"), 1),
+    ({"tech": {"r_off": 1e-300}}, ("simulate", "--until", "10us"), 1),
+    # finite clocks, but an infinite memory power
+    ({"tech": {"c_ff_equiv": 1e300}}, ("capacity", "--budget", "1e-3"), 2),
+], ids=["r_off-estimate", "r_off-capacity", "r_off-simulate", "c_ff_equiv-capacity"])
+def test_overflowing_design_point_fails_with_a_message(tmp_path, src_env, data, command, code):
+    if command[0] == "simulate":
+        stim = tmp_path / "stim.txt"
+        stim.write_text("0 write-bias 0 2048\n")
+        command += ("--stimulus", str(stim))
+    proc = subprocess.run(
+        [sys.executable, "-m", "cryoctrl.cli", *command,
+         "--scenario", _scenario_file(tmp_path, data)],
+        capture_output=True, text=True, env=src_env, timeout=60)
+    assert proc.returncode == code
+    assert "Traceback" not in proc.stderr
+    assert len(proc.stderr.splitlines()) == 1
+    assert proc.stdout == ""
 
 
 def test_outputs_deterministic(capsys, scenario_dir):

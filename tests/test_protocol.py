@@ -77,6 +77,9 @@ def test_encode_decode_round_trip(word):
 def test_rf_command_round_trip(ids):
     cmd = RfCommandWord(*ids)
     assert decode_rf_command(encode_rf_command(cmd)) == cmd
+    # a whole frame clocked through the receiver gives the word back, which
+    # is why the simulator stages a play's word without clocking its frame
+    assert RfCommandReceiver().feed(encode_rf_command(cmd)) == cmd
 
 
 def test_rf_command_id_range():

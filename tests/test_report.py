@@ -166,6 +166,15 @@ def test_qubit_capacity_floor_division():
         qubit_capacity(0.0, 1e-3)
     with pytest.raises(ValueError):
         qubit_capacity(1e-6, -1.0)
+    with pytest.raises(ValueError, match="overflows"):   # 1e323 qubits
+        qubit_capacity(1e-320, 1e3)
+
+
+@pytest.mark.parametrize("per_qubit", [math.inf, math.nan, -1e-6])
+@pytest.mark.parametrize("sig_figs", [2, None])
+def test_qubit_capacity_needs_a_positive_finite_power(per_qubit, sig_figs):
+    with pytest.raises(ValueError, match="per-qubit power must be positive and finite"):
+        qubit_capacity(per_qubit, 1e-3, sig_figs=sig_figs)
 
 
 def test_capacity_from_assembled_reports(baseline):
