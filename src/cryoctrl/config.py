@@ -136,6 +136,10 @@ class TechnologyParams:
 
     def validate(self) -> None:
         _check_positive(self, vars(self))
+        r = self.r_off_effective()
+        if not 0 < r < math.inf:   # the product can underflow or overflow
+            raise ConfigError(f"r_off * r_off_multiplier = {r:.3g} ohm must be positive "
+                              f"and finite")
 
 
 @dataclass(frozen=True)

@@ -7,10 +7,20 @@ number); the bias domain has priority at equal times, and the sequence
 number makes ordering total, so a given stimulus always produces a
 bit-identical trace.
 
+Time is an integer count of ticks of 1e-21 s (``TICKS_PER_NS``). Each clock
+period, stimulus time and end time is rounded to the nearest tick once, so
+every edge is an exact multiple of its period and equal times are equal
+ticks; ``trace.stats["clock_quantisation_rel"]`` gives each clock's period
+error. Trace times and the ``*_ns`` attributes are float nanoseconds,
+``ticks / TICKS_PER_NS`` correctly rounded.
+
 Each clocked unit is one queue handler that returns its next edge time,
 or ``None`` once its clock stops, instead of pushing it:
 
-- ``BiasController.conversion``: every ``conversion_period_ns``, never stops.
+- ``BiasController.conversion``: every ``conversion_period_ticks``, never
+  stops. In refresh mode, once a full round has run since the last bias
+  write clock or ramp-mode command, the rounds up to the next event repeat
+  it and are skipped in closed form (``BiasController.skip_quiet_rounds``).
 - ``Simulator._word_clock_event``, the serial data line: one bit per RF
   clock while ``DataInputController.busy``, then the next queued frame.
 - ``RfController.sample_edge``: the sample clock runs while a pair is active
@@ -78,9 +88,13 @@ from .protocol import (
 PRIORITY_BIAS = 0
 PRIORITY_RF = 1
 
-# The bias domain never idles, so this bounds a run's host time (~0.75 us per
-# conversion on a 2-core Xeon with Python 3.11, ~7.5 s for the whole budget);
-# 1 ms simulated at the defaults is ~1.1k conversions.
+TICKS_PER_NS = 10**12  # one tick is 1e-21 s
+TICKS_PER_S = 10**21
+
+# Bounds a run's simulated length: 1 ms at the defaults is ~1.1k conversion
+# periods. Quiet refresh rounds cost nothing, so host time follows stimulus
+# events and ramp steps; a ramp held on for the whole budget still runs
+# every conversion (~0.75 us each on a 2-core Xeon with Python 3.11, ~7.5 s).
 MAX_CONVERSIONS = 10_000_000
 
 
@@ -90,6 +104,24 @@ class StimulusError(ValueError):
 
 class SimulationConfigError(ValueError):
     """Scenario not representable by the digital control system."""
+
+
+def _nearest(num: int, den: int) -> int:
+    """``num / den`` rounded to the nearest integer, half up, for ``den > 0``."""
+    return (2 * num + den) // (2 * den)
+
+
+def to_ticks(t_ns: float) -> int:
+    """The tick nearest to ``t_ns``, rounded exactly."""
+    num, den = t_ns.as_integer_ratio()
+    return _nearest(num * TICKS_PER_NS, den)
+
+
+def _period_ticks(f_hz: float) -> tuple[int, float]:
+    """The period of an ``f_hz`` clock in whole ticks, and its relative error."""
+    num, den = f_hz.as_integer_ratio()   # the period is TICKS_PER_S * den / num ticks
+    ticks = _nearest(TICKS_PER_S * den, num)
+    return ticks, (ticks * num - TICKS_PER_S * den) / (TICKS_PER_S * den)
 
 
 class TraceEvent(NamedTuple):
@@ -189,11 +221,16 @@ class HoldCap:
     """One electrode's hold capacitor: value set at refresh, droops after."""
 
     v: float = 0.0
-    t_set_ns: float = 0.0
+    t_set: int = 0   # ticks
     code: int | None = None
 
-    def voltage(self, t_ns: float, tau_s: float) -> float:
-        dt_s = max(0.0, t_ns - self.t_set_ns) * 1e-9
+    @property
+    def t_set_ns(self) -> float:
+        return self.t_set / TICKS_PER_NS
+
+    def voltage(self, t: int, tau_s: float) -> float:
+        """The held voltage at tick ``t``."""
+        dt_s = max(0, t - self.t_set) / TICKS_PER_NS * 1e-9
         return self.v * math.exp(-dt_s / tau_s)
 
 
@@ -212,8 +249,10 @@ class BiasController:
         self.ramp_mode = False
         self.electrode_counter = 0
         self.ramp_counter = 0
+        self.index = 0   # of the next conversion, at index * conversion_period_ticks
+        self.next_check = 0   # skip_quiet_rounds runs again from this index on
 
-    def conversion(self, t_ns: float, _) -> float:
+    def conversion(self, t: int, _) -> int:
         sim = self.sim
         if self.ramp_mode:
             target = sim.memory.read_bias(sim.n_electrodes) % sim.n_electrodes
@@ -223,8 +262,50 @@ class BiasController:
             target = self.electrode_counter
             code = sim.memory.read_bias(target)
             self.electrode_counter = (self.electrode_counter + 1) % sim.n_electrodes
-        sim.refresh_electrode(t_ns, target, code)
-        return t_ns + sim.conversion_period_ns
+        sim.refresh_electrode(t, target, code)
+        self.index += 1
+        if not self.ramp_mode and self.index >= self.next_check:
+            self.skip_quiet_rounds()
+        return self.index * sim.conversion_period_ticks
+
+    def skip_quiet_rounds(self):
+        """Advance past the whole refresh rounds that end by the next event.
+
+        A round is ``n_electrodes`` refresh conversions. It is quiet when
+        every electrode holds its register's code and was recharged one round
+        before its next refresh, as holds once a full round has run since the
+        last bias write clock or ramp-mode command. Each quiet round up to the
+        next queued event (or the end of the run) then recharges the same
+        codes after the same droop: it emits nothing and measures the
+        deviation measured here once. The hold capacitors and the conversion
+        edge move on by the skipped rounds; the electrode counter is back
+        where it was.
+        """
+        sim = self.sim
+        n, period = sim.n_electrodes, sim.conversion_period_ticks
+        last = sim.horizon() // period   # the last conversion at or before the next event
+        rounds = (last - self.index + 1) // n   # whole rounds in conversions index .. last
+        if rounds <= 0:
+            # no round fits before that event, and none can until it has run
+            self.next_check = last + 1
+            return
+        bias, caps, counter = sim.memory.bias, sim.caps, self.electrode_counter
+        for k in range(n):
+            e = (counter + k) % n   # recharged by conversion index + k
+            if caps[e].code != bias[e] or caps[e].t_set != (self.index + k - n) * period:
+                # look again once e is recharged, so that a change costs O(n)
+                # checks in all (a write that restores e's code sooner only
+                # delays a skip)
+                self.next_check = self.index + k + 1
+                return
+        round_ticks = n * period
+        worst = sim.max_refresh_deviation
+        for e, cap in enumerate(sim.caps):
+            dev = abs(cap.v - cap.voltage(cap.t_set + round_ticks, sim.tau_s))
+            if dev > worst[e]:
+                worst[e] = dev
+            cap.t_set += rounds * round_ticks
+        self.index += rounds * n
 
 
 class RfController:
@@ -245,26 +326,27 @@ class RfController:
         self.active: tuple[int, int] | None = None
         self.sample_counter = 0
 
-    def command_received(self, t_ns: float, cmd: RfCommandWord):
+    def command_received(self, t: int, cmd: RfCommandWord):
         sim = self.sim
         if self.staging is not None:
-            sim.trace.emit(t_ns, "rf_cmd_ignored", 1.0)
+            sim.trace.emit(t / TICKS_PER_NS, "rf_cmd_ignored", 1.0)
             sim.backpressure_count += 1
             return
         self.staging = cmd
         if self.active is None and not self.latched:
             # the sample clock is stopped: latch, and start it on the grid
-            self._latch_from_staging(t_ns)
-            period = sim.sample_period_ns
-            sim._push(math.ceil(t_ns / period - 1e-9) * period, PRIORITY_RF, self.sample_edge)
+            self._latch_from_staging(t / TICKS_PER_NS)
+            period = sim.sample_period_ticks
+            sim._push(-(-t // period) * period, PRIORITY_RF, self.sample_edge)
 
     def _latch_from_staging(self, t_ns: float):
         self.latched.extend(self.staging.pairs())
         self.staging = None
         self.sim.trace.emit(t_ns, "latch_transfer", 1.0)
 
-    def sample_edge(self, t_ns: float, _) -> float | None:
+    def sample_edge(self, t: int, _) -> int | None:
         sim = self.sim
+        t_ns = t / TICKS_PER_NS
         if self.active is None:
             self.active = self.latched.pop(0)
             self.sample_counter = 0
@@ -287,7 +369,7 @@ class RfController:
                 if self.staging is None:
                     return None
                 self._latch_from_staging(t_ns)
-        return t_ns + sim.sample_period_ns
+        return t + sim.sample_period_ticks
 
 
 # ---------------------------------------------------------------------------
@@ -328,12 +410,17 @@ class Simulator:
         clocks = derived_clocks(scenario)
         self.f_clk_bias = clocks.f_clk_bias
         self.f_clk_rf = clocks.f_clk_rf
-        self.t_bias_ns = 1e9 / self.f_clk_bias
-        self.t_rf_ns = 1e9 / self.f_clk_rf
+        t_bias, bias_error = _period_ticks(self.f_clk_bias)
+        self.t_rf_ticks, rf_error = _period_ticks(self.f_clk_rf)
+        self.clock_quantisation_rel = {"clk_bias": bias_error, "clk_rf": rf_error}
         # Logic is edge triggered: one DAC conversion / output sample every
         # second clock of its domain.
-        self.conversion_period_ns = 2.0 * self.t_bias_ns
-        self.sample_period_ns = 2.0 * self.t_rf_ns
+        self.conversion_period_ticks = 2 * t_bias
+        self.sample_period_ticks = 2 * self.t_rf_ticks
+        self.t_bias_ns = t_bias / TICKS_PER_NS
+        self.t_rf_ns = self.t_rf_ticks / TICKS_PER_NS
+        self.conversion_period_ns = self.conversion_period_ticks / TICKS_PER_NS
+        self.sample_period_ns = self.sample_period_ticks / TICKS_PER_NS
 
         self.tau_s = scenario.tech.r_off_effective() * scenario.c_h
 
@@ -357,23 +444,27 @@ class Simulator:
 
         self._queue: list = []
         self._seq = 0
-        self._t_end_ns = 0.0  # set when the run starts
+        self._t_end: int | None = None  # ticks, set when the run starts
         self._frames: deque[str] = deque()  # encoded data words, the one in flight first
         self._frame_pos = 0
 
     # event queue -----------------------------------------------------------
 
-    def _push(self, t_ns: float, priority: int, fn, arg=None):
-        if t_ns > self._t_end_ns:
+    def _push(self, t: int, priority: int, fn, arg=None):
+        if t > self._t_end:
             return
         self._seq += 1
-        heapq.heappush(self._queue, (t_ns, priority, self._seq, fn, arg))
+        heapq.heappush(self._queue, (t, priority, self._seq, fn, arg))
+
+    def horizon(self) -> int:
+        """The time of the next queued event, or the end of the run."""
+        return self._queue[0][0] if self._queue else self._t_end
 
     # electrode handling ----------------------------------------------------
 
-    def refresh_electrode(self, t_ns: float, electrode: int, code: int):
+    def refresh_electrode(self, t: int, electrode: int, code: int):
         cap = self.caps[electrode]
-        v_pre = cap.voltage(t_ns, self.tau_s)
+        v_pre = cap.voltage(t, self.tau_s)
         v_ideal = code / (1 << self.n_bias) * self.v_range_bias
         if cap.code == code:
             dev = abs(v_ideal - v_pre)
@@ -381,45 +472,48 @@ class Simulator:
                 self.max_refresh_deviation[electrode] = dev
         # the hold capacitor holds the last emitted value, 0 V at start
         if v_ideal != cap.v:
-            self.trace.emit(t_ns, f"bias_e{electrode}", v_ideal)
+            self.trace.emit(t / TICKS_PER_NS, f"bias_e{electrode}", v_ideal)
         cap.v = v_ideal
-        cap.t_set_ns = t_ns
+        cap.t_set = t
         cap.code = code
 
     def electrode_voltage(self, electrode: int, t_ns: float) -> float:
-        return self.caps[electrode].voltage(t_ns, self.tau_s)
+        return self.caps[electrode].voltage(to_ticks(t_ns), self.tau_s)
 
     # rf domain: serial data input -------------------------------------------
 
-    def _word_clock_event(self, t_ns: float, _) -> float | None:
+    def _word_clock_event(self, t: int, _) -> int | None:
         frame = self._frames[0]
         pos = self._frame_pos
         self._frame_pos = pos + 1
         # the line idles low after the frame, through the write clocks
-        for signal, value in self.data_input.step(int(frame[pos]) if pos < len(frame) else 0):
-            self.trace.emit(t_ns, signal, value)
+        events = self.data_input.step(int(frame[pos]) if pos < len(frame) else 0)
+        if events:
+            t_ns = t / TICKS_PER_NS
+            for signal, value in events:
+                self.trace.emit(t_ns, signal, value)
         if self.data_input.busy:
-            return t_ns + self.t_rf_ns
+            return t + self.t_rf_ticks
         # feedback issued; the next queued frame may start on the next clock
         self._frames.popleft()
         self._frame_pos = 0
-        return t_ns + self.t_rf_ns if self._frames else None
+        return t + self.t_rf_ticks if self._frames else None
 
     # stimulus ---------------------------------------------------------------
 
-    def _write_event(self, t_ns: float, word: DataWord):
+    def _write_event(self, t: int, word: DataWord):
         self._frames.append(encode_dataword(word))
         if len(self._frames) == 1:  # the line was free
-            self._push(t_ns, PRIORITY_RF, self._word_clock_event)
+            self._push(t, PRIORITY_RF, self._word_clock_event)
 
-    def _play_event(self, t_ns: float, word: RfCommandWord):
+    def _play_event(self, t: int, word: RfCommandWord):
         # the command's serial frame is received before it is staged
-        self._push(t_ns + RF_COMMAND_BITS * self.t_rf_ns, PRIORITY_RF,
+        self._push(t + RF_COMMAND_BITS * self.t_rf_ticks, PRIORITY_RF,
                    self.rf_ctrl.command_received, word)
 
-    def _ramp_mode_event(self, t_ns: float, on: bool):
+    def _ramp_mode_event(self, t: int, on: bool):
         self.bias_ctrl.ramp_mode = on
-        self.trace.emit(t_ns, "ramp_mode", 1.0 if on else 0.0)
+        self.trace.emit(t / TICKS_PER_NS, "ramp_mode", 1.0 if on else 0.0)
 
     def _event(self, cmd: Command):
         """The handler of ``cmd`` and its checked argument."""
@@ -446,28 +540,28 @@ class Simulator:
 
     def run(self, stimulus: Path | str | None, t_end_ns: float) -> Trace:
         """Simulate up to ``t_end_ns``, once; the whole stimulus is checked first."""
-        if self._t_end_ns:
+        if self._t_end is not None:
             raise RuntimeError("this Simulator has already run; build a new one")
         if not 0 < t_end_ns < math.inf:
             raise ValueError(f"t_end_ns must be positive and finite, got {t_end_ns!r}")
         if t_end_ns / self.conversion_period_ns > MAX_CONVERSIONS:
             raise ValueError(f"t_end_ns={t_end_ns!r} exceeds the limit of "
                              f"{MAX_CONVERSIONS} bias conversions per run")
-        self._t_end_ns = t_end_ns
+        t_end = self._t_end = to_ticks(t_end_ns)
         for cmd in parse_stimulus(stimulus) if stimulus is not None else []:
-            self._push(cmd.t_ns, PRIORITY_RF, *self._event(cmd))
+            self._push(to_ticks(cmd.t_ns), PRIORITY_RF, *self._event(cmd))
 
         self.trace.emit(0.0, "clk_bias_hz", self.f_clk_bias)
         self.trace.emit(0.0, "clk_rf_hz", self.f_clk_rf)
-        self._push(0.0, PRIORITY_BIAS, self.bias_ctrl.conversion)
+        self._push(0, PRIORITY_BIAS, self.bias_ctrl.conversion)
 
         queue = self._queue
         pop, pushpop = heapq.heappop, heapq.heappushpop
         event = pop(queue)
         while True:
-            t_ns, prio, _seq, fn, arg = event
-            t_next = fn(t_ns, arg)
-            if t_next is not None and t_next <= t_end_ns:
+            t, prio, _seq, fn, arg = event
+            t_next = fn(t, arg)
+            if t_next is not None and t_next <= t_end:
                 self._seq += 1
                 event = pushpop(queue, (t_next, prio, self._seq, fn, arg))
             elif queue:
@@ -476,13 +570,12 @@ class Simulator:
                 break
 
         self.trace.stats = {
-            "t_end_ns": t_end_ns,
+            "t_end_ns": t_end / TICKS_PER_NS,
             "max_refresh_deviation_v": list(self.max_refresh_deviation),
             "backpressure_count": self.backpressure_count,
             "rf_samples_emitted": self.rf_samples_emitted,
-            "final_electrode_voltages_v": [
-                self.electrode_voltage(e, t_end_ns) for e in range(self.n_electrodes)
-            ],
+            "final_electrode_voltages_v": [cap.voltage(t_end, self.tau_s) for cap in self.caps],
+            "clock_quantisation_rel": dict(self.clock_quantisation_rel),
         }
         return self.trace
 

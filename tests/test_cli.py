@@ -221,9 +221,13 @@ def test_clock_floor(capsys, tmp_path):
     ({"tech": {"r_off": 1e-300}}, ("estimate",), 1),
     ({"tech": {"r_off": 1e-300}}, ("capacity", "--budget", "1e-3"), 1),
     ({"tech": {"r_off": 1e-300}}, ("simulate", "--until", "10us"), 1),
+    # r_off * r_off_multiplier underflows to 0 ohm
+    ({"tech": {"r_off": 1e-200, "r_off_multiplier": 1e-200}}, ("estimate",), 1),
     # finite clocks, but an infinite memory power
     ({"tech": {"c_ff_equiv": 1e300}}, ("capacity", "--budget", "1e-3"), 2),
-], ids=["r_off-estimate", "r_off-capacity", "r_off-simulate", "c_ff_equiv-capacity"])
+    ({"tech": {"c_ff_equiv": 1e300}}, ("estimate",), 2),
+], ids=["r_off-estimate", "r_off-capacity", "r_off-simulate", "r_off-product-estimate",
+        "c_ff_equiv-capacity", "c_ff_equiv-estimate"])
 def test_overflowing_design_point_fails_with_a_message(tmp_path, src_env, data, command, code):
     if command[0] == "simulate":
         stim = tmp_path / "stim.txt"

@@ -150,6 +150,14 @@ def test_spec_invariants():
             replace(Scenario(), c_h=value).validate()
 
 
+@pytest.mark.parametrize("r_off, multiplier", [(1e-200, 1e-200), (1e200, 1e200)])
+def test_effective_off_resistance_positive_and_finite(r_off, multiplier):
+    # each field passes on its own; their product underflows or overflows
+    tech = replace(TechnologyParams(), r_off=r_off, r_off_multiplier=multiplier)
+    with pytest.raises(ConfigError, match=r"r_off \* r_off_multiplier"):
+        replace(Scenario(), tech=tech).validate()
+
+
 def test_operating_point_invariants():
     with pytest.raises(ConfigError, match="sigma_con"):
         replace(OperatingPoint(), sigma_con=0.6).validate()
