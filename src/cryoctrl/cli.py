@@ -143,9 +143,6 @@ def _report_csv(rep) -> str:
 
 def _cmd_estimate(args) -> int:
     rep = assemble(_scenario(args), include_data_input=args.include_data_input)
-    for unit, area, power in rep.rows():
-        if not (math.isfinite(area) and math.isfinite(power)):
-            raise ValueError(f"{unit} area or power is not finite: {area!r} um^2, {power!r} W")
     if args.format == "json":
         text = json.dumps(rep.to_dict(), indent=2, sort_keys=True) + "\n"
     elif args.format == "csv":

@@ -87,6 +87,7 @@ def assemble(sc: Scenario, include_data_input: bool = False) -> Report:
     Per-unit digital figures rest on calibrated gate budgets; the analog
     terms are closed forms. By default the power refers to the operation
     regime, i.e. the data-input subunit contributes area but no power.
+    A design point whose area or power overflows raises ``ValueError``.
     """
     sc.validate()
     clocks = derived_clocks(sc)
@@ -94,7 +95,7 @@ def assemble(sc: Scenario, include_data_input: bool = False) -> Report:
     if not include_data_input:
         notes.append("operation regime: data input control excluded from power")
     notes.append("digital unit figures use calibrated gate budgets")
-    return Report(
+    report = Report(
         scenario=sc,
         bias_gen=bias_gen_report(sc),
         rf_gen=rf_gen_report(sc),
@@ -106,6 +107,10 @@ def assemble(sc: Scenario, include_data_input: bool = False) -> Report:
         include_data_input=include_data_input,
         notes=tuple(notes),
     )
+    for unit, area, power in report.rows():
+        if not (math.isfinite(area) and math.isfinite(power)):
+            raise ValueError(f"{unit} area or power is not finite: {area!r} um^2, {power!r} W")
+    return report
 
 
 # ---------------------------------------------------------------------------

@@ -146,14 +146,29 @@ class Trace:
     def of(self, signal: str) -> list[TraceEvent]:
         return [e for e in self.events if e.signal == signal]
 
+    def _text_rows(self) -> list[tuple[str, str, str]]:
+        """Each event as ``(repr(t_ns), signal, repr(value))``.
+
+        A handler emits all its events at one time object, so a time is
+        formatted once for the run of events that carry that object.
+        """
+        rows = []
+        append = rows.append
+        last = text = None
+        for t, s, v in self.events:
+            if t is not last:
+                last, text = t, repr(t)
+            append((text, s, repr(v)))
+        return rows
+
     def to_csv(self) -> str:
         lines = ["t_ns,signal,value"]
-        lines += [f"{t!r},{s},{v!r}" for t, s, v in self.events]
+        lines += [f"{t},{s},{v}" for t, s, v in self._text_rows()]
         return "\n".join(lines) + "\n"
 
     def to_vcd_text(self) -> str:
         """Minimal value-change dump: one '#<t_ns> <signal> <value>' per event."""
-        return "\n".join(f"#{t!r} {s} {v!r}" for t, s, v in self.events) + "\n"
+        return "\n".join(f"#{t} {s} {v}" for t, s, v in self._text_rows()) + "\n"
 
 
 # ---------------------------------------------------------------------------
@@ -250,7 +265,6 @@ class BiasController:
         self.electrode_counter = 0
         self.ramp_counter = 0
         self.index = 0   # of the next conversion, at index * conversion_period_ticks
-        self.next_check = 0   # skip_quiet_rounds runs again from this index on
 
     def conversion(self, t: int, _) -> int:
         sim = self.sim
@@ -264,7 +278,7 @@ class BiasController:
             self.electrode_counter = (self.electrode_counter + 1) % sim.n_electrodes
         sim.refresh_electrode(t, target, code)
         self.index += 1
-        if not self.ramp_mode and self.index >= self.next_check:
+        if not self.ramp_mode:
             self.skip_quiet_rounds()
         return self.index * sim.conversion_period_ticks
 
@@ -286,17 +300,11 @@ class BiasController:
         last = sim.horizon() // period   # the last conversion at or before the next event
         rounds = (last - self.index + 1) // n   # whole rounds in conversions index .. last
         if rounds <= 0:
-            # no round fits before that event, and none can until it has run
-            self.next_check = last + 1
             return
         bias, caps, counter = sim.memory.bias, sim.caps, self.electrode_counter
         for k in range(n):
             e = (counter + k) % n   # recharged by conversion index + k
             if caps[e].code != bias[e] or caps[e].t_set != (self.index + k - n) * period:
-                # look again once e is recharged, so that a change costs O(n)
-                # checks in all (a write that restores e's code sooner only
-                # delays a skip)
-                self.next_check = self.index + k + 1
                 return
         round_ticks = n * period
         worst = sim.max_refresh_deviation

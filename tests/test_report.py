@@ -132,6 +132,16 @@ def test_sweep_marks_invalid_rows(baseline):
         assert all(r.report is None for r in rows if r.value != 10.0)
 
 
+def test_overflowing_design_point_is_refused(baseline):
+    # finite clocks, but an infinite memory power
+    sc = replace(baseline, tech=replace(baseline.tech, c_ff_equiv=1e300))
+    with pytest.raises(ValueError, match="memory area or power is not finite"):
+        assemble(sc)
+    rows = sweep(sc, "v_dd", [1.0])
+    assert rows[0].report is None
+    assert rows[0].status.startswith("invalid: memory area or power is not finite")
+
+
 def test_sweep_rows_ordered_by_value(baseline):
     rows = sweep(baseline, "v_dd", [0.5, 1.0, 0.1])
     assert [r.value for r in rows] == [0.1, 0.5, 1.0]

@@ -15,6 +15,7 @@ from cryoctrl.sim import (
     SimulationConfigError,
     StimulusError,
     Simulator,
+    Trace,
     TraceEvent,
     engine,
     parse_duration_ns,
@@ -306,6 +307,18 @@ def test_trace_csv_format(baseline):
     assert t_values == sorted(t_values)
     vcd = trace.to_vcd_text().splitlines()
     assert vcd[0].startswith("#")
+
+
+def test_trace_text_formats_each_event_exactly():
+    trace = Trace()
+    t = 1.5
+    for t_ns, signal, value in [(0.0, "a", 0.0), (-0.0, "b", -0.0), (t, "a", 0.1),
+                                (t, "b", 0.1), (2.0, "a", -0.0), (2.0, "b", 1.5)]:
+        trace.emit(t_ns, signal, value)
+    assert trace.to_csv() == ("t_ns,signal,value\n0.0,a,0.0\n-0.0,b,-0.0\n1.5,a,0.1\n"
+                              "1.5,b,0.1\n2.0,a,-0.0\n2.0,b,1.5\n")
+    assert trace.to_vcd_text().splitlines() == [
+        "#0.0 a 0.0", "#-0.0 b -0.0", "#1.5 a 0.1", "#1.5 b 0.1", "#2.0 a -0.0", "#2.0 b 1.5"]
 
 
 def test_trace_event_is_a_named_tuple():
