@@ -41,7 +41,8 @@ class Clocks:
 
 
 def derived_clocks(sc: Scenario) -> Clocks:
-    """Refresh rate from the scenario sizing plus the digital clocks.
+    """Refresh rate from the scenario sizing plus the digital clocks; a
+    scenario derives them once, as ``Scenario.clocks``.
 
     Digital blocks are edge triggered and run at twice the conversion rate
     of their analog counterpart; explicit overrides in the operating point
@@ -130,8 +131,7 @@ def rf_dac_design(sc: Scenario) -> DacDesign:
 
 def bias_gen_report(sc: Scenario) -> GenReport:
     """Area and power of the bias generation unit (DAC + sample-and-hold)."""
-    s = sc.spec
-    clocks = derived_clocks(sc)
+    s, clocks = sc.spec, sc.clocks
     d = bias_dac_design(sc)
     sh = sample_hold_from(sc)
 
@@ -154,8 +154,7 @@ def bias_gen_report(sc: Scenario) -> GenReport:
 
 def rf_gen_report(sc: Scenario) -> GenReport:
     """Area and power of the RF generation unit (one DAC per RF electrode)."""
-    s = sc.spec
-    clocks = derived_clocks(sc)
+    s, clocks = sc.spec, sc.clocks
     d = rf_dac_design(sc)
     n_dacs = s.n_rf_signals
 

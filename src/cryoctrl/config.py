@@ -10,12 +10,19 @@ Scenario files are JSON with the same field names as the dataclasses below.
 All physical quantities are SI units (volts, farads, ohms, hertz, kelvin);
 areas are in square micrometres. Unknown keys are a hard error so that a
 typo cannot silently fall back to a default.
+
+Each part checks itself when it is built, by its constructor,
+:func:`dataclasses.replace` or :func:`load_scenario`, so a part or scenario
+that exists is valid; a scenario derives its clocks once, as
+:attr:`Scenario.clocks`.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import math
+import sys
 from dataclasses import dataclass, field, fields, replace
 from enum import Enum
 from pathlib import Path
@@ -27,11 +34,12 @@ class ConfigError(ValueError):
 
 def _check_positive(obj, names) -> None:
     """Raise ConfigError unless each named field of ``obj`` is positive and
-    finite; a field left ``None`` (derived or defaulted) is skipped."""
-    inf = math.inf
+    finite, i.e. at most the largest float (an integer beyond it counts as
+    infinite); a field left ``None`` (derived or defaulted) is skipped."""
+    top = sys.float_info.max
     for name in names:
         v = getattr(obj, name)
-        if v is not None and not 0 < v < inf:
+        if v is not None and not 0 < v <= top:
             raise ConfigError(f"{name} must be {'positive' if v <= 0 else 'finite'}")
 
 
@@ -86,7 +94,7 @@ class SystemSpec:
     l_pulse: int = 16
     n_pulses: int = 16
 
-    def validate(self) -> None:
+    def __post_init__(self):
         for name in ("n_bias_signals", "n_bias", "n_rf_signals", "n_rf", "l_pulse", "n_pulses"):
             if type(getattr(self, name)) is not int:
                 raise ConfigError(f"{name} must be an integer")
@@ -134,7 +142,7 @@ class TechnologyParams:
     def r_off_effective(self) -> float:
         return self.r_off * self.r_off_multiplier
 
-    def validate(self) -> None:
+    def __post_init__(self):
         _check_positive(self, vars(self))
         r = self.r_off_effective()
         if not 0 < r < math.inf:   # the product can underflow or overflow
@@ -162,7 +170,7 @@ class OperatingPoint:
     sigma_rfmem: float = 0.026
     sigma_con: float = 0.5
 
-    def validate(self) -> None:
+    def __post_init__(self):
         _check_positive(self, ("t_el", "v_dd", "f_clk_bias", "f_clk_rf", "b_bias", "b_rf"))
         for name in ("sigma_biasmem", "sigma_rfmem", "sigma_con"):
             s = getattr(self, name)
@@ -184,14 +192,24 @@ class Scenario:
     bias_dac_unit: float | None = None   # None = architecture default
     rf_dac_unit: float | None = None
 
-    def validate(self) -> None:
-        from . import noise  # deferred: noise and analog import the enums above
-        from .analog import derived_clocks
-
-        self.spec.validate()
-        self.tech.validate()
-        self.op.validate()
+    def __post_init__(self):
         _check_positive(self, ("c_h", "bias_dac_unit", "rf_dac_unit"))
+        self.validate()
+
+    @functools.cached_property
+    def clocks(self):
+        """The refresh rate and both digital clocks (``analog.Clocks``),
+        derived once per scenario."""
+        from .analog import derived_clocks  # deferred: analog imports this module
+
+        return derived_clocks(self)
+
+    def validate(self) -> None:
+        """The rules across parts, run when the scenario is built: the hold
+        capacitor against its thermal-noise floor, finite derived clocks, and
+        no explicit clock below the conversions it drives."""
+        from . import noise  # deferred: noise imports the enums above
+
         hold_min = noise.min_hold_cap(
             self.spec.n_bias_signals, self.spec.dv_bias, self.op.t_el
         ).value
@@ -200,7 +218,7 @@ class Scenario:
                 f"c_h={self.c_h:.3e} F is below the thermal-noise minimum "
                 f"{hold_min:.3e} F at t_el={self.op.t_el} K"
             )
-        clocks = derived_clocks(self)
+        clocks = self.clocks
         for name in ("f_refresh", "f_clk_bias", "f_clk_rf"):
             if not math.isfinite(getattr(clocks, name)):
                 raise ConfigError(f"the derived {name} is not finite; check the tech "
@@ -263,7 +281,7 @@ def _choice(key: str, value):
 def _check_number(name: str, value, default) -> None:
     """Raise ConfigError unless a JSON ``value`` suits a number field with this
     ``default``: an int or float but not a bool, or null where the default is
-    None. Ranges and integrality are left to the ``validate`` methods."""
+    None. Ranges and integrality are checked when the part is built."""
     if value is None and default is None:
         return
     if isinstance(value, bool) or not isinstance(value, (int, float)):
@@ -283,7 +301,8 @@ def _merge_dataclass(cls, defaults, data, path: str):
 
 
 def scenario_from_dict(data: dict) -> Scenario:
-    """Build a validated Scenario from a dict, filling defaults.
+    """Build a Scenario from a dict, filling defaults; every part is checked
+    as it is built.
 
     Recognized top-level keys: ``defaults`` (optional, must be ``"paper"``),
     ``node`` (optional shorthand that applies :func:`apply_node` before any
@@ -318,13 +337,11 @@ def scenario_from_dict(data: dict) -> Scenario:
             _check_number(key, value, getattr(sc, key))
         simple[key] = value
 
-    sc = replace(sc, spec=spec, tech=tech, op=op, **simple)
-    sc.validate()
-    return sc
+    return replace(sc, spec=spec, tech=tech, op=op, **simple)
 
 
 def load_scenario(path: str | Path) -> Scenario:
-    """Load and validate a scenario JSON file."""
+    """Load a scenario JSON file, checked as it is built."""
     path = Path(path)
     try:
         text = path.read_text()

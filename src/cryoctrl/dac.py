@@ -14,7 +14,7 @@ of its units.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from . import noise
 from .config import DEFAULT_LADDER_UNIT_RES, DacArchitecture, TechnologyParams
@@ -51,19 +51,19 @@ def default_unit_value(arch: DacArchitecture, tech: TechnologyParams) -> float:
 
 @dataclass(frozen=True)
 class DacDesign:
-    """A sized DAC: architecture, resolution, and unit component value."""
+    """A sized DAC: architecture, resolution, and unit component value.
+    Its component counts are computed once, when it is built."""
 
     arch: DacArchitecture
     n: int
     unit_value: float
+    counts: ComponentCounts = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        # component_counts range-checks n
+        object.__setattr__(self, "counts", component_counts(self.arch, self.n))
         if self.unit_value <= 0:
             raise ValueError("unit_value must be positive")
-
-    @property
-    def counts(self) -> ComponentCounts:
-        return component_counts(self.arch, self.n)
 
     @property
     def c_in(self) -> float:
@@ -91,7 +91,6 @@ def design_dac(
     """Build a DacDesign; defaults are clamped to process minimums, an
     explicit ``unit_value`` is taken as given."""
     arch = DacArchitecture(arch)
-    component_counts(arch, n)  # range check
     if unit_value is None:
         unit_value = default_unit_value(arch, tech)
     return DacDesign(arch, n, unit_value)

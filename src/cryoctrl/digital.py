@@ -23,7 +23,6 @@ import math
 from dataclasses import dataclass
 from importlib import resources
 
-from .analog import derived_clocks
 from .config import MemoryArch, Scenario
 
 
@@ -104,9 +103,7 @@ def _sram_periphery_transistors(d: MemoryDesign, column_transistors: int) -> int
 
 def memory_report(d: MemoryDesign, sc: Scenario) -> UnitReport:
     """Area and operating power of both memory banks."""
-    tech = sc.tech
-    clocks = derived_clocks(sc)
-
+    tech, clocks = sc.tech, sc.clocks
     if d.arch is MemoryArch.FLIP_FLOP:
         cell_area = (d.bias_bits + d.rf_bits) * tech.a_ff * tech.logic_area_scale
         periph = _ff_periphery_transistors(d)
@@ -183,8 +180,7 @@ def managing_report(sc: Scenario, include_data_input: bool = False) -> UnitRepor
     ``include_data_input`` is set.
     """
     tech = sc.tech
-    clocks = derived_clocks(sc)
-    freq = {"bias": clocks.f_clk_bias, "rf": clocks.f_clk_rf}
+    freq = {"bias": sc.clocks.f_clk_bias, "rf": sc.clocks.f_clk_rf}
 
     area = 0.0
     power = 0.0

@@ -10,7 +10,6 @@ from . import noise
 from .analog import (
     GenReport,
     bias_dac_design,
-    derived_clocks,
     bias_gen_report,
     rf_dac_design,
     rf_gen_report,
@@ -34,9 +33,6 @@ class Report:
     rf_gen: GenReport
     memory: UnitReport
     managing: UnitReport
-    f_refresh: float
-    f_clk_bias: float
-    f_clk_rf: float
     include_data_input: bool
     notes: tuple[str, ...] = ()
 
@@ -66,15 +62,12 @@ class Report:
         return {name: u.power_w for name, u in self.units()}
 
     def to_dict(self) -> dict:
-        """Each unit's fields plus its power, the totals, clocks and inputs."""
+        """Each unit's fields plus its power, the totals, the scenario's clocks
+        and the inputs."""
         d = {name: {**vars(u), "power_w": u.power_w} for name, u in self.units()}
         _, area, power = self.rows()[-1]
         d["totals"] = {"area_um2": area, "power_w": power}
-        d["clocks_hz"] = {
-            "f_refresh": self.f_refresh,
-            "f_clk_bias": self.f_clk_bias,
-            "f_clk_rf": self.f_clk_rf,
-        }
+        d["clocks_hz"] = dict(vars(self.scenario.clocks))
         d["include_data_input"] = self.include_data_input
         d["notes"] = list(self.notes)
         d["scenario"] = scenario_to_dict(self.scenario)
@@ -88,25 +81,24 @@ def assemble(sc: Scenario, include_data_input: bool = False) -> Report:
     terms are closed forms. By default the power refers to the operation
     regime, i.e. the data-input subunit contributes area but no power.
     A design point whose area or power overflows raises ``ValueError``.
+    ``sc`` was checked when it was built.
     """
-    sc.validate()
-    clocks = derived_clocks(sc)
     notes = []
     if not include_data_input:
         notes.append("operation regime: data input control excluded from power")
     notes.append("digital unit figures use calibrated gate budgets")
-    report = Report(
-        scenario=sc,
-        bias_gen=bias_gen_report(sc),
-        rf_gen=rf_gen_report(sc),
-        memory=memory_report(memory_design(sc), sc),
-        managing=managing_report(sc, include_data_input=include_data_input),
-        f_refresh=clocks.f_refresh,
-        f_clk_bias=clocks.f_clk_bias,
-        f_clk_rf=clocks.f_clk_rf,
-        include_data_input=include_data_input,
-        notes=tuple(notes),
-    )
+    try:
+        report = Report(
+            scenario=sc,
+            bias_gen=bias_gen_report(sc),
+            rf_gen=rf_gen_report(sc),
+            memory=memory_report(memory_design(sc), sc),
+            managing=managing_report(sc, include_data_input=include_data_input),
+            include_data_input=include_data_input,
+            notes=tuple(notes),
+        )
+    except OverflowError as exc:  # an integer count or a power beyond the float range
+        raise ValueError(f"area or power is not finite: {exc}") from None
     for unit, area, power in report.rows():
         if not (math.isfinite(area) and math.isfinite(power)):
             raise ValueError(f"{unit} area or power is not finite: {area!r} um^2, {power!r} W")
@@ -180,9 +172,8 @@ def dac_sweep(sc: Scenario, condition: str = "bias") -> list[dict]:
     clocked at twice the conversion rate.
     """
     s = sc.spec
-    clocks = derived_clocks(sc)
     if condition == "bias":
-        v_range, f_conv, t, b = s.v_range_bias, clocks.f_refresh, sc.op.t_el, sc.op.b_bias
+        v_range, f_conv, t, b = s.v_range_bias, sc.clocks.f_refresh, sc.op.t_el, sc.op.b_bias
     elif condition == "rf":
         v_range, f_conv, t, b = s.v_range_rf, s.f_sample_rf, sc.op.t_el, sc.op.b_rf
     else:
@@ -238,6 +229,8 @@ def qubit_capacity(report, budget_w: float, sig_figs: int | None = 2) -> Capacit
     the published capacities reproducible); pass ``sig_figs=None`` for exact
     division.
     """
+    if sig_figs is not None and not sig_figs >= 1:
+        raise ValueError(f"sig_figs must be None or at least 1, got {sig_figs!r}")
     per_qubit = report.total_power_w if isinstance(report, Report) else float(report)
     if not 0 < per_qubit < math.inf:
         raise ValueError(f"per-qubit power must be positive and finite, got {per_qubit!r} W")
@@ -264,10 +257,9 @@ def temperature_adjust(sc: Scenario, t_el: float) -> Scenario:
     if the current value would violate it (the pulse path has no derived
     rates that benefit from extra margin).
     """
-    if t_el <= 0:
-        raise ValueError("t_el must be positive")
     if t_el == sc.op.t_el:
         return sc
+    op = replace(sc.op, t_el=t_el, f_clk_bias=None)  # refuses a t_el <= 0, NaN or inf
     ratio = t_el / sc.op.t_el
     s = sc.spec
 
@@ -287,10 +279,5 @@ def temperature_adjust(sc: Scenario, t_el: float) -> Scenario:
         bound = noise.max_unit_res(d.arch, s.n_rf, s.dv_rf, t_el, sc.op.b_rf).value
         return min(d.unit_value, bound)
 
-    return replace(
-        sc,
-        c_h=c_h,
-        bias_dac_unit=scaled_bias_unit(),
-        rf_dac_unit=adjusted_rf_unit(),
-        op=replace(sc.op, t_el=t_el, f_clk_bias=None),
-    )
+    return replace(sc, c_h=c_h, bias_dac_unit=scaled_bias_unit(),
+                   rf_dac_unit=adjusted_rf_unit(), op=op)

@@ -69,7 +69,6 @@ from operator import attrgetter
 from pathlib import Path
 from typing import NamedTuple
 
-from ..analog import derived_clocks
 from ..config import Scenario
 from ..digital import memory_design
 from .memory import MemoryBank
@@ -387,7 +386,6 @@ class Simulator:
     """Event loop over the two clock domains; see the module docstring."""
 
     def __init__(self, scenario: Scenario):
-        scenario.validate()
         s = scenario.spec
         d = memory_design(scenario)
         for n, what, bits, field_name in (
@@ -406,7 +404,6 @@ class Simulator:
                 f"n_rf_signals={s.n_rf_signals}, but the pulse memory's "
                 f"{d.rf_read_ports} read ports drive exactly {d.rf_read_ports} outputs"
             )
-        self.scenario = scenario
         self.n_electrodes = s.n_bias_signals
         self.n_bias = s.n_bias
         self.n_rf = s.n_rf
@@ -415,9 +412,8 @@ class Simulator:
         self.v_range_bias = s.v_range_bias
         self.rf_lsb = s.v_range_rf / (1 << s.n_rf)
 
-        clocks = derived_clocks(scenario)
-        self.f_clk_bias = clocks.f_clk_bias
-        self.f_clk_rf = clocks.f_clk_rf
+        self.f_clk_bias = scenario.clocks.f_clk_bias
+        self.f_clk_rf = scenario.clocks.f_clk_rf
         t_bias, bias_error = _period_ticks(self.f_clk_bias)
         self.t_rf_ticks, rf_error = _period_ticks(self.f_clk_rf)
         self.clock_quantisation_rel = {"clk_bias": bias_error, "clk_rf": rf_error}
@@ -425,10 +421,8 @@ class Simulator:
         # second clock of its domain.
         self.conversion_period_ticks = 2 * t_bias
         self.sample_period_ticks = 2 * self.t_rf_ticks
-        self.t_bias_ns = t_bias / TICKS_PER_NS
         self.t_rf_ns = self.t_rf_ticks / TICKS_PER_NS
         self.conversion_period_ns = self.conversion_period_ticks / TICKS_PER_NS
-        self.sample_period_ns = self.sample_period_ticks / TICKS_PER_NS
 
         self.tau_s = scenario.tech.r_off_effective() * scenario.c_h
 

@@ -57,8 +57,8 @@ def test_derived_clocks(baseline):
 
 
 def test_clock_override(baseline):
-    sc = replace(baseline, op=replace(baseline.op, f_clk_bias=1e6))
-    assert derived_clocks(sc).f_clk_bias == 1e6
+    sc = replace(baseline, op=replace(baseline.op, f_clk_bias=3e6))
+    assert derived_clocks(sc).f_clk_bias == 3e6
 
 
 def test_rf_clock_tracks_sample_rate(baseline):

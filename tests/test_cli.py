@@ -226,8 +226,16 @@ def test_clock_floor(capsys, tmp_path):
     # finite clocks, but an infinite memory power
     ({"tech": {"c_ff_equiv": 1e300}}, ("capacity", "--budget", "1e-3"), 2),
     ({"tech": {"c_ff_equiv": 1e300}}, ("estimate",), 2),
+    # an integer beyond the largest float
+    ({"c_h": 10 ** 400}, ("estimate",), 1),
+    ({"spec": {"n_bias_signals": 10 ** 400}}, ("capacity", "--budget", "1e-3"), 1),
+    # valid fields whose product, 2^2000 pulse-memory bits, overflows a float
+    ({"spec": {"n_pulses": 2 ** 1000, "l_pulse": 2 ** 1000}}, ("estimate",), 2),
+    ({"spec": {"n_pulses": 2 ** 1000, "l_pulse": 2 ** 1000}},
+     ("capacity", "--budget", "1e-3"), 2),
 ], ids=["r_off-estimate", "r_off-capacity", "r_off-simulate", "r_off-product-estimate",
-        "c_ff_equiv-capacity", "c_ff_equiv-estimate"])
+        "c_ff_equiv-capacity", "c_ff_equiv-estimate", "huge-c_h-estimate",
+        "huge-n_bias_signals-capacity", "memory-bits-estimate", "memory-bits-capacity"])
 def test_overflowing_design_point_fails_with_a_message(tmp_path, src_env, data, command, code):
     if command[0] == "simulate":
         stim = tmp_path / "stim.txt"

@@ -153,8 +153,8 @@ def test_spec_invariants():
 @pytest.mark.parametrize("r_off, multiplier", [(1e-200, 1e-200), (1e200, 1e200)])
 def test_effective_off_resistance_positive_and_finite(r_off, multiplier):
     # each field passes on its own; their product underflows or overflows
-    tech = replace(TechnologyParams(), r_off=r_off, r_off_multiplier=multiplier)
     with pytest.raises(ConfigError, match=r"r_off \* r_off_multiplier"):
+        tech = replace(TechnologyParams(), r_off=r_off, r_off_multiplier=multiplier)
         replace(Scenario(), tech=tech).validate()
 
 
@@ -171,9 +171,44 @@ def test_operating_point_invariants():
 
 
 def test_hold_cap_below_noise_floor_rejected():
-    sc = replace(Scenario(), c_h=10e-15)
     with pytest.raises(ConfigError, match="thermal-noise minimum"):
+        sc = replace(Scenario(), c_h=10e-15)
         sc.validate()
+
+
+def _scenario_with(section=None, **values):
+    sc = Scenario()
+    if section is None:
+        return replace(sc, **values)
+    return replace(sc, **{section: replace(getattr(sc, section), **values)})
+
+
+@pytest.mark.parametrize("section, values, message", [
+    (None, {"c_h": -3e-13}, "c_h must be positive"),
+    ("spec", {"n_bias_signals": 0}, "n_bias_signals must be positive"),
+    ("op", {"sigma_con": 0.9}, "sigma_con must be in (0, 0.5]"),
+    ("op", {"f_clk_bias": 1.0}, "op.f_clk_bias=1 Hz is below"),
+    ("tech", {"rho_c": math.nan}, "rho_c must be finite"),
+    # an integer beyond the largest float is not a finite value either
+    (None, {"c_h": 10 ** 400}, "c_h must be finite"),
+    ("spec", {"n_bias_signals": 10 ** 400}, "n_bias_signals must be finite"),
+])
+def test_a_scenario_is_checked_when_built(section, values, message):
+    with pytest.raises(ConfigError, match=re.escape(message)):
+        _scenario_with(section, **values)
+
+
+def test_a_built_scenario_derives_its_clocks_once(monkeypatch):
+    import cryoctrl.analog as analog
+
+    base, calls = Scenario(), []
+    derive = analog.derived_clocks
+    monkeypatch.setattr(analog, "derived_clocks", lambda sc: calls.append(sc) or derive(sc))
+    sc = replace(base, c_h=400e-15)
+    assert len(calls) == 1 and calls[0] is sc
+    assert sc.clocks is sc.clocks and sc.clocks == derive(sc)
+    sc.validate()
+    assert len(calls) == 1
 
 
 def test_every_requirement_and_process_symbol_has_one_field():

@@ -43,6 +43,22 @@ def test_component_counts_range():
         component_counts(DacArchitecture.CAP, 25)
 
 
+def test_a_dac_design_counts_its_components_once(monkeypatch):
+    import cryoctrl.dac as dac
+
+    calls = []
+    count = dac.component_counts
+    monkeypatch.setattr(dac, "component_counts", lambda a, n: calls.append(n) or count(a, n))
+    d = design_dac(DacArchitecture.CAP, 12, TECH)
+    assert d.counts == count(DacArchitecture.CAP, 12)
+    assert dac_area(d, TECH) > 0 and dac_switch_power(d, 1.0, 1e6, 0.5, TECH) > 0
+    assert d.c_in == d.counts.units * 10e-15
+    assert calls == [12]
+    for n in (1, 25):   # the range is checked when the design is built
+        with pytest.raises(ValueError, match="resolution must be in"):
+            dac.DacDesign(DacArchitecture.CAP, n, 10e-15)
+
+
 def test_default_unit_values():
     assert design_dac(DacArchitecture.KELVIN, 12, TECH).unit_value == 15.0
     assert design_dac(DacArchitecture.LADDER, 12, TECH).unit_value == 150.0

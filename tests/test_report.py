@@ -14,6 +14,7 @@ from cryoctrl import (
     temperature_adjust,
 )
 from cryoctrl.config import (
+    ConfigError,
     scenario_14nm_sram_10mv,
     scenario_65nm_sram_100mv,
 )
@@ -142,6 +143,43 @@ def test_overflowing_design_point_is_refused(baseline):
     assert rows[0].status.startswith("invalid: memory area or power is not finite")
 
 
+def test_integer_overflow_in_a_unit_model_is_refused(baseline):
+    # each field fits a float, but the pulse memory's 2^2000 bits do not
+    sc = replace(baseline, spec=replace(baseline.spec, n_pulses=2 ** 1000, l_pulse=2 ** 1000))
+    with pytest.raises(ValueError, match="area or power is not finite"):
+        assemble(sc)
+    rows = sweep(sc, "v_dd", [1.0])
+    assert rows[0].report is None
+    assert rows[0].status.startswith("invalid: area or power is not finite")
+
+
+def _counting(monkeypatch, module, name, calls):
+    fn = getattr(module, name)
+
+    def wrapper(*args, **kwargs):
+        calls[name] = calls.get(name, 0) + 1
+        return fn(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, wrapper)
+
+
+def test_assemble_reuses_the_scenario_and_counts_each_dac_once(baseline, monkeypatch):
+    # the scenario is built (checked, clocks derived) before the report runs
+    import cryoctrl.analog as analog
+    import cryoctrl.dac as dac
+    import cryoctrl.report as report
+
+    calls = {}
+    for module, name in ((analog, "derived_clocks"), (dac, "component_counts"),
+                         (analog, "design_dac"), (report, "design_dac")):
+        _counting(monkeypatch, module, name, calls)
+    assemble(baseline)
+    assert calls == {"design_dac": 2, "component_counts": 2}
+    calls.clear()
+    dac_sweep(baseline)
+    assert calls == {"design_dac": 45, "component_counts": 45}
+
+
 def test_sweep_rows_ordered_by_value(baseline):
     rows = sweep(baseline, "v_dd", [0.5, 1.0, 0.1])
     assert [r.value for r in rows] == [0.1, 0.5, 1.0]
@@ -180,6 +218,13 @@ def test_qubit_capacity_floor_division():
         qubit_capacity(1e-320, 1e3)
 
 
+@pytest.mark.parametrize("sig_figs", [0, -1])
+def test_qubit_capacity_needs_a_significant_figure(sig_figs):
+    # 1.9e-4 W rounded to no significant figure would be 0 W
+    with pytest.raises(ValueError, match="sig_figs must be None or at least 1"):
+        qubit_capacity(1.9e-4, 1e-3, sig_figs=sig_figs)
+
+
 @pytest.mark.parametrize("per_qubit", [math.inf, math.nan, -1e-6])
 @pytest.mark.parametrize("sig_figs", [2, None])
 def test_qubit_capacity_needs_a_positive_finite_power(per_qubit, sig_figs):
@@ -194,6 +239,12 @@ def test_capacity_from_assembled_reports(baseline):
 
 def test_temperature_adjust_identity(baseline):
     assert temperature_adjust(baseline, 0.2) is baseline
+
+
+@pytest.mark.parametrize("t_el", [math.nan, math.inf, 0.0, -1.0])
+def test_temperature_adjust_refuses_a_bad_temperature(baseline, t_el):
+    with pytest.raises(ConfigError, match="t_el must be"):
+        temperature_adjust(baseline, t_el)
 
 
 def test_temperature_adjust_18k(baseline):

@@ -9,7 +9,16 @@ from types import SimpleNamespace
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from cryoctrl import baseline_scenario, temperature_adjust
+from cryoctrl import (
+    ConfigError,
+    MemoryArch,
+    Node,
+    Scenario,
+    apply_node,
+    baseline_scenario,
+    min_hold_cap,
+    temperature_adjust,
+)
 from cryoctrl.sim import (
     DataInputController,
     SimulationConfigError,
@@ -750,3 +759,37 @@ def test_quiet_rounds_cost_nothing():
     assert fast_conversions < 100
     assert fast.to_csv() == slow.to_csv()
     assert fast.stats == slow.stats
+
+
+@settings(max_examples=80, deadline=None)
+@given(node=st.sampled_from(list(Node)), memory_arch=st.sampled_from(list(MemoryArch)),
+       n=st.integers(1, 16), margin=st.floats(0.5, 4),
+       r_off_multiplier=st.floats(-2, 2).map(lambda x: 10.0 ** x),
+       t_el=st.floats(0.05, 4.2),
+       codes=st.lists(st.integers(0, 4095), min_size=1, max_size=17),
+       rounds=st.integers(2, 8))
+@example(node=Node.NODE_65NM, memory_arch=MemoryArch.FLIP_FLOP, n=8, margin=1.0,
+         r_off_multiplier=0.01, t_el=0.05, codes=[4095], rounds=8)
+def test_any_built_scenario_keeps_the_droop_bound(node, memory_arch, n, margin,
+                                                   r_off_multiplier, t_el, codes, rounds):
+    # The estimator's sizing and the simulator agree on every scenario that
+    # can be built: it is refused before the first event, or each electrode
+    # refreshed at the derived clock droops by at most n_bias_signals * dv_bias.
+    base = Scenario()
+    try:
+        sc = Scenario(
+            spec=replace(base.spec, n_bias_signals=n),
+            tech=replace(apply_node(base.tech, node), r_off_multiplier=r_off_multiplier),
+            memory_arch=memory_arch,
+            c_h=margin * min_hold_cap(n, base.spec.dv_bias, base.op.t_el).value,
+        )
+        sim = Simulator(temperature_adjust(sc, t_el))
+    except (ConfigError, SimulationConfigError):
+        return
+    writes = [f"0 write-bias {e} {codes[e % len(codes)]}" for e in range(n)]
+    # each word takes 34 RF clocks on the serial line, then several rounds
+    t_end_ns = n * 40 * sim.t_rf_ns + rounds * n * sim.conversion_period_ns
+    trace = sim.run("\n".join(writes), t_end_ns)
+    times = [e.t_ns for e in trace.events]
+    assert times == sorted(times)
+    assert max(trace.stats["max_refresh_deviation_v"]) <= n * sc.spec.dv_bias
