@@ -33,12 +33,15 @@ class ConfigError(ValueError):
 
 
 def _check_positive(obj, names) -> None:
-    """Raise ConfigError unless each named field of ``obj`` is positive and
-    finite, i.e. at most the largest float (an integer beyond it counts as
-    infinite); a field left ``None`` (derived or defaulted) is skipped."""
+    """Raise ConfigError unless each named field of ``obj`` is a number (see
+    :func:`_check_number`), positive and finite, i.e. at most the largest
+    float (an integer beyond it counts as infinite); a field left ``None``
+    where that is its default (derived or defaulted) is skipped."""
     top = sys.float_info.max
+    defaults = obj.__dataclass_fields__
     for name in names:
         v = getattr(obj, name)
+        _check_number(name, v, defaults[name].default)
         if v is not None and not 0 < v <= top:
             raise ConfigError(f"{name} must be {'positive' if v <= 0 else 'finite'}")
 
@@ -174,6 +177,7 @@ class OperatingPoint:
         _check_positive(self, ("t_el", "v_dd", "f_clk_bias", "f_clk_rf", "b_bias", "b_rf"))
         for name in ("sigma_biasmem", "sigma_rfmem", "sigma_con"):
             s = getattr(self, name)
+            _check_number(name, s)
             if not 0 < s <= 0.5:
                 raise ConfigError(f"{name} must be in (0, 0.5]")
 
@@ -210,9 +214,13 @@ class Scenario:
         no explicit clock below the conversions it drives."""
         from . import noise  # deferred: noise imports the enums above
 
-        hold_min = noise.min_hold_cap(
-            self.spec.n_bias_signals, self.spec.dv_bias, self.op.t_el
-        ).value
+        try:
+            hold_min = noise.min_hold_cap(
+                self.spec.n_bias_signals, self.spec.dv_bias, self.op.t_el
+            ).value
+        except ValueError as exc:   # the bound underflows or overflows
+            raise ConfigError(f"spec.dv_bias, spec.n_bias_signals and op.t_el give no "
+                              f"hold-capacitor minimum: {exc}") from None
         if self.c_h < hold_min:
             raise ConfigError(
                 f"c_h={self.c_h:.3e} F is below the thermal-noise minimum "
@@ -278,10 +286,11 @@ def _choice(key: str, value):
         raise ConfigError(f"{key} must be one of: {choices}") from None
 
 
-def _check_number(name: str, value, default) -> None:
-    """Raise ConfigError unless a JSON ``value`` suits a number field with this
-    ``default``: an int or float but not a bool, or null where the default is
-    None. Ranges and integrality are checked when the part is built."""
+def _check_number(name: str, value, default=0.0) -> None:
+    """Raise ConfigError unless ``value`` suits a number field with this
+    ``default`` (a float one where omitted): an int or float but not a bool,
+    or null (None) where the default is None. Ranges and integrality are
+    checked when the part is built."""
     if value is None and default is None:
         return
     if isinstance(value, bool) or not isinstance(value, (int, float)):

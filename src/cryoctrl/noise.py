@@ -3,7 +3,9 @@
 Two noise mechanisms size the analog components: kT/C noise of switched
 capacitors and Johnson-Nyquist noise of resistors within the circuit
 bandwidth. Each bound is returned as an exact value; rounding up to process
-minimums (``r_min``/``c_min``) is left to the DAC design layer.
+minimums (``r_min``/``c_min``) is left to the DAC design layer. A bound that
+underflows to zero or overflows is refused with a ``ValueError`` that names
+its requirement.
 """
 
 from __future__ import annotations
@@ -31,14 +33,20 @@ class SizingBound:
     binding_spec: str
 
     def __post_init__(self):
-        if self.value <= 0:
-            raise ValueError("bound value must be positive")
+        if not 0 < self.value < math.inf:
+            raise ValueError(f"the {self.kind.value} bound of {self.binding_spec} is "
+                             f"{self.value!r}, not positive and finite")
 
 
 def _require_positive(**values: float) -> None:
     for name, v in values.items():
         if v <= 0:
             raise ValueError(f"{name} must be positive, got {v!r}")
+
+
+def _ratio(num: float, den: float) -> float:
+    """``num / den`` of positive operands, inf where ``den`` underflowed to 0."""
+    return num / den if den else math.inf
 
 
 def ktc_rms(c: float, t: float) -> float:
@@ -60,7 +68,7 @@ def min_unit_cap(n: int, dv: float, t: float) -> SizingBound:
     2^(n/2) unit capacitors; odd resolutions use the real-valued power.
     """
     _require_positive(n=n, dv=dv, t=t)
-    value = K_B * t / (2.0 ** (n / 2.0) * dv * dv)
+    value = _ratio(K_B * t, 2.0 ** (n / 2.0) * dv * dv)
     return SizingBound(
         BoundKind.MIN_CAPACITANCE,
         value,
@@ -80,7 +88,7 @@ def max_unit_res(
     _require_positive(n=n, dv=dv, t=t, b=b)
     if arch is DacArchitecture.CAP:
         raise ValueError("capacitive DAC has no resistive noise bound")
-    value = dv * dv / (4.0 * K_B * t * b)
+    value = _ratio(dv * dv, 4.0 * K_B * t * b)
     if arch is DacArchitecture.KELVIN:
         value /= 2.0 ** (n - 2)
     return SizingBound(
@@ -97,7 +105,7 @@ def min_hold_cap(n_channels: int, dv: float, t: float) -> SizingBound:
     kT/C noise seen at the electrodes.
     """
     _require_positive(n_channels=n_channels, dv=dv, t=t)
-    value = K_B * t / (n_channels * dv * dv)
+    value = _ratio(K_B * t, n_channels * dv * dv)
     return SizingBound(
         BoundKind.MIN_CAPACITANCE,
         value,

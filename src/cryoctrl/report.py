@@ -214,10 +214,13 @@ class CapacityResult:
 
 
 def round_sig(x: float, sig: int) -> float:
-    """Round to ``sig`` significant figures."""
+    """Round to ``sig`` significant figures; ValueError where that overflows."""
     if x == 0:
         return 0.0
-    return round(x, -int(math.floor(math.log10(abs(x)))) + sig - 1)
+    try:
+        return round(x, -int(math.floor(math.log10(abs(x)))) + sig - 1)
+    except OverflowError:
+        raise ValueError(f"{x!r} rounded to {sig} significant figures overflows") from None
 
 
 def qubit_capacity(report, budget_w: float, sig_figs: int | None = 2) -> CapacityResult:

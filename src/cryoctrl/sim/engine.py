@@ -11,7 +11,8 @@ Time is an integer count of ticks of 1e-21 s (``TICKS_PER_NS``). Each clock
 period, stimulus time and end time is rounded to the nearest tick once, so
 every edge is an exact multiple of its period and equal times are equal
 ticks; ``trace.stats["clock_quantisation_rel"]`` gives each clock's period
-error. Trace times and the ``*_ns`` attributes are float nanoseconds,
+error. Trace events keep their tick; nanoseconds are derived only where a
+trace is read or written (``TraceEvent.t_ns``, the CSV and VCD text), as
 ``ticks / TICKS_PER_NS`` correctly rounded.
 
 Each clocked unit is one queue handler that returns its next edge time,
@@ -124,9 +125,13 @@ def _period_ticks(f_hz: float) -> tuple[int, float]:
 
 
 class TraceEvent(NamedTuple):
-    t_ns: float
+    t: int   # ticks
     signal: str
     value: float
+
+    @property
+    def t_ns(self) -> float:
+        return self.t / TICKS_PER_NS
 
 
 @dataclass
@@ -136,8 +141,8 @@ class Trace:
     events: list[TraceEvent] = field(default_factory=list)
     stats: dict = field(default_factory=dict)
 
-    def emit(self, t_ns: float, signal: str, value: float):
-        self.events.append(TraceEvent(t_ns, signal, value))
+    def emit(self, t: int, signal: str, value: float):
+        self.events.append(TraceEvent(t, signal, value))
 
     def signals(self) -> set[str]:
         return {e.signal for e in self.events}
@@ -146,17 +151,14 @@ class Trace:
         return [e for e in self.events if e.signal == signal]
 
     def _text_rows(self) -> list[tuple[str, str, str]]:
-        """Each event as ``(repr(t_ns), signal, repr(value))``.
-
-        A handler emits all its events at one time object, so a time is
-        formatted once for the run of events that carry that object.
-        """
+        """Each event as ``(repr(t_ns), signal, repr(value))``, each time
+        formatted once for the run of events at its tick."""
         rows = []
         append = rows.append
         last = text = None
         for t, s, v in self.events:
-            if t is not last:
-                last, text = t, repr(t)
+            if t != last:
+                last, text = t, repr(t / TICKS_PER_NS)
             append((text, s, repr(v)))
         return rows
 
@@ -237,10 +239,6 @@ class HoldCap:
     v: float = 0.0
     t_set: int = 0   # ticks
     code: int | None = None
-
-    @property
-    def t_set_ns(self) -> float:
-        return self.t_set / TICKS_PER_NS
 
     def voltage(self, t: int, tau_s: float) -> float:
         """The held voltage at tick ``t``."""
@@ -336,24 +334,23 @@ class RfController:
     def command_received(self, t: int, cmd: RfCommandWord):
         sim = self.sim
         if self.staging is not None:
-            sim.trace.emit(t / TICKS_PER_NS, "rf_cmd_ignored", 1.0)
+            sim.trace.emit(t, "rf_cmd_ignored", 1.0)
             sim.backpressure_count += 1
             return
         self.staging = cmd
         if self.active is None and not self.latched:
             # the sample clock is stopped: latch, and start it on the grid
-            self._latch_from_staging(t / TICKS_PER_NS)
+            self._latch_from_staging(t)
             period = sim.sample_period_ticks
             sim._push(-(-t // period) * period, PRIORITY_RF, self.sample_edge)
 
-    def _latch_from_staging(self, t_ns: float):
+    def _latch_from_staging(self, t: int):
         self.latched.extend(self.staging.pairs())
         self.staging = None
-        self.sim.trace.emit(t_ns, "latch_transfer", 1.0)
+        self.sim.trace.emit(t, "latch_transfer", 1.0)
 
     def sample_edge(self, t: int, _) -> int | None:
         sim = self.sim
-        t_ns = t / TICKS_PER_NS
         if self.active is None:
             self.active = self.latched.pop(0)
             self.sample_counter = 0
@@ -362,20 +359,20 @@ class RfController:
         addr_a = id_a * sim.l_pulse + self.sample_counter
         addr_b = id_b * sim.l_pulse + self.sample_counter
         code_a, code_b = sim.memory.read_rf_dual(addr_a, addr_b)
-        sim.trace.emit(t_ns, "rf_a", code_a * sim.rf_lsb)
-        sim.trace.emit(t_ns, "rf_b", code_b * sim.rf_lsb)
+        sim.trace.emit(t, "rf_a", code_a * sim.rf_lsb)
+        sim.trace.emit(t, "rf_b", code_b * sim.rf_lsb)
         sim.rf_samples_emitted += 1
 
         self.sample_counter += 1
         if self.sample_counter == sim.l_pulse:
-            sim.trace.emit(t_ns, "end_sequ", 1.0)
+            sim.trace.emit(t, "end_sequ", 1.0)
             self.active = None
             # the latch array holds one command word; staging transfers in
             # only once both of its sets have been consumed
             if not self.latched:
                 if self.staging is None:
                     return None
-                self._latch_from_staging(t_ns)
+                self._latch_from_staging(t)
         return t + sim.sample_period_ticks
 
 
@@ -421,8 +418,6 @@ class Simulator:
         # second clock of its domain.
         self.conversion_period_ticks = 2 * t_bias
         self.sample_period_ticks = 2 * self.t_rf_ticks
-        self.t_rf_ns = self.t_rf_ticks / TICKS_PER_NS
-        self.conversion_period_ns = self.conversion_period_ticks / TICKS_PER_NS
 
         self.tau_s = scenario.tech.r_off_effective() * scenario.c_h
 
@@ -474,13 +469,10 @@ class Simulator:
                 self.max_refresh_deviation[electrode] = dev
         # the hold capacitor holds the last emitted value, 0 V at start
         if v_ideal != cap.v:
-            self.trace.emit(t / TICKS_PER_NS, f"bias_e{electrode}", v_ideal)
+            self.trace.emit(t, f"bias_e{electrode}", v_ideal)
         cap.v = v_ideal
         cap.t_set = t
         cap.code = code
-
-    def electrode_voltage(self, electrode: int, t_ns: float) -> float:
-        return self.caps[electrode].voltage(to_ticks(t_ns), self.tau_s)
 
     # rf domain: serial data input -------------------------------------------
 
@@ -489,11 +481,8 @@ class Simulator:
         pos = self._frame_pos
         self._frame_pos = pos + 1
         # the line idles low after the frame, through the write clocks
-        events = self.data_input.step(int(frame[pos]) if pos < len(frame) else 0)
-        if events:
-            t_ns = t / TICKS_PER_NS
-            for signal, value in events:
-                self.trace.emit(t_ns, signal, value)
+        for signal, value in self.data_input.step(int(frame[pos]) if pos < len(frame) else 0):
+            self.trace.emit(t, signal, value)
         if self.data_input.busy:
             return t + self.t_rf_ticks
         # feedback issued; the next queued frame may start on the next clock
@@ -515,7 +504,7 @@ class Simulator:
 
     def _ramp_mode_event(self, t: int, on: bool):
         self.bias_ctrl.ramp_mode = on
-        self.trace.emit(t / TICKS_PER_NS, "ramp_mode", 1.0 if on else 0.0)
+        self.trace.emit(t, "ramp_mode", 1.0 if on else 0.0)
 
     def _event(self, cmd: Command):
         """The handler of ``cmd`` and its checked argument."""
@@ -546,15 +535,16 @@ class Simulator:
             raise RuntimeError("this Simulator has already run; build a new one")
         if not 0 < t_end_ns < math.inf:
             raise ValueError(f"t_end_ns must be positive and finite, got {t_end_ns!r}")
-        if t_end_ns / self.conversion_period_ns > MAX_CONVERSIONS:
+        t_end = to_ticks(t_end_ns)
+        if t_end > MAX_CONVERSIONS * self.conversion_period_ticks:
             raise ValueError(f"t_end_ns={t_end_ns!r} exceeds the limit of "
                              f"{MAX_CONVERSIONS} bias conversions per run")
-        t_end = self._t_end = to_ticks(t_end_ns)
+        self._t_end = t_end
         for cmd in parse_stimulus(stimulus) if stimulus is not None else []:
             self._push(to_ticks(cmd.t_ns), PRIORITY_RF, *self._event(cmd))
 
-        self.trace.emit(0.0, "clk_bias_hz", self.f_clk_bias)
-        self.trace.emit(0.0, "clk_rf_hz", self.f_clk_rf)
+        self.trace.emit(0, "clk_bias_hz", self.f_clk_bias)
+        self.trace.emit(0, "clk_rf_hz", self.f_clk_rf)
         self._push(0, PRIORITY_BIAS, self.bias_ctrl.conversion)
 
         queue = self._queue

@@ -233,9 +233,21 @@ def test_clock_floor(capsys, tmp_path):
     ({"spec": {"n_pulses": 2 ** 1000, "l_pulse": 2 ** 1000}}, ("estimate",), 2),
     ({"spec": {"n_pulses": 2 ** 1000, "l_pulse": 2 ** 1000}},
      ("capacity", "--budget", "1e-3"), 2),
+    # the hold-capacitor bound overflows (dv_bias^2 underflows) or underflows:
+    # the scenario is refused when built
+    ({"spec": {"dv_bias": 1e-200}}, ("estimate",), 1),
+    ({"spec": {"dv_bias": 1e-200}}, ("bounds",), 1),
+    ({"spec": {"dv_bias": 1e-200}}, ("capacity", "--budget", "1e-3"), 1),
+    ({"spec": {"dv_bias": 1e300}}, ("bounds",), 1),
+    # only the RF DAC's unit-capacitor bound overflows
+    ({"spec": {"dv_rf": 1e-200}}, ("bounds",), 2),
+    # the per-qubit power, rounded to 2 figures, overflows
+    ({"tech": {"c_ff_equiv": 3.743481452510495e+297}}, ("capacity", "--budget", "1e300"), 2),
 ], ids=["r_off-estimate", "r_off-capacity", "r_off-simulate", "r_off-product-estimate",
         "c_ff_equiv-capacity", "c_ff_equiv-estimate", "huge-c_h-estimate",
-        "huge-n_bias_signals-capacity", "memory-bits-estimate", "memory-bits-capacity"])
+        "huge-n_bias_signals-capacity", "memory-bits-estimate", "memory-bits-capacity",
+        "tiny-dv_bias-estimate", "tiny-dv_bias-bounds", "tiny-dv_bias-capacity",
+        "huge-dv_bias-bounds", "tiny-dv_rf-bounds", "rounded-power-capacity"])
 def test_overflowing_design_point_fails_with_a_message(tmp_path, src_env, data, command, code):
     if command[0] == "simulate":
         stim = tmp_path / "stim.txt"

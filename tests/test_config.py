@@ -192,6 +192,19 @@ def _scenario_with(section=None, **values):
     # an integer beyond the largest float is not a finite value either
     (None, {"c_h": 10 ** 400}, "c_h must be finite"),
     ("spec", {"n_bias_signals": 10 ** 400}, "n_bias_signals must be finite"),
+    # None only where it is the default, no strings, no bools
+    ("op", {"v_dd": None}, "v_dd must be a number"),
+    ("spec", {"dv_bias": None}, "dv_bias must be a number"),
+    ("tech", {"r_on": None}, "r_on must be a number"),
+    ("spec", {"dv_bias": "3e-6"}, "dv_bias must be a number"),
+    (None, {"c_h": "1"}, "c_h must be a number"),
+    ("tech", {"rho_r": True}, "rho_r must be a number"),
+    ("op", {"sigma_con": "0.3"}, "sigma_con must be a number"),
+    ("op", {"f_clk_rf": "6e8"}, "f_clk_rf must be a number or null"),
+    # the hold-capacitor bound overflows or underflows
+    ("spec", {"dv_bias": 1e-200}, "spec.dv_bias, spec.n_bias_signals and op.t_el give no "
+                                  "hold-capacitor minimum"),
+    ("spec", {"dv_bias": 1e300}, "kT/(N*C) <= (1e+300 V)^2 at 0.2 K, N=8 is 0.0"),
 ])
 def test_a_scenario_is_checked_when_built(section, values, message):
     with pytest.raises(ConfigError, match=re.escape(message)):

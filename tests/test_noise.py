@@ -74,6 +74,18 @@ def test_min_hold_cap_examples():
     assert min_hold_cap(8, 3e-6, 1.8).value == pytest.approx(3.4516225e-13, rel=1e-6)
 
 
+@pytest.mark.parametrize("bound, args, value", [
+    (min_unit_cap, (10, 1e-200, 0.2), "inf"),        # dv^2 underflows to 0
+    (min_unit_cap, (10, 1e300, 0.2), "0.0"),         # dv^2 overflows
+    (min_hold_cap, (8, 1e-200, 0.2), "inf"),
+    (max_unit_res, (DacArchitecture.LADDER, 12, 1e-200, 0.2, 10e6), "0.0"),
+    (max_unit_res, (DacArchitecture.LADDER, 12, 3e-6, 5e-324, 1e-300), "inf"),
+])
+def test_a_bound_that_underflows_or_overflows_names_its_requirement(bound, args, value):
+    with pytest.raises(ValueError, match=r"the \w+ bound of .+ V\)\^2 at .+ is " + value):
+        bound(*args)
+
+
 positive = st.floats(min_value=1e-9, max_value=1e9, allow_nan=False)
 bits = st.integers(min_value=2, max_value=24)
 

@@ -1,17 +1,33 @@
-"""The benchmark's tracer wraps package functions by name (perfbench/tracing.py);
-renaming one of them must fail here rather than in a traced benchmark run."""
+"""The benchmark wraps package functions by name (perfbench/tracing.py) and
+reads traces through the public API (perfbench/workloads.py); a rename or an
+API change that breaks either must fail here rather than in a benchmark run."""
 
 import importlib.util
 from pathlib import Path
 
-TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+import pytest
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
+
+def _load(name):
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", PERFBENCH / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 def test_every_traced_name_exists_and_is_callable():
-    spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
-    tracing = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(tracing)
-    targets = tracing.layer_targets()
+    targets = _load("tracing").layer_targets()
     assert targets
     for name, owner, attribute, _span in targets:
         assert callable(getattr(owner, attribute, None)), name
+
+
+@pytest.mark.parametrize("name", ["design-sweep", "playback", "tuneup"])
+def test_a_workload_runs_and_checks_its_first_input(name):
+    workload = _load("workloads").WORKLOADS[name]()
+    workload.setup(7)
+    item = workload.inputs[0]
+    _digest, failures = workload.check(item, workload.run(item))
+    assert failures == []

@@ -199,6 +199,10 @@ def test_round_sig():
     assert round_sig(1.8658e-4, 2) == pytest.approx(1.9e-4)
     assert round_sig(6.9866e-7, 2) == pytest.approx(7.0e-7)
     assert round_sig(0.0, 2) == 0.0
+    # 1.79e308 rounds up past the largest float
+    with pytest.raises(ValueError, match="rounded to 2 significant figures overflows"):
+        round_sig(1.7899999999999998e+308, 2)
+    assert round_sig(1.7899999999999998e+308, 3) == 1.79e308
 
 
 def test_qubit_capacity_reference_arithmetic():

@@ -122,9 +122,9 @@ def test_droop_between_refreshes_is_exponential(baseline):
     sim.run("0 write-bias 0 4096\n".replace("4096", "4095"), 60_000.0)
     cap = sim.caps[0]
     tau = 1e12 * 307e-15
-    t_probe = cap.t_set_ns + 5_000.0
+    t_probe = cap.t_set + 5_000 * engine.TICKS_PER_NS
     expect = cap.v * math.exp(-(5_000.0 * 1e-9) / tau)
-    assert sim.electrode_voltage(0, t_probe) == pytest.approx(expect, rel=1e-12)
+    assert cap.voltage(t_probe, sim.tau_s) == pytest.approx(expect, rel=1e-12)
 
 
 def test_ramp_mode_staircase(baseline):
@@ -319,21 +319,32 @@ def test_trace_csv_format(baseline):
 
 
 def test_trace_text_formats_each_event_exactly():
+    # times are ticks; a tick is formatted in ns whenever it differs from the
+    # previous row's, also where equal ticks are distinct int objects
     trace = Trace()
-    t = 1.5
-    for t_ns, signal, value in [(0.0, "a", 0.0), (-0.0, "b", -0.0), (t, "a", 0.1),
-                                (t, "b", 0.1), (2.0, "a", -0.0), (2.0, "b", 1.5)]:
-        trace.emit(t_ns, signal, value)
-    assert trace.to_csv() == ("t_ns,signal,value\n0.0,a,0.0\n-0.0,b,-0.0\n1.5,a,0.1\n"
-                              "1.5,b,0.1\n2.0,a,-0.0\n2.0,b,1.5\n")
+    t = 3 * engine.TICKS_PER_NS // 2
+    t_again = int(str(t))
+    assert t_again == t and t_again is not t
+    two = 2 * engine.TICKS_PER_NS
+    for tick, signal, value in [(0, "a", 0.0), (0, "b", -0.0), (t, "a", 0.1),
+                                (t_again, "b", 0.1), (two, "a", -0.0), (two, "b", 1.5),
+                                (two + 1, "a", 0.0)]:
+        trace.emit(tick, signal, value)
+    assert trace.to_csv() == ("t_ns,signal,value\n0.0,a,0.0\n0.0,b,-0.0\n1.5,a,0.1\n"
+                              "1.5,b,0.1\n2.0,a,-0.0\n2.0,b,1.5\n2.000000000001,a,0.0\n")
     assert trace.to_vcd_text().splitlines() == [
-        "#0.0 a 0.0", "#-0.0 b -0.0", "#1.5 a 0.1", "#1.5 b 0.1", "#2.0 a -0.0", "#2.0 b 1.5"]
+        "#0.0 a 0.0", "#0.0 b -0.0", "#1.5 a 0.1", "#1.5 b 0.1", "#2.0 a -0.0", "#2.0 b 1.5",
+        "#2.000000000001 a 0.0"]
 
 
 def test_trace_event_is_a_named_tuple():
-    e = TraceEvent(1.5, "rf_a", 0.25)
-    assert (e.t_ns, e.signal, e.value) == (1.5, "rf_a", 0.25)
-    assert e == (1.5, "rf_a", 0.25)
+    t = 3 * engine.TICKS_PER_NS // 2
+    e = TraceEvent(t, "rf_a", 0.25)
+    assert (e.t, e.signal, e.value) == (t, "rf_a", 0.25)
+    assert e.t_ns == 1.5
+    assert e == (t, "rf_a", 0.25)
+    with pytest.raises(AttributeError):
+        e.t_ns = 2.0
 
 
 # One stimulus per simulator behaviour. The digests pin the trace CSV, the
@@ -450,6 +461,25 @@ def test_simulator_output_golden(baseline, key):
         == SIM_GOLDEN_SHA256[key]
 
 
+@pytest.mark.parametrize("key", sorted(SIM_GOLDEN_STIMULI))
+def test_trace_keeps_ticks(baseline, key):
+    # one time representation: events hold the integer tick, and nanoseconds
+    # are derived from it where a trace is read
+    trace = run_simulation(baseline, *SIM_GOLDEN_STIMULI[key])
+    assert trace.events
+    for e in trace.events:
+        assert type(e.t) is int
+        assert e.t_ns == e.t / engine.TICKS_PER_NS
+
+
+def test_no_nanosecond_mirrors(baseline):
+    sim = Simulator(baseline)
+    sim.run("0 write-bias 0 2048\n0 write-rf 0 5\n20000 play 0 0 0 0\n", 30_000.0)
+    for obj in (sim, sim.caps[0], sim.bias_ctrl, sim.rf_ctrl):
+        assert not [n for n in dir(obj) if n.endswith("_ns")], type(obj).__name__
+    assert not hasattr(sim, "electrode_voltage")
+
+
 _HANDLERS = ((engine.BiasController, "conversion"), (engine.Simulator, "_word_clock_event"),
              (engine.Simulator, "_ramp_mode_event"), (engine.RfController, "sample_edge"),
              (engine.RfController, "command_received"))
@@ -514,7 +544,6 @@ def test_no_drift_a_million_periods_out(baseline):
     assert ticks["sample_edge"] == [(k + j) * sample for j in range(32)]
     assert ticks["conversion"][-1] == k * period
     assert sim.caps[k % 8].t_set == k * period
-    assert sim.caps[k % 8].t_set_ns == k * period / engine.TICKS_PER_NS
 
 
 def test_clock_quantisation_reported(baseline):
@@ -640,7 +669,8 @@ def test_register_map_follows_the_scenario(n_bias_signals, n_pulses, l_pulse, n_
     rf = {addr: (29 * addr + 3) % 1024 for addr in (0, n_pulses * l_pulse - 1)}
     writes = [(0.0, ("write-bias", reg, code)) for reg, code in bias.items()]
     writes += [(0.0, ("write-rf", addr, code)) for addr, code in rf.items()]
-    sim.run(_stimulus_text(writes), len(writes) * 40 * sim.t_rf_ns + 1_000.0)
+    t_rf_ns = sim.t_rf_ticks / engine.TICKS_PER_NS
+    sim.run(_stimulus_text(writes), len(writes) * 40 * t_rf_ns + 1_000.0)
     assert sim.memory.bias == list(bias.values())
     assert [sim.memory.rf[addr] for addr in rf] == list(rf.values())
 
@@ -696,7 +726,8 @@ _skip_command = st.one_of(
 
 
 def _skip_stimulus(loads, commands, sim) -> str:
-    registers, period_ns = sim.n_electrodes + 1, sim.conversion_period_ns
+    registers = sim.n_electrodes + 1
+    period_ns = sim.conversion_period_ticks / engine.TICKS_PER_NS
     lines = [f"0 write-bias {reg} {code}" for reg, code in enumerate(loads[:registers])]
     for t, (op, *args) in commands:
         t_ns = t * period_ns
@@ -740,7 +771,7 @@ def test_skipped_rounds_match_the_per_conversion_loop(name, loads, commands, t_e
     scenario = _SCENARIOS_FOR_SKIP[name]
     sim = Simulator(scenario)
     stimulus = _skip_stimulus(loads, commands, sim)
-    t_end_ns = t_end * sim.conversion_period_ns
+    t_end_ns = t_end * (sim.conversion_period_ticks / engine.TICKS_PER_NS)
     fast, fast_conversions = _run_counting_conversions(scenario, stimulus, t_end_ns)
     slow, slow_conversions = _per_conversion(scenario, stimulus, t_end_ns)
     assert fast.to_csv() == slow.to_csv()
@@ -788,7 +819,9 @@ def test_any_built_scenario_keeps_the_droop_bound(node, memory_arch, n, margin,
         return
     writes = [f"0 write-bias {e} {codes[e % len(codes)]}" for e in range(n)]
     # each word takes 34 RF clocks on the serial line, then several rounds
-    t_end_ns = n * 40 * sim.t_rf_ns + rounds * n * sim.conversion_period_ns
+    t_rf_ns = sim.t_rf_ticks / engine.TICKS_PER_NS
+    period_ns = sim.conversion_period_ticks / engine.TICKS_PER_NS
+    t_end_ns = n * 40 * t_rf_ns + rounds * n * period_ns
     trace = sim.run("\n".join(writes), t_end_ns)
     times = [e.t_ns for e in trace.events]
     assert times == sorted(times)
