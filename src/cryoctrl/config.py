@@ -11,10 +11,11 @@ All physical quantities are SI units (volts, farads, ohms, hertz, kelvin);
 areas are in square micrometres. Unknown keys are a hard error so that a
 typo cannot silently fall back to a default.
 
-Each part checks itself when it is built, by its constructor,
-:func:`dataclasses.replace` or :func:`load_scenario`, so a part or scenario
-that exists is valid; a scenario derives its clocks once, as
-:attr:`Scenario.clocks`.
+Each part checks and converts its own fields when it is built, by its
+constructor, :func:`dataclasses.replace` or :func:`load_scenario`, so a part
+or scenario that exists is valid; the loader only parses, rejects unknown
+keys and prefixes a part's message with its section. A scenario derives its
+clocks once, as :attr:`Scenario.clocks`.
 """
 
 from __future__ import annotations
@@ -23,13 +24,24 @@ import functools
 import json
 import math
 import sys
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, replace
 from enum import Enum
 from pathlib import Path
 
 
 class ConfigError(ValueError):
     """A scenario file failed to parse or violated an invariant."""
+
+
+def _check_number(name: str, value, default=0.0) -> None:
+    """Raise ConfigError unless ``value`` suits a number field with this
+    ``default`` (a float one where omitted): an int or float but not a bool,
+    or None where the default is None."""
+    if value is None and default is None:
+        return
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        kind = "an integer" if type(default) is int else "a number"
+        raise ConfigError(f"{name} must be {kind}" + (" or null" if default is None else ""))
 
 
 def _check_positive(obj, names) -> None:
@@ -60,6 +72,15 @@ class DacArchitecture(str, Enum):
 class Node(str, Enum):
     NODE_65NM = "65nm"
     NODE_14NM = "14nm"
+
+
+def _choice(name: str, enum, value):
+    """``value``, an ``enum`` member or its string value, as the member."""
+    try:
+        return enum(value)
+    except ValueError:
+        choices = ", ".join(e.value for e in enum)
+        raise ConfigError(f"{name} must be one of: {choices}") from None
 
 
 # Unit resistor of an R-2R ladder when no explicit value is given. Smaller
@@ -197,6 +218,15 @@ class Scenario:
     rf_dac_unit: float | None = None
 
     def __post_init__(self):
+        for name, part in (("spec", SystemSpec), ("tech", TechnologyParams),
+                           ("op", OperatingPoint)):
+            if not isinstance(getattr(self, name), part):
+                raise ConfigError(f"{name} must be a {part.__name__}")
+        for name, enum in (("memory_arch", MemoryArch), ("bias_dac_arch", DacArchitecture),
+                           ("rf_dac_arch", DacArchitecture)):
+            value = getattr(self, name)
+            if type(value) is not enum:
+                object.__setattr__(self, name, _choice(name, enum, value))
         _check_positive(self, ("c_h", "bias_dac_unit", "rf_dac_unit"))
         self.validate()
 
@@ -251,7 +281,7 @@ def apply_node(tech: TechnologyParams, node: Node | str) -> TechnologyParams:
     14 nm power figures). Individual factors can be overridden afterwards
     with :func:`dataclasses.replace`.
     """
-    node = Node(node)
+    node = _choice("node", Node, node)
     if node is Node.NODE_65NM:
         return tech
     for name in ("logic_area_scale", "sram_area_scale", "cap_density_scale",
@@ -270,48 +300,27 @@ def apply_node(tech: TechnologyParams, node: Node | str) -> TechnologyParams:
 # ---------------------------------------------------------------------------
 # JSON loading / saving
 
-_ENUM_FIELDS = {
-    "node": Node,
-    "memory_arch": MemoryArch,
-    "bias_dac_arch": DacArchitecture,
-    "rf_dac_arch": DacArchitecture,
-}
+def _check_keys(cls, data: dict, section: str = "") -> None:
+    for key in data:
+        if key not in cls.__dataclass_fields__:
+            raise ConfigError(f"unknown key '{section}{key}' in scenario file")
 
 
-def _choice(key: str, value):
-    try:
-        return _ENUM_FIELDS[key](value)
-    except ValueError:
-        choices = ", ".join(e.value for e in _ENUM_FIELDS[key])
-        raise ConfigError(f"{key} must be one of: {choices}") from None
-
-
-def _check_number(name: str, value, default=0.0) -> None:
-    """Raise ConfigError unless ``value`` suits a number field with this
-    ``default`` (a float one where omitted): an int or float but not a bool,
-    or null (None) where the default is None. Ranges and integrality are
-    checked when the part is built."""
-    if value is None and default is None:
-        return
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        kind = "an integer" if type(default) is int else "a number"
-        raise ConfigError(f"{name} must be {kind}" + (" or null" if default is None else ""))
-
-
-def _merge_dataclass(cls, defaults, data, path: str):
+def _part(section: str, base, data):
+    """``base`` with the fields of this JSON section replaced; a part's
+    message is prefixed with the section it names."""
     if not isinstance(data, dict):
-        raise ConfigError(f"'{path}' must be a JSON object")
-    known = {f.name for f in fields(cls)}
-    for key, value in data.items():
-        if key not in known:
-            raise ConfigError(f"unknown key '{path}.{key}' in scenario file")
-        _check_number(f"{path}.{key}", value, getattr(defaults, key))
-    return replace(defaults, **data)
+        raise ConfigError(f"'{section}' must be a JSON object")
+    _check_keys(type(base), data, f"{section}.")
+    try:
+        return replace(base, **data)
+    except ConfigError as exc:
+        raise ConfigError(f"{section}.{exc}") from None
 
 
 def scenario_from_dict(data: dict) -> Scenario:
-    """Build a Scenario from a dict, filling defaults; every part is checked
-    as it is built.
+    """Build a Scenario from a dict, filling defaults; every part checks and
+    converts its fields as it is built.
 
     Recognized top-level keys: ``defaults`` (optional, must be ``"paper"``),
     ``node`` (optional shorthand that applies :func:`apply_node` before any
@@ -327,26 +336,11 @@ def scenario_from_dict(data: dict) -> Scenario:
 
     sc = Scenario()
     node = data.pop("node", None)
-    tech = apply_node(sc.tech, _choice("node", node)) if node is not None else sc.tech
-
-    known = {f.name for f in fields(Scenario)}
-    for key in data:
-        if key not in known:
-            raise ConfigError(f"unknown key '{key}' in scenario file")
-
-    spec = _merge_dataclass(SystemSpec, sc.spec, data.pop("spec", {}), "spec")
-    tech = _merge_dataclass(TechnologyParams, tech, data.pop("tech", {}), "tech")
-    op = _merge_dataclass(OperatingPoint, sc.op, data.pop("op", {}), "op")
-
-    simple: dict = {}
-    for key, value in data.items():
-        if key in _ENUM_FIELDS:
-            value = _choice(key, value)
-        else:
-            _check_number(key, value, getattr(sc, key))
-        simple[key] = value
-
-    return replace(sc, spec=spec, tech=tech, op=op, **simple)
+    tech = apply_node(sc.tech, node) if node is not None else sc.tech
+    _check_keys(Scenario, data)
+    parts = {section: _part(section, base, data.pop(section, {}))
+             for section, base in (("spec", sc.spec), ("tech", tech), ("op", sc.op))}
+    return replace(sc, **parts, **data)
 
 
 def load_scenario(path: str | Path) -> Scenario:
@@ -354,7 +348,7 @@ def load_scenario(path: str | Path) -> Scenario:
     path = Path(path)
     try:
         text = path.read_text()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read scenario file {path}: {exc}") from exc
     try:
         data = json.loads(text)
@@ -362,26 +356,21 @@ def load_scenario(path: str | Path) -> Scenario:
         raise ConfigError(
             f"{path}: parse error at line {exc.lineno}, column {exc.colno}: {exc.msg}"
         ) from exc
+    except RecursionError:
+        raise ConfigError(f"{path}: parse error: JSON nested too deeply") from None
     return scenario_from_dict(data)
 
 
 def scenario_to_dict(sc: Scenario) -> dict:
     """Serialize a Scenario to a plain dict (inverse of scenario_from_dict)."""
-
-    def dc(obj):
-        return {f.name: getattr(obj, f.name) for f in fields(obj)}
-
-    out = {
-        "spec": dc(sc.spec),
-        "tech": dc(sc.tech),
-        "op": dc(sc.op),
-        "memory_arch": sc.memory_arch.value,
-        "bias_dac_arch": sc.bias_dac_arch.value,
-        "rf_dac_arch": sc.rf_dac_arch.value,
-        "c_h": sc.c_h,
-        "bias_dac_unit": sc.bias_dac_unit,
-        "rf_dac_unit": sc.rf_dac_unit,
-    }
+    out = {}
+    for name in sc.__dataclass_fields__:
+        value = getattr(sc, name)
+        if isinstance(value, Enum):
+            value = value.value
+        elif hasattr(value, "__dataclass_fields__"):   # a part
+            value = {key: getattr(value, key) for key in value.__dataclass_fields__}
+        out[name] = value
     return out
 
 

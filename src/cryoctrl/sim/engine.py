@@ -57,7 +57,9 @@ format cannot address: more than ``2**ADDRESS_BITS`` bias registers
 (``n_bias_signals > 255``) or pulse registers, more than
 ``2**SEQUENCE_ID_BITS`` stored sequences, ``n_rf_signals`` other than the
 two outputs the pulse memory's read ports drive, and a resolution beyond
-the reception counter's payload limit.
+the reception counter's payload limit. It also refuses a clock whose period,
+rounded to whole ticks, is off by more than ``MAX_CLOCK_QUANTISATION_REL``
+of itself; every clock of 2 THz or slower is within it.
 """
 
 from __future__ import annotations
@@ -96,6 +98,10 @@ TICKS_PER_S = 10**21
 # events and ramp steps; a ramp held on for the whole budget still runs
 # every conversion (~0.75 us each on a 2-core Xeon with Python 3.11, ~7.5 s).
 MAX_CONVERSIONS = 10_000_000
+
+# The largest relative error of a clock period rounded to whole ticks. A
+# clock of 2 THz or slower, 5e8 ticks a period or more, is always within it.
+MAX_CLOCK_QUANTISATION_REL = 1e-9
 
 
 class StimulusError(ValueError):
@@ -185,7 +191,10 @@ class Command:
 
 def parse_stimulus(source: Path | str) -> list[Command]:
     """Parse a stimulus file (a ``Path``) or stimulus text (a ``str``)."""
-    text = source.read_text() if isinstance(source, Path) else source
+    try:
+        text = source.read_text() if isinstance(source, Path) else source
+    except UnicodeDecodeError as exc:
+        raise StimulusError(f"cannot read stimulus file {source}: {exc}") from exc
     commands: list[Command] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -414,6 +423,14 @@ class Simulator:
         t_bias, bias_error = _period_ticks(self.f_clk_bias)
         self.t_rf_ticks, rf_error = _period_ticks(self.f_clk_rf)
         self.clock_quantisation_rel = {"clk_bias": bias_error, "clk_rf": rf_error}
+        for name, f_hz, error in (("clk_bias", self.f_clk_bias, bias_error),
+                                  ("clk_rf", self.f_clk_rf, rf_error)):
+            if abs(error) > MAX_CLOCK_QUANTISATION_REL:
+                raise SimulationConfigError(
+                    f"{name}={f_hz:.6g} Hz cannot be simulated: its period in whole "
+                    f"1e-21 s ticks is off by a relative {abs(error):.3g}, over the limit "
+                    f"of {MAX_CLOCK_QUANTISATION_REL:g} that every clock of 2 THz or "
+                    f"slower meets")
         # Logic is edge triggered: one DAC conversion / output sample every
         # second clock of its domain.
         self.conversion_period_ticks = 2 * t_bias

@@ -243,11 +243,15 @@ def test_clock_floor(capsys, tmp_path):
     ({"spec": {"dv_rf": 1e-200}}, ("bounds",), 2),
     # the per-qubit power, rounded to 2 figures, overflows
     ({"tech": {"c_ff_equiv": 3.743481452510495e+297}}, ("capacity", "--budget", "1e300"), 2),
+    # a clock period that rounds to 0 ticks of 1e-21 s
+    ({"spec": {"f_sample_rf": 1e300}}, ("simulate", "--until", "1us"), 1),
+    ({"op": {"f_clk_bias": 1e300}}, ("simulate", "--until", "1us"), 1),
 ], ids=["r_off-estimate", "r_off-capacity", "r_off-simulate", "r_off-product-estimate",
         "c_ff_equiv-capacity", "c_ff_equiv-estimate", "huge-c_h-estimate",
         "huge-n_bias_signals-capacity", "memory-bits-estimate", "memory-bits-capacity",
         "tiny-dv_bias-estimate", "tiny-dv_bias-bounds", "tiny-dv_bias-capacity",
-        "huge-dv_bias-bounds", "tiny-dv_rf-bounds", "rounded-power-capacity"])
+        "huge-dv_bias-bounds", "tiny-dv_rf-bounds", "rounded-power-capacity",
+        "huge-f_sample_rf-simulate", "huge-f_clk_bias-simulate"])
 def test_overflowing_design_point_fails_with_a_message(tmp_path, src_env, data, command, code):
     if command[0] == "simulate":
         stim = tmp_path / "stim.txt"
@@ -260,6 +264,24 @@ def test_overflowing_design_point_fails_with_a_message(tmp_path, src_env, data, 
     assert proc.returncode == code
     assert "Traceback" not in proc.stderr
     assert len(proc.stderr.splitlines()) == 1
+    assert proc.stdout == ""
+
+
+@pytest.mark.parametrize("scenario, stimulus, bad", [
+    (b"[" * 200_000, b"0 write-bias 0 2048\n", "s.json"),
+    (b'{"c_h": 3e-13\xff}', b"0 write-bias 0 2048\n", "s.json"),
+    (b"{}", b"0 write-bias 0 2048 # \xff\n", "stim.txt"),
+], ids=["deeply-nested-scenario", "non-utf8-scenario", "non-utf8-stimulus"])
+def test_hostile_input_file_fails_with_a_message(tmp_path, src_env, scenario, stimulus, bad):
+    (tmp_path / "s.json").write_bytes(scenario)
+    (tmp_path / "stim.txt").write_bytes(stimulus)
+    proc = subprocess.run(
+        [sys.executable, "-m", "cryoctrl.cli", "simulate", "--until", "1us",
+         "--scenario", str(tmp_path / "s.json"), "--stimulus", str(tmp_path / "stim.txt")],
+        capture_output=True, text=True, env=src_env, timeout=60)
+    assert proc.returncode == 1
+    assert "Traceback" not in proc.stderr
+    assert len(proc.stderr.splitlines()) == 1 and bad in proc.stderr
     assert proc.stdout == ""
 
 

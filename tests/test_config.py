@@ -1,7 +1,7 @@
 import json
 import math
 import re
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import pytest
 
@@ -88,6 +88,11 @@ def test_apply_node_14nm_factors():
     assert t14.a_mos * t14.logic_area_scale == pytest.approx(0.375 / 24)
     assert t14.rho_c * t14.cap_density_scale == pytest.approx(350e-15)
     assert t14.sram_area_scale == pytest.approx(1 / 7)
+
+
+def test_apply_node_rejects_unknown_node():
+    with pytest.raises(ConfigError, match="^node must be one of: 65nm, 14nm$"):
+        apply_node(TechnologyParams(), "7nm")
 
 
 def test_apply_node_rejects_scaled_input():
@@ -205,10 +210,29 @@ def _scenario_with(section=None, **values):
     ("spec", {"dv_bias": 1e-200}, "spec.dv_bias, spec.n_bias_signals and op.t_el give no "
                                   "hold-capacitor minimum"),
     ("spec", {"dv_bias": 1e300}, "kT/(N*C) <= (1e+300 V)^2 at 0.2 K, N=8 is 0.0"),
+    # an enum member or its string value; a part of its own type
+    (None, {"memory_arch": "bogus"}, "memory_arch must be one of: ff, sram"),
+    (None, {"bias_dac_arch": "x"}, "bias_dac_arch must be one of: kelvin, ladder, cap"),
+    (None, {"spec": 5}, "spec must be a SystemSpec"),
+    (None, {"tech": None}, "tech must be a TechnologyParams"),
 ])
 def test_a_scenario_is_checked_when_built(section, values, message):
     with pytest.raises(ConfigError, match=re.escape(message)):
         _scenario_with(section, **values)
+
+
+_PARTS = {"spec": SystemSpec, "tech": TechnologyParams, "op": OperatingPoint}
+
+
+@pytest.mark.parametrize("value", ["1", -1, math.nan])
+@pytest.mark.parametrize("section, name", [
+    (section, f.name) for section, part in _PARTS.items() for f in fields(part)])
+def test_a_loaded_field_fails_with_its_part_message(section, name, value):
+    with pytest.raises(ConfigError) as built:
+        replace(getattr(Scenario(), section), **{name: value})
+    with pytest.raises(ConfigError) as loaded:
+        scenario_from_dict(json.loads(json.dumps({section: {name: value}})))
+    assert str(loaded.value) == f"{section}.{built.value}"
 
 
 def test_a_built_scenario_derives_its_clocks_once(monkeypatch):
@@ -252,5 +276,7 @@ def test_reference_scenario_files_match_builders(scenario_dir):
 def test_memory_arch_values():
     assert MemoryArch("ff") is MemoryArch.FLIP_FLOP
     assert MemoryArch("sram") is MemoryArch.SRAM
+    assert Scenario(memory_arch="sram") == Scenario(memory_arch=MemoryArch.SRAM)
+    assert Scenario(memory_arch="sram").memory_arch is MemoryArch.SRAM
     with pytest.raises(ConfigError, match="memory_arch"):
         scenario_from_dict({"memory_arch": "dram"})

@@ -258,6 +258,25 @@ def test_config_guard_address_space(spec):
         Simulator(sc)
 
 
+@pytest.mark.parametrize("section, values, clock", [
+    ("spec", {"f_sample_rf": 1e300}, "clk_rf"),    # rounds to a 0-tick period
+    ("op", {"f_clk_bias": 1e300}, "clk_bias"),
+    ("spec", {"f_sample_rf": 4e20}, "clk_rf"),     # 1.25 ticks would run 25% fast
+], ids=["rf-zero-ticks", "bias-zero-ticks", "rf-coarse"])
+def test_config_guard_clock_quantisation(section, values, clock):
+    sc = baseline_scenario()
+    sc = replace(sc, **{section: replace(getattr(sc, section), **values)})
+    with pytest.raises(SimulationConfigError, match=f"^{clock}=.* cannot be simulated"):
+        Simulator(sc)
+
+
+def test_a_clock_below_2_thz_is_simulated():
+    # 500,000,000.5 ticks a period, the worst rounding at 2 THz or slower
+    sc = baseline_scenario()
+    sim = Simulator(replace(sc, op=replace(sc.op, f_clk_rf=1e21 / 500_000_000.5)))
+    assert 0.99 < sim.clock_quantisation_rel["clk_rf"] / engine.MAX_CLOCK_QUANTISATION_REL < 1
+
+
 def test_config_guard_pulse_outputs():
     sc = baseline_scenario()
     with pytest.raises(SimulationConfigError, match="n_rf_signals=4"):
@@ -570,12 +589,14 @@ _command = st.one_of(
 @settings(max_examples=60, deadline=None)
 @given(commands=st.lists(st.tuples(st.floats(0, 40_000), _command), max_size=30),
        t_end_ns=st.floats(1_000, 50_000))
+# a command at t_end_ns: both round to one tick, half a tick above t_end_ns
+@example(commands=[(1000.4183035820065, ("ramp-mode", "on"))], t_end_ns=1000.4183035820065)
 def test_trace_ordered_and_bias_emitted_on_change(commands, t_end_ns):
     stimulus = _stimulus_text(commands)
     trace = run_simulation(baseline_scenario(), stimulus, t_end_ns)
     times = [e.t_ns for e in trace.events]
     assert times == sorted(times)
-    assert times[-1] <= t_end_ns
+    assert times[-1] <= trace.stats["t_end_ns"] == engine.to_ticks(t_end_ns) / engine.TICKS_PER_NS
     for e in range(8):
         values = [0.0] + [ev.value for ev in trace.of(f"bias_e{e}")]  # starts discharged
         assert all(a != b for a, b in zip(values, values[1:]))
