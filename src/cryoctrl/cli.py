@@ -1,8 +1,10 @@
 """Command-line interface: bounds, estimate, sweep, capacity, simulate.
 
-Exit codes: 0 success, 1 validation/usage error, 2 runtime error. Errors go
-to stderr, data to the requested file or stdout. All outputs are
-deterministic: repeated invocations are byte identical.
+Exit codes: 0 success, 1 validation/usage error, 2 runtime error. Each
+subcommand returns its text and :func:`main` writes it once, to the file
+named by ``--out`` (``--csv`` for ``sweep``) or else to stdout; errors go to
+stderr. All outputs are deterministic: repeated invocations are byte
+identical.
 """
 
 from __future__ import annotations
@@ -47,10 +49,12 @@ def _build_parser() -> _Parser:
         sp.add_argument("--format", choices=choices, default=choices[0])
 
     sp = sub.add_parser("bounds", help="thermal-noise sizing bounds for a scenario")
+    sp.set_defaults(handler=_cmd_bounds)
     add_scenario(sp)
     add_format(sp, ("text", "csv", "json"))
 
     sp = sub.add_parser("estimate", help="per-unit area/power report")
+    sp.set_defaults(handler=_cmd_estimate)
     add_scenario(sp)
     sp.add_argument("--include-data-input", action="store_true",
                     help="count data-input-control power (memory-load regime)")
@@ -58,6 +62,7 @@ def _build_parser() -> _Parser:
     add_format(sp)
 
     sp = sub.add_parser("sweep", help="parameter sweep emitting CSV rows")
+    sp.set_defaults(handler=_cmd_sweep)
     add_scenario(sp)
     sp.add_argument("--param", choices=SWEEP_PARAMS)
     sp.add_argument("--points", help="comma-separated values, e.g. 1,0.5,0.1,0.01")
@@ -65,9 +70,11 @@ def _build_parser() -> _Parser:
                     help="sweep a single unit instead of the whole system")
     sp.add_argument("--conditions", choices=("bias", "rf"), default="bias",
                     help="operating conditions for --unit dac")
-    sp.add_argument("--csv", help="write CSV to this file instead of stdout")
+    sp.add_argument("--csv", dest="out", metavar="CSV",
+                    help="write CSV to this file instead of stdout")
 
     sp = sub.add_parser("capacity", help="qubits controllable within a cooling budget")
+    sp.set_defaults(handler=_cmd_capacity)
     add_scenario(sp)
     sp.add_argument("--budget", required=True, type=float, help="cooling budget [W]")
     sp.add_argument("--exact", action="store_true",
@@ -75,6 +82,7 @@ def _build_parser() -> _Parser:
     add_format(sp, ("text", "json"))
 
     sp = sub.add_parser("simulate", help="run the behavioral simulator")
+    sp.set_defaults(handler=_cmd_simulate)
     add_scenario(sp)
     sp.add_argument("--stimulus", required=True, help="stimulus file")
     sp.add_argument("--until", required=True, help="simulated time, e.g. 200us")
@@ -90,14 +98,11 @@ def _scenario(args) -> Scenario:
     return load_scenario(path)
 
 
-def _write_out(text: str, path: str | None):
-    if path:
-        Path(path).write_text(text)
-    else:
-        sys.stdout.write(text)
+def _json(data) -> str:
+    return json.dumps(data, indent=2, sort_keys=True) + "\n"
 
 
-def _cmd_bounds(args) -> int:
+def _cmd_bounds(args) -> str:
     sc = _scenario(args)
     s, op = sc.spec, sc.op
     rows = [
@@ -114,10 +119,8 @@ def _cmd_bounds(args) -> int:
          noise.max_unit_res(DacArchitecture.KELVIN, s.n_rf, s.dv_rf, op.t_el, op.b_rf)),
     ]
     if args.format == "json":
-        data = {name: {"kind": b.kind.value, "value": b.value, "binding": b.binding_spec}
-                for name, b in rows}
-        sys.stdout.write(json.dumps(data, indent=2, sort_keys=True) + "\n")
-        return 0
+        return _json({name: {"kind": b.kind.value, "value": b.value, "binding": b.binding_spec}
+                      for name, b in rows})
     if args.format == "csv":
         lines = ["bound,kind,value,binding"]
         lines += [f"{name},{b.kind.value},{b.value!r},\"{b.binding_spec}\"" for name, b in rows]
@@ -125,8 +128,7 @@ def _cmd_bounds(args) -> int:
         width = max(len(name) for name, _ in rows)
         lines = [f"{name:<{width}}  {b.kind.value:<16} {b.value:.6g}  ({b.binding_spec})"
                  for name, b in rows]
-    sys.stdout.write("\n".join(lines) + "\n")
-    return 0
+    return "\n".join(lines) + "\n"
 
 
 def _report_text(rep) -> str:
@@ -141,54 +143,37 @@ def _report_csv(rep) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _cmd_estimate(args) -> int:
+def _cmd_estimate(args) -> str:
     rep = assemble(_scenario(args), include_data_input=args.include_data_input)
     if args.format == "json":
-        text = json.dumps(rep.to_dict(), indent=2, sort_keys=True) + "\n"
-    elif args.format == "csv":
-        text = _report_csv(rep)
-    else:
-        text = _report_text(rep)
-    _write_out(text, args.out)
-    return 0
+        return _json(rep.to_dict())
+    return _report_csv(rep) if args.format == "csv" else _report_text(rep)
 
 
-def _cmd_sweep(args) -> int:
+def _cmd_sweep(args) -> str:
     sc = _scenario(args)
     if args.unit == "dac":
-        text = dac_sweep_csv(dac_sweep(sc, condition=args.conditions))
-    else:
-        if not args.param or not args.points:
-            raise UsageError("sweep requires --param and --points (or --unit dac)")
-        try:
-            values = [float(v) for v in args.points.split(",") if v.strip()]
-        except ValueError:
-            raise UsageError("--points must be a comma-separated list of numbers")
-        if not values:
-            raise UsageError("--points is empty")
-        text = sweep_csv(sweep(sc, args.param, values))
-    _write_out(text, args.csv)
-    return 0
+        return dac_sweep_csv(dac_sweep(sc, condition=args.conditions))
+    if not args.param or not args.points:
+        raise UsageError("sweep requires --param and --points (or --unit dac)")
+    try:
+        values = [float(v) for v in args.points.split(",") if v.strip()]
+    except ValueError:
+        raise UsageError("--points must be a comma-separated list of numbers")
+    if not values:
+        raise UsageError("--points is empty")
+    return sweep_csv(sweep(sc, args.param, values))
 
 
-def _cmd_capacity(args) -> int:
+def _cmd_capacity(args) -> str:
     if not 0 < args.budget < math.inf:
         raise UsageError(f"--budget must be a positive, finite power in W, got '{args.budget}'")
     rep = assemble(_scenario(args))
     result = qubit_capacity(rep, args.budget, sig_figs=None if args.exact else 2)
-    if args.format == "json":
-        out = {
-            "budget_w": result.budget_w,
-            "per_qubit_w": result.per_qubit_w,
-            "n_qubits": result.n_qubits,
-        }
-        sys.stdout.write(json.dumps(out, indent=2, sort_keys=True) + "\n")
-    else:
-        sys.stdout.write(f"{result.n_qubits}\n")
-    return 0
+    return _json(vars(result)) if args.format == "json" else f"{result.n_qubits}\n"
 
 
-def _cmd_simulate(args) -> int:
+def _cmd_simulate(args) -> str:
     sc = _scenario(args)
     stim_path = Path(args.stimulus)
     if not stim_path.is_file():
@@ -205,8 +190,6 @@ def _cmd_simulate(args) -> int:
         Path(args.trace).write_text(trace.to_csv())
     if args.vcd:
         Path(args.vcd).write_text(trace.to_vcd_text())
-    if not args.trace and not args.vcd:
-        sys.stdout.write(trace.to_csv())
     summary = {
         "events": len(trace.events),
         "max_refresh_deviation_v": max(trace.stats["max_refresh_deviation_v"]),
@@ -214,16 +197,7 @@ def _cmd_simulate(args) -> int:
         "backpressure_count": trace.stats["backpressure_count"],
     }
     sys.stderr.write(json.dumps(summary, sort_keys=True) + "\n")
-    return 0
-
-
-_COMMANDS = {
-    "bounds": _cmd_bounds,
-    "estimate": _cmd_estimate,
-    "sweep": _cmd_sweep,
-    "capacity": _cmd_capacity,
-    "simulate": _cmd_simulate,
-}
+    return "" if args.trace or args.vcd else trace.to_csv()
 
 
 def main(argv=None) -> int:
@@ -233,7 +207,13 @@ def main(argv=None) -> int:
         if not args.command:
             parser.print_usage(sys.stderr)
             return 1
-        return _COMMANDS[args.command](args)
+        text = args.handler(args)
+        out = getattr(args, "out", None)
+        if out:
+            Path(out).write_text(text)
+        else:
+            sys.stdout.write(text)
+        return 0
     except UsageError as exc:
         sys.stderr.write(f"error: {exc}\n")
         parser.print_usage(sys.stderr)
@@ -241,10 +221,7 @@ def main(argv=None) -> int:
     except (ConfigError, StimulusError, SimulationConfigError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 1
-    except ValueError as exc:
-        sys.stderr.write(f"runtime error: {exc}\n")
-        return 2
-    except OSError as exc:
+    except (ValueError, OSError) as exc:
         sys.stderr.write(f"runtime error: {exc}\n")
         return 2
 

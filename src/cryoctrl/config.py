@@ -83,6 +83,10 @@ def _choice(name: str, enum, value):
         raise ConfigError(f"{name} must be one of: {choices}") from None
 
 
+# The DAC resolutions [bits] the unit models size, for both the bias and the
+# pulse DAC.
+RESOLUTION_RANGE = (2, 24)
+
 # Unit resistor of an R-2R ladder when no explicit value is given. Smaller
 # values drive static power up; this is the comparison value used throughout
 # the reference design point.
@@ -123,9 +127,10 @@ class SystemSpec:
             if type(getattr(self, name)) is not int:
                 raise ConfigError(f"{name} must be an integer")
         _check_positive(self, vars(self))
+        lo, hi = RESOLUTION_RANGE
         for name in ("n_bias", "n_rf"):
-            if not 1 <= getattr(self, name) <= 24:
-                raise ConfigError(f"{name} must be in [1, 24]")
+            if not lo <= getattr(self, name) <= hi:
+                raise ConfigError(f"{name} must be in [{lo}, {hi}]")
         for name in ("l_pulse", "n_pulses"):
             v = getattr(self, name)
             if v & (v - 1) != 0:
@@ -240,8 +245,8 @@ class Scenario:
 
     def validate(self) -> None:
         """The rules across parts, run when the scenario is built: the hold
-        capacitor against its thermal-noise floor, finite derived clocks, and
-        no explicit clock below the conversions it drives."""
+        capacitor against its thermal-noise floor, positive and finite derived
+        clocks, and no explicit clock below the conversions it drives."""
         from . import noise  # deferred: noise imports the enums above
 
         try:
@@ -258,9 +263,9 @@ class Scenario:
             )
         clocks = self.clocks
         for name in ("f_refresh", "f_clk_bias", "f_clk_rf"):
-            if not math.isfinite(getattr(clocks, name)):
-                raise ConfigError(f"the derived {name} is not finite; check the tech "
-                                  f"and spec values it is derived from")
+            if not 0 < getattr(clocks, name) < math.inf:
+                raise ConfigError(f"the derived {name} must be positive and finite; check "
+                                  f"the tech and spec values it is derived from")
         # an explicit clock may not be slower than the conversions it drives
         for name, floor, what in (
                 ("f_clk_bias", 2.0 * clocks.f_refresh, "the derived refresh rate"),
@@ -300,10 +305,16 @@ def apply_node(tech: TechnologyParams, node: Node | str) -> TechnologyParams:
 # ---------------------------------------------------------------------------
 # JSON loading / saving
 
+def _excerpt(value) -> str:
+    """``str(value)`` for a message, cut in the middle if over 80 characters."""
+    text = str(value)
+    return text if len(text) <= 80 else f"{text[:40]}...{text[-40:]}"
+
+
 def _check_keys(cls, data: dict, section: str = "") -> None:
     for key in data:
         if key not in cls.__dataclass_fields__:
-            raise ConfigError(f"unknown key '{section}{key}' in scenario file")
+            raise ConfigError(f"unknown key '{_excerpt(section + key)}' in scenario file")
 
 
 def _part(section: str, base, data):
@@ -332,7 +343,7 @@ def scenario_from_dict(data: dict) -> Scenario:
 
     defaults = data.pop("defaults", "paper")
     if defaults != "paper":
-        raise ConfigError(f"unsupported defaults '{defaults}' (only \"paper\")")
+        raise ConfigError(f"unsupported defaults '{_excerpt(defaults)}' (only \"paper\")")
 
     sc = Scenario()
     node = data.pop("node", None)

@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from . import noise
-from .config import DEFAULT_LADDER_UNIT_RES, DacArchitecture, TechnologyParams
+from .config import DEFAULT_LADDER_UNIT_RES, RESOLUTION_RANGE, DacArchitecture, TechnologyParams
 
 
 @dataclass(frozen=True)
@@ -27,10 +27,12 @@ class ComponentCounts:
 
 
 def component_counts(arch: DacArchitecture, n: int) -> ComponentCounts:
-    """Unit elements and switches needed at resolution ``n`` (2..24)."""
+    """Unit elements and switches needed at resolution ``n``, in
+    ``RESOLUTION_RANGE``."""
     arch = DacArchitecture(arch)
-    if not 2 <= n <= 24:
-        raise ValueError(f"resolution must be in [2, 24], got {n}")
+    lo, hi = RESOLUTION_RANGE
+    if not lo <= n <= hi:
+        raise ValueError(f"resolution must be in [{lo}, {hi}], got {n}")
     if arch is DacArchitecture.KELVIN:
         return ComponentCounts(float(2 ** n), 2 ** (n + 1) - 2)
     if arch is DacArchitecture.LADDER:

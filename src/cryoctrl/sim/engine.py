@@ -95,9 +95,14 @@ TICKS_PER_S = 10**21
 
 # Bounds a run's simulated length: 1 ms at the defaults is ~1.1k conversion
 # periods. Quiet refresh rounds cost nothing, so host time follows stimulus
-# events and ramp steps; a ramp held on for the whole budget still runs
-# every conversion (~0.75 us each on a 2-core Xeon with Python 3.11, ~7.5 s).
+# events and ramp steps.
 MAX_CONVERSIONS = 10_000_000
+
+# Bounds the conversions a run spends in ramp mode, which steps on every
+# conversion: ~2.7 us of host time each, ~5.3 us and ~0.5 kB of memory with
+# the trace CSV (2-core Xeon, Python 3.11). 10^6 steps are ~0.92 s simulated
+# at the defaults, or ~244 full 12-bit staircases.
+MAX_RAMP_STEPS = 1_000_000
 
 # The largest relative error of a clock period rounded to whole ticks. A
 # clock of 2 THz or slower, 5e8 ticks a period or more, is always within it.
@@ -547,7 +552,8 @@ class Simulator:
     # run ---------------------------------------------------------------------
 
     def run(self, stimulus: Path | str | None, t_end_ns: float) -> Trace:
-        """Simulate up to ``t_end_ns``, once; the whole stimulus is checked first."""
+        """Simulate up to ``t_end_ns``, once; the whole stimulus is checked
+        first, and its ramp-mode time is bounded by ``MAX_RAMP_STEPS``."""
         if self._t_end is not None:
             raise RuntimeError("this Simulator has already run; build a new one")
         if not 0 < t_end_ns < math.inf:
@@ -557,8 +563,21 @@ class Simulator:
             raise ValueError(f"t_end_ns={t_end_ns!r} exceeds the limit of "
                              f"{MAX_CONVERSIONS} bias conversions per run")
         self._t_end = t_end
+        ramp_ticks, ramp_since = 0, None   # ramp-mode time in [0, t_end]
         for cmd in parse_stimulus(stimulus) if stimulus is not None else []:
-            self._push(to_ticks(cmd.t_ns), PRIORITY_RF, *self._event(cmd))
+            t = to_ticks(cmd.t_ns)
+            self._push(t, PRIORITY_RF, *self._event(cmd))
+            if cmd.op == "ramp-mode" and cmd.args[0] == (ramp_since is None):  # a switch
+                if ramp_since is None:
+                    ramp_since = min(t, t_end)
+                else:
+                    ramp_ticks += min(t, t_end) - ramp_since
+                    ramp_since = None
+        if ramp_since is not None:
+            ramp_ticks += t_end - ramp_since
+        if ramp_ticks > MAX_RAMP_STEPS * self.conversion_period_ticks:
+            raise ValueError(f"the stimulus holds ramp mode on for over the limit of "
+                             f"{MAX_RAMP_STEPS} ramp steps (bias conversions) per run")
 
         self.trace.emit(0, "clk_bias_hz", self.f_clk_bias)
         self.trace.emit(0, "clk_rf_hz", self.f_clk_rf)

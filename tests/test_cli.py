@@ -6,7 +6,7 @@ import time
 
 import pytest
 
-from cryoctrl import baseline_scenario
+from cryoctrl import baseline_scenario, load_scenario, run_simulation
 from cryoctrl.analog import derived_clocks
 from cryoctrl.cli import main
 from cryoctrl.report import qubit_capacity
@@ -188,6 +188,21 @@ def test_simulate_over_run_budget_fails_fast(scenario_dir, tmp_path, src_env):
     assert "bias conversions" in proc.stderr and "Traceback" not in proc.stderr
 
 
+def test_simulate_over_ramp_budget_fails_fast(scenario_dir, tmp_path, src_env):
+    # 9 s is within MAX_CONVERSIONS, but ramp mode would step on every one
+    stim = tmp_path / "stim.txt"
+    stim.write_text("0 ramp-mode on\n")
+    t0 = time.perf_counter()
+    proc = subprocess.run(
+        [sys.executable, "-m", "cryoctrl.cli", "simulate", "--scenario",
+         str(scenario_dir / "paper-defaults.json"), "--stimulus", str(stim),
+         "--until", "9s"],
+        capture_output=True, text=True, env=src_env, timeout=10)
+    assert time.perf_counter() - t0 < 1.0
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert len(proc.stderr.splitlines()) == 1 and "ramp steps" in proc.stderr
+
+
 def _scenario_file(tmp_path, data) -> str:
     path = tmp_path / "scenario.json"
     path.write_text(json.dumps(data))
@@ -246,12 +261,23 @@ def test_clock_floor(capsys, tmp_path):
     # a clock period that rounds to 0 ticks of 1e-21 s
     ({"spec": {"f_sample_rf": 1e300}}, ("simulate", "--until", "1us"), 1),
     ({"op": {"f_clk_bias": 1e300}}, ("simulate", "--until", "1us"), 1),
+    # n_bias_signals * c_h overflows, or v_range_bias / r_off underflows: the
+    # derived refresh rate is 0 Hz
+    ({"c_h": 1.7e308}, ("simulate", "--until", "1us"), 1),
+    ({"c_h": 1.7e308}, ("sweep", "--unit", "dac"), 1),
+    ({"spec": {"v_range_bias": 1e-300}, "tech": {"r_off": 1e300}},
+     ("simulate", "--until", "1us"), 1),
+    # a resolution the DAC models cannot size
+    ({"spec": {"n_rf": 1}}, ("estimate",), 1),
+    ({"spec": {"n_rf": 1}}, ("capacity", "--budget", "1e-3"), 1),
 ], ids=["r_off-estimate", "r_off-capacity", "r_off-simulate", "r_off-product-estimate",
         "c_ff_equiv-capacity", "c_ff_equiv-estimate", "huge-c_h-estimate",
         "huge-n_bias_signals-capacity", "memory-bits-estimate", "memory-bits-capacity",
         "tiny-dv_bias-estimate", "tiny-dv_bias-bounds", "tiny-dv_bias-capacity",
         "huge-dv_bias-bounds", "tiny-dv_rf-bounds", "rounded-power-capacity",
-        "huge-f_sample_rf-simulate", "huge-f_clk_bias-simulate"])
+        "huge-f_sample_rf-simulate", "huge-f_clk_bias-simulate", "huge-c_h-simulate",
+        "huge-c_h-sweep-dac", "zero-refresh-simulate", "1-bit-n_rf-estimate",
+        "1-bit-n_rf-capacity"])
 def test_overflowing_design_point_fails_with_a_message(tmp_path, src_env, data, command, code):
     if command[0] == "simulate":
         stim = tmp_path / "stim.txt"
@@ -283,6 +309,54 @@ def test_hostile_input_file_fails_with_a_message(tmp_path, src_env, scenario, st
     assert "Traceback" not in proc.stderr
     assert len(proc.stderr.splitlines()) == 1 and bad in proc.stderr
     assert proc.stdout == ""
+
+
+def _nested_list(depth):
+    value = []
+    for _ in range(depth - 1):
+        value = [value]
+    return value
+
+
+@pytest.mark.parametrize("data", [
+    {"x" * 1_000_000: 1},
+    {"spec": {"y" * 1_000_000: 1}},
+    {"defaults": _nested_list(950)},
+], ids=["1MB-key", "1MB-spec-key", "nested-defaults"])
+def test_a_long_config_value_is_shortened_in_the_message(tmp_path, src_env, data):
+    proc = subprocess.run(
+        [sys.executable, "-m", "cryoctrl.cli", "estimate",
+         "--scenario", _scenario_file(tmp_path, data)],
+        capture_output=True, text=True, env=src_env, timeout=60)
+    assert proc.returncode == 1 and proc.stdout == ""
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and len(lines[0]) <= 200 and "..." in lines[0]
+
+
+def test_output_file_holds_what_stdout_would(capsys, scenario_dir, tmp_path):
+    scenario = ("--scenario", str(scenario_dir / "paper-defaults.json"))
+    stim = tmp_path / "stim.txt"
+    stim.write_text("0 write-bias 0 2048\n1000 ramp-mode on\n20000 ramp-mode off\n"
+                    "50000 play 0 0 0 0\n")
+    simulate = ("simulate", *scenario, "--stimulus", str(stim), "--until", "100us")
+    vcd_text = run_simulation(load_scenario(scenario[1]), stim, 100e3).to_vcd_text()
+    for call, options in [
+        (("estimate", *scenario), [("--out", None)]),
+        (("sweep", *scenario, "--param", "v_dd", "--points", "1,0.1"), [("--csv", None)]),
+        (simulate, [("--trace", None)]),
+        (simulate, [("--vcd", vcd_text)]),
+        (simulate, [("--trace", None), ("--vcd", vcd_text)]),
+    ]:
+        code, printed, err = run_cli(capsys, *call)
+        assert code == 0
+        files = {option: tmp_path / f"out{option}" for option, _ in options}
+        argv = [arg for option, path in files.items() for arg in (option, str(path))]
+        assert run_cli(capsys, *call, *argv) == (0, "", err)
+        for option, expected in options:
+            assert files[option].read_text() == (printed if expected is None else expected)
+    with pytest.raises(SystemExit):
+        main(["sweep", "--help"])
+    assert "--csv CSV" in capsys.readouterr().out
 
 
 def test_outputs_deterministic(capsys, scenario_dir):
@@ -319,7 +393,7 @@ GOLDEN_SHA256 = {
     "14nm-sram-10mv bounds-csv": "7f0fa62bd731b6a4ef7655c300bc375f1f28c40326371d6ccbe37b6391573ae8",
     "14nm-sram-10mv bounds-json": "15265d31cf21af8f36814d9dfc1e02df2d3dc99d63ec8e27d6d8d46a20621eab",
     "14nm-sram-10mv sweep-v_dd": "4737d13ac45acaf0c74046c0cfa7b86d42322a8615e9beff74d4760e753c0883",
-    "14nm-sram-10mv sweep-n_bias": "df45450ccf09ea97ecd38c0c1e5a1d68562694c92b8472213bd89ebd2e9f56ff",
+    "14nm-sram-10mv sweep-n_bias": "c0f4b153c1ff23094389180fe4479d7803ec5ef908123764812564a6bf57da2a",
     "14nm-sram-10mv sweep-dac-bias": "7081e5c2378db98c9d8f28ac6c33fff5dbdd224adfe7b813f14b42495f13315a",
     "14nm-sram-10mv sweep-dac-rf": "dbe2be6589facce1c6d9cd0aea6a0810d0f630df9338861f6c809cc24fbcdb79",
     "14nm-sram-10mv capacity-json": "9bd1f6ff4a4303f0b338ffbbfb96e0d6bb6197cb195b143a38070d3931fd60ba",
@@ -331,7 +405,7 @@ GOLDEN_SHA256 = {
     "65nm-ff-1v bounds-csv": "7f0fa62bd731b6a4ef7655c300bc375f1f28c40326371d6ccbe37b6391573ae8",
     "65nm-ff-1v bounds-json": "15265d31cf21af8f36814d9dfc1e02df2d3dc99d63ec8e27d6d8d46a20621eab",
     "65nm-ff-1v sweep-v_dd": "24ae9df72dc7c8a8b28c81d29a8ad9d3e8be51fcca6503af70b459073a7f2dee",
-    "65nm-ff-1v sweep-n_bias": "5e44e593a644e38e8539d980aede44d8255e88028003aaa9eaf78acc1267fc6b",
+    "65nm-ff-1v sweep-n_bias": "3116e7ed0bd94738e2d7a1f389271765607155c1699cdc59b92b50528ca67c64",
     "65nm-ff-1v sweep-dac-bias": "06c3212e5c7883accae0aeee70c933fc06b1393dc8094839e52aab8b7890e38a",
     "65nm-ff-1v sweep-dac-rf": "91a763592e462fa4ccb7ef7ba2b965e27f53c19687deec48c39f29d09ed017bb",
     "65nm-ff-1v capacity-json": "d2121f54c5a78dc9111fe210188b460afe4f89bfb6e8cdd61621ab254734db2f",
@@ -343,7 +417,7 @@ GOLDEN_SHA256 = {
     "65nm-sram-100mv bounds-csv": "7f0fa62bd731b6a4ef7655c300bc375f1f28c40326371d6ccbe37b6391573ae8",
     "65nm-sram-100mv bounds-json": "15265d31cf21af8f36814d9dfc1e02df2d3dc99d63ec8e27d6d8d46a20621eab",
     "65nm-sram-100mv sweep-v_dd": "94fdc920d0f277dcedcec1db10cf43e6b8fff16d3c7f3292f4d3fcfdfa9f0c8d",
-    "65nm-sram-100mv sweep-n_bias": "1a5f6dc31f6febe03ae0ce936aea6803d9f59e36de13ea6d582f007e41324386",
+    "65nm-sram-100mv sweep-n_bias": "3f9903feb1a27473f42344726d6e8173c01d84f3c7c1b9746eb48c2cb4118516",
     "65nm-sram-100mv sweep-dac-bias": "eab8ce4be308f65b6852e8fa64a7234302245ae092caf391e935e1e6dff880ef",
     "65nm-sram-100mv sweep-dac-rf": "10f0aff96688dda2b5b3a6a08af562a14198efc406029e65b6320e7403173911",
     "65nm-sram-100mv capacity-json": "abebfb8e27fbdf51c18bc9d41c9181927a5beb78d66bc18cc8b83f08922a48cb",
@@ -355,7 +429,7 @@ GOLDEN_SHA256 = {
     "65nm-sram-1v bounds-csv": "7f0fa62bd731b6a4ef7655c300bc375f1f28c40326371d6ccbe37b6391573ae8",
     "65nm-sram-1v bounds-json": "15265d31cf21af8f36814d9dfc1e02df2d3dc99d63ec8e27d6d8d46a20621eab",
     "65nm-sram-1v sweep-v_dd": "94fdc920d0f277dcedcec1db10cf43e6b8fff16d3c7f3292f4d3fcfdfa9f0c8d",
-    "65nm-sram-1v sweep-n_bias": "d26a579cd0bed1dab1ef5a6dd3c7f07987bf91217c3bcfc9b4a3e4c88305850a",
+    "65nm-sram-1v sweep-n_bias": "d51d71e58c7d0ed0ab8c624d7024572ca33e9ae0e1aa0b2ae0b9da77af5741a2",
     "65nm-sram-1v sweep-dac-bias": "06c3212e5c7883accae0aeee70c933fc06b1393dc8094839e52aab8b7890e38a",
     "65nm-sram-1v sweep-dac-rf": "91a763592e462fa4ccb7ef7ba2b965e27f53c19687deec48c39f29d09ed017bb",
     "65nm-sram-1v capacity-json": "994501809c34fb0a3b460ab052d4f3f70d185da17319f071475afe95dc7bd3e8",
@@ -367,7 +441,7 @@ GOLDEN_SHA256 = {
     "paper-defaults bounds-csv": "7f0fa62bd731b6a4ef7655c300bc375f1f28c40326371d6ccbe37b6391573ae8",
     "paper-defaults bounds-json": "15265d31cf21af8f36814d9dfc1e02df2d3dc99d63ec8e27d6d8d46a20621eab",
     "paper-defaults sweep-v_dd": "24ae9df72dc7c8a8b28c81d29a8ad9d3e8be51fcca6503af70b459073a7f2dee",
-    "paper-defaults sweep-n_bias": "5e44e593a644e38e8539d980aede44d8255e88028003aaa9eaf78acc1267fc6b",
+    "paper-defaults sweep-n_bias": "3116e7ed0bd94738e2d7a1f389271765607155c1699cdc59b92b50528ca67c64",
     "paper-defaults sweep-dac-bias": "06c3212e5c7883accae0aeee70c933fc06b1393dc8094839e52aab8b7890e38a",
     "paper-defaults sweep-dac-rf": "91a763592e462fa4ccb7ef7ba2b965e27f53c19687deec48c39f29d09ed017bb",
     "paper-defaults capacity-json": "d2121f54c5a78dc9111fe210188b460afe4f89bfb6e8cdd61621ab254734db2f",

@@ -142,7 +142,7 @@ def test_json_types_checked_at_load(tmp_path, text, message):
 def test_spec_invariants():
     with pytest.raises(ConfigError, match="power of two"):
         replace(SystemSpec(), l_pulse=12).validate()
-    with pytest.raises(ConfigError, match=r"\[1, 24\]"):
+    with pytest.raises(ConfigError, match=r"\[2, 24\]"):
         replace(SystemSpec(), n_bias=25).validate()
     with pytest.raises(ConfigError, match="must be positive"):
         replace(SystemSpec(), dv_bias=0).validate()

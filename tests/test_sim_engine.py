@@ -310,6 +310,30 @@ def test_whole_stimulus_checked_before_the_run(baseline, bad):
     assert sim.trace.events == []
 
 
+@pytest.mark.parametrize("commands, refused", [
+    ([(0, "on"), (9.9, "off")], False),
+    ([(0, "on"), (10.1, "off")], True),
+    ([(0, "on"), (6, "off"), (50, "on"), (53.9, "off")], False),
+    ([(0, "on"), (6, "off"), (50, "on"), (54.1, "off")], True),
+    ([(0, "on"), (5, "on"), (10.1, "off")], True),     # a repeated on does not restart
+    ([(0, "off"), (90.1, "on")], False),                # on until t_end
+    ([(0, "off"), (89.9, "on")], True),
+    ([(150, "on")], False),                             # after t_end: never runs
+], ids=["under", "over", "two-spans-under", "two-spans-over", "repeated-on",
+        "open-span-under", "open-span-over", "after-t_end"])
+def test_ramp_steps_bounded_before_the_run(baseline, monkeypatch, commands, refused):
+    monkeypatch.setattr(engine, "MAX_RAMP_STEPS", 10)
+    sim = Simulator(baseline)
+    period_ns = sim.conversion_period_ticks / engine.TICKS_PER_NS
+    stimulus = "".join(f"{k * period_ns} ramp-mode {on}\n" for k, on in commands)
+    if refused:
+        with pytest.raises(ValueError, match="limit of 10 ramp steps"):
+            sim.run(stimulus, 100 * period_ns)
+        assert sim.trace.events == []
+    else:
+        sim.run(stimulus, 100 * period_ns)
+
+
 def test_simulator_runs_once(baseline):
     sim = Simulator(baseline)
     trace = sim.run("0 write-bias 0 2048", 20e3)
