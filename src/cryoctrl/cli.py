@@ -184,7 +184,7 @@ def _cmd_simulate(args) -> str:
     except ValueError:
         valid = False
     if not valid:
-        raise UsageError(f"--until must be a positive, finite duration, got '{args.until}'")
+        raise UsageError(f"--until must be a positive, finite duration, got {args.until!r}")
     trace = run_simulation(sc, stim_path, t_end)
     if args.trace:
         Path(args.trace).write_text(trace.to_csv())
@@ -200,6 +200,15 @@ def _cmd_simulate(args) -> str:
     return "" if args.trace or args.vcd else trace.to_csv()
 
 
+def _check_output_dirs(args) -> None:
+    """Refuse, before any work, an output file whose directory does not exist."""
+    for option in ("out", "trace", "vcd"):
+        path = getattr(args, option, None)
+        if path and not Path(path).parent.is_dir():
+            raise OSError(f"cannot write {path!r}: {str(Path(path).parent)!r} "
+                          "is not a directory")
+
+
 def main(argv=None) -> int:
     parser = _build_parser()
     try:
@@ -207,6 +216,7 @@ def main(argv=None) -> int:
         if not args.command:
             parser.print_usage(sys.stderr)
             return 1
+        _check_output_dirs(args)
         text = args.handler(args)
         out = getattr(args, "out", None)
         if out:

@@ -306,8 +306,9 @@ def apply_node(tech: TechnologyParams, node: Node | str) -> TechnologyParams:
 # JSON loading / saving
 
 def _excerpt(value) -> str:
-    """``str(value)`` for a message, cut in the middle if over 80 characters."""
-    text = str(value)
+    """``str(value)`` for a one-line message: control characters escaped as
+    ``repr`` escapes them, then cut in the middle if over 80 characters."""
+    text = repr(str(value))[1:-1]
     return text if len(text) <= 80 else f"{text[:40]}...{text[-40:]}"
 
 

@@ -15,23 +15,35 @@ error. Trace events keep their tick; nanoseconds are derived only where a
 trace is read or written (``TraceEvent.t_ns``, the CSV and VCD text), as
 ``ticks / TICKS_PER_NS`` correctly rounded.
 
-Each clocked unit is one queue handler that returns its next edge time,
-or ``None`` once its clock stops, instead of pushing it:
+Each clocked unit is one queue handler. It reads ``Simulator.horizon()``,
+the time of the next queued event, once, handles its edges strictly before
+it and returns its first edge at or after it, or ``None`` once its clock
+stops. Whatever could change such a block (a serial clock, a staged command,
+a ramp-mode switch, a conversion) is a queued event that bounds it, so it
+gives the trace of one edge per call:
 
 - ``BiasController.conversion``: every ``conversion_period_ticks``, never
   stops. In refresh mode, once a full round has run since the last bias
   write clock or ramp-mode command, the rounds up to the next event repeat
   it and are skipped in closed form (``BiasController.skip_quiet_rounds``).
 - ``Simulator._word_clock_event``, the serial data line: one bit per RF
-  clock while ``DataInputController.busy``, then the next queued frame.
+  clock while a data word is in flight, then the next queued frame. A word
+  whose last write clock, ``10 + 2 * width - 1`` RF clocks after its first,
+  falls before the horizon lands in one step, with the rows of its end of
+  reception and of its last write clock; no checked word raises
+  ``protocol_error``. Any other word is clocked bit by bit through
+  ``DataInputController.step``, so a read mid-shift sees the partly
+  shifted code.
 - ``RfController.sample_edge``: the sample clock runs while a pair is active
   or latched; ``command_received`` starts it on the grid when neither is.
 
 ``Simulator.run`` hands a returned edge, with the next sequence number, to
 ``heapq.heappushpop``: the same push-then-pop on the same ``(time, priority,
 sequence)`` keys, so the event order is unchanged, as every handler makes
-its other pushes before it returns. A play reaches ``command_received``
-``RF_COMMAND_BITS`` RF clocks after its time, once its frame is in.
+its other pushes before it returns; an edge that ties with the horizon goes
+there too, so the bias domain still runs first at equal times. A play
+reaches ``command_received`` ``RF_COMMAND_BITS`` RF clocks after its time,
+once its frame is in.
 
 Analog behaviour is idealized: DACs convert straight-binary unipolar codes
 with zero settling time, and hold capacitors droop exponentially through
@@ -99,7 +111,7 @@ TICKS_PER_S = 10**21
 MAX_CONVERSIONS = 10_000_000
 
 # Bounds the conversions a run spends in ramp mode, which steps on every
-# conversion: ~2.7 us of host time each, ~5.3 us and ~0.5 kB of memory with
+# conversion: ~1.9 us of host time each, ~3.6 us and ~0.4 kB of memory with
 # the trace CSV (2-core Xeon, Python 3.11). 10^6 steps are ~0.92 s simulated
 # at the defaults, or ~244 full 12-bit staircases.
 MAX_RAMP_STEPS = 1_000_000
@@ -162,15 +174,23 @@ class Trace:
         return [e for e in self.events if e.signal == signal]
 
     def _text_rows(self) -> list[tuple[str, str, str]]:
-        """Each event as ``(repr(t_ns), signal, repr(value))``, each time
-        formatted once for the run of events at its tick."""
+        """Each event as ``(repr(t_ns), signal, repr(value))``; each time is
+        formatted once for its run of events and each float once per trace,
+        but zeros each time (``0.0 == -0.0``)."""
         rows = []
         append = rows.append
-        last = text = None
+        values = {}
+        last = t_text = None
         for t, s, v in self.events:
             if t != last:
-                last, text = t, repr(t / TICKS_PER_NS)
-            append((text, s, repr(v)))
+                last, t_text = t, repr(t / TICKS_PER_NS)
+            if v and type(v) is float:   # an int equal to a cached float is not its text
+                v_text = values.get(v)
+                if v_text is None:
+                    v_text = values[v] = repr(v)
+            else:
+                v_text = repr(v)
+            append((t_text, s, v_text))
         return rows
 
     def to_csv(self) -> str:
@@ -278,20 +298,26 @@ class BiasController:
         self.index = 0   # of the next conversion, at index * conversion_period_ticks
 
     def conversion(self, t: int, _) -> int:
+        """Run the conversions from ``t`` up to the next queued event; return
+        the next conversion edge."""
         sim = self.sim
-        if self.ramp_mode:
-            target = sim.memory.read_bias(sim.n_electrodes) % sim.n_electrodes
-            code = self.ramp_counter
-            self.ramp_counter = (self.ramp_counter + 1) % (1 << sim.n_bias)
-        else:
-            target = self.electrode_counter
-            code = sim.memory.read_bias(target)
-            self.electrode_counter = (self.electrode_counter + 1) % sim.n_electrodes
-        sim.refresh_electrode(t, target, code)
-        self.index += 1
-        if not self.ramp_mode:
-            self.skip_quiet_rounds()
-        return self.index * sim.conversion_period_ticks
+        horizon = sim.horizon()
+        period, n, bias = sim.conversion_period_ticks, sim.n_electrodes, sim.memory.bias
+        while True:
+            if self.ramp_mode:
+                target, code = bias[n] % n, self.ramp_counter
+                self.ramp_counter = (code + 1) % (1 << sim.n_bias)
+            else:
+                target = self.electrode_counter
+                code = bias[target]
+                self.electrode_counter = (target + 1) % n
+            sim.refresh_electrode(t, target, code)
+            self.index += 1
+            if not self.ramp_mode:
+                self.skip_quiet_rounds()
+            t = self.index * period
+            if t >= horizon:
+                return t
 
     def skip_quiet_rounds(self):
         """Advance past the whole refresh rounds that end by the next event.
@@ -364,30 +390,41 @@ class RfController:
         self.sim.trace.emit(t, "latch_transfer", 1.0)
 
     def sample_edge(self, t: int, _) -> int | None:
+        """Emit the samples from ``t`` up to the next queued event; return the
+        next sample edge, or ``None`` once the clock stops."""
         sim = self.sim
-        if self.active is None:
-            self.active = self.latched.pop(0)
-            self.sample_counter = 0
-
-        id_a, id_b = self.active
-        addr_a = id_a * sim.l_pulse + self.sample_counter
-        addr_b = id_b * sim.l_pulse + self.sample_counter
-        code_a, code_b = sim.memory.read_rf_dual(addr_a, addr_b)
-        sim.trace.emit(t, "rf_a", code_a * sim.rf_lsb)
-        sim.trace.emit(t, "rf_b", code_b * sim.rf_lsb)
-        sim.rf_samples_emitted += 1
-
-        self.sample_counter += 1
-        if self.sample_counter == sim.l_pulse:
-            sim.trace.emit(t, "end_sequ", 1.0)
+        horizon = sim.horizon()
+        period, l_pulse, rf, lsb = sim.sample_period_ticks, sim.l_pulse, sim.memory.rf, sim.rf_lsb
+        # a TraceEvent without the NamedTuple's Python-level __new__, ~0.15 us less
+        append, row = sim.trace.events.append, tuple.__new__
+        while True:
+            if self.active is None:
+                self.active = self.latched.pop(0)
+                self.sample_counter = 0
+            id_a, id_b = self.active
+            k = self.sample_counter
+            # this edge and the sequence's later edges before the horizon
+            stop = min(l_pulse, k + 1 + max(0, (horizon - t - 1) // period))
+            addr_a, addr_b = id_a * l_pulse, id_b * l_pulse
+            for j in range(k, stop):
+                append(row(TraceEvent, (t, "rf_a", rf[addr_a + j] * lsb)))
+                append(row(TraceEvent, (t, "rf_b", rf[addr_b + j] * lsb)))
+                t += period
+            sim.rf_samples_emitted += stop - k
+            self.sample_counter = stop
+            if stop < l_pulse:
+                return t
+            last = t - period
+            sim.trace.emit(last, "end_sequ", 1.0)
             self.active = None
             # the latch array holds one command word; staging transfers in
             # only once both of its sets have been consumed
             if not self.latched:
                 if self.staging is None:
                     return None
-                self._latch_from_staging(t)
-        return t + sim.sample_period_ticks
+                self._latch_from_staging(last)
+            if t >= horizon:
+                return t
 
 
 # ---------------------------------------------------------------------------
@@ -464,7 +501,8 @@ class Simulator:
         self._queue: list = []
         self._seq = 0
         self._t_end: int | None = None  # ticks, set when the run starts
-        self._frames: deque[str] = deque()  # encoded data words, the one in flight first
+        # (encoded bits, word) of each queued data word, the one in flight first
+        self._frames: deque[tuple[str, DataWord]] = deque()
         self._frame_pos = 0
 
     # event queue -----------------------------------------------------------
@@ -483,10 +521,9 @@ class Simulator:
 
     def refresh_electrode(self, t: int, electrode: int, code: int):
         cap = self.caps[electrode]
-        v_pre = cap.voltage(t, self.tau_s)
         v_ideal = code / (1 << self.n_bias) * self.v_range_bias
-        if cap.code == code:
-            dev = abs(v_ideal - v_pre)
+        if cap.code == code:   # a recharge: measure the droop since the last one
+            dev = abs(v_ideal - cap.voltage(t, self.tau_s))
             if dev > self.max_refresh_deviation[electrode]:
                 self.max_refresh_deviation[electrode] = dev
         # the hold capacitor holds the last emitted value, 0 V at start
@@ -499,23 +536,46 @@ class Simulator:
     # rf domain: serial data input -------------------------------------------
 
     def _word_clock_event(self, t: int, _) -> int | None:
-        frame = self._frames[0]
-        pos = self._frame_pos
-        self._frame_pos = pos + 1
-        # the line idles low after the frame, through the write clocks
-        for signal, value in self.data_input.step(int(frame[pos]) if pos < len(frame) else 0):
-            self.trace.emit(t, signal, value)
-        if self.data_input.busy:
-            return t + self.t_rf_ticks
-        # feedback issued; the next queued frame may start on the next clock
-        self._frames.popleft()
-        self._frame_pos = 0
-        return t + self.t_rf_ticks if self._frames else None
+        """Clock the serial line from ``t`` up to the next queued event; return
+        the next clock, or ``None`` once no frame is left."""
+        horizon = self.horizon()
+        period, frames, data_input = self.t_rf_ticks, self._frames, self.data_input
+        emit = self.trace.emit
+        while True:
+            bits, word = frames[0]
+            pos, n = self._frame_pos, len(bits)
+            if pos == 0 and t + (n + word.width - 1) * period < horizon:
+                # nothing reads the register mid-shift, so the word lands whole:
+                # width shifts into a width-bit register leave the payload
+                t += (n - 1) * period   # the last frame bit
+                emit(t, "write_select", float(word.address))
+                emit(t, "write_enable", 1.0)
+                bank = self.memory.bias if word.kind is WordType.BIAS else self.memory.rf
+                bank[word.address] = word.payload
+                t += word.width * period   # the last write clock
+                emit(t, "write_enable", 0.0)
+                emit(t, "feedback", 1.0)
+                done = True
+            else:
+                self._frame_pos = pos + 1
+                # the line idles low after the frame, through the write clocks
+                for signal, value in data_input.step(int(bits[pos]) if pos < n else 0):
+                    emit(t, signal, value)
+                done = not data_input.busy
+            if done:
+                # feedback issued; the next queued frame may start on the next clock
+                frames.popleft()
+                self._frame_pos = 0
+                if not frames:
+                    return None
+            t += period
+            if t >= horizon:
+                return t
 
     # stimulus ---------------------------------------------------------------
 
     def _write_event(self, t: int, word: DataWord):
-        self._frames.append(encode_dataword(word))
+        self._frames.append((encode_dataword(word), word))
         if len(self._frames) == 1:  # the line was free
             self._push(t, PRIORITY_RF, self._word_clock_event)
 

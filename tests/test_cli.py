@@ -6,7 +6,7 @@ import time
 
 import pytest
 
-from cryoctrl import baseline_scenario, load_scenario, run_simulation
+from cryoctrl import baseline_scenario, cli, load_scenario, run_simulation
 from cryoctrl.analog import derived_clocks
 from cryoctrl.cli import main
 from cryoctrl.report import qubit_capacity
@@ -331,6 +331,55 @@ def test_a_long_config_value_is_shortened_in_the_message(tmp_path, src_env, data
     assert proc.returncode == 1 and proc.stdout == ""
     lines = proc.stderr.splitlines()
     assert len(lines) == 1 and len(lines[0]) <= 200 and "..." in lines[0]
+
+
+@pytest.mark.parametrize("data, shown", [
+    ({"a\nb": 1}, "unknown key 'a\\nb' in scenario file"),
+    ({"defaults": "pa\nper"}, "unsupported defaults 'pa\\nper'"),
+    ({"spec": {"x\ny": 1}}, "unknown key 'spec.x\\ny'"),
+    ({"spec": {"x\ty\u2028" + "z" * 100: 1}}, "unknown key 'spec.x\\ty\\u2028zzz"),
+], ids=["key", "defaults", "spec-key", "long-spec-key"])
+def test_a_config_message_escapes_control_characters(capsys, tmp_path, data, shown):
+    code, out, err = run_cli(capsys, "estimate", "--scenario", _scenario_file(tmp_path, data))
+    assert code == 1 and out == ""
+    assert len(err.splitlines()) == 1 and shown in err
+
+
+def test_an_until_message_escapes_control_characters(capsys, scenario_dir, tmp_path):
+    stim = tmp_path / "stim.txt"
+    stim.write_text("0 write-bias 0 2048\n")
+    simulate = ("simulate", "--scenario", str(scenario_dir / "paper-defaults.json"),
+                "--stimulus", str(stim), "--until")
+    _, _, plain = run_cli(capsys, *simulate, "1xus")
+    code, _, err = run_cli(capsys, *simulate, "1\nxs")
+    assert code == 1
+    assert plain.splitlines()[0] == "error: --until must be a positive, finite duration, got '1xus'"
+    assert err.splitlines()[0] == "error: --until must be a positive, finite duration, got '1\\nxs'"
+    assert len(err.splitlines()) == len(plain.splitlines())
+
+
+@pytest.mark.parametrize("command, option, work", [
+    (("estimate",), "--out", "assemble"),
+    (("sweep", "--param", "v_dd", "--points", "1"), "--csv", "sweep"),
+    (("simulate", "--until", "2.3ms"), "--trace", "run_simulation"),
+    (("simulate", "--until", "2.3ms"), "--vcd", "run_simulation"),
+], ids=["estimate-out", "sweep-csv", "simulate-trace", "simulate-vcd"])
+def test_an_output_without_its_directory_fails_before_the_work(
+        capsys, monkeypatch, scenario_dir, tmp_path, command, option, work):
+    def must_not_run(*args, **kwargs):
+        raise AssertionError(f"{work} ran before the output path was checked")
+
+    monkeypatch.setattr(cli, work, must_not_run)
+    stim = tmp_path / "stim.txt"
+    stim.write_text("0 write-bias 0 2048\n")
+    argv = [*command, "--scenario", str(scenario_dir / "paper-defaults.json"),
+            option, str(tmp_path / "nodir" / "x.csv")]
+    if command[0] == "simulate":
+        argv += ["--stimulus", str(stim)]
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err.splitlines() == [f"runtime error: cannot write '{tmp_path / 'nodir' / 'x.csv'}': "
+                                f"'{tmp_path / 'nodir'}' is not a directory"]
 
 
 def test_output_file_holds_what_stdout_would(capsys, scenario_dir, tmp_path):

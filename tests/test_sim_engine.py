@@ -20,7 +20,6 @@ from cryoctrl import (
     temperature_adjust,
 )
 from cryoctrl.sim import (
-    DataInputController,
     SimulationConfigError,
     StimulusError,
     Simulator,
@@ -380,6 +379,18 @@ def test_trace_text_formats_each_event_exactly():
         "#2.000000000001 a 0.0"]
 
 
+def test_trace_text_formats_an_int_apart_from_an_equal_float():
+    # a float value is formatted once per trace; an int equal to it, such as
+    # an explicit op.f_clk_bias of 3000000 beside a derived 3e6 clk_rf_hz,
+    # keeps its own text in either order
+    trace = Trace()
+    for tick, signal, value in [(0, "a", 3_000_000), (0, "b", 3e6), (1, "a", 3e6),
+                                (1, "b", 3_000_000)]:
+        trace.emit(tick, signal, value)
+    assert [line.split(",")[2] for line in trace.to_csv().splitlines()[1:]] == [
+        "3000000", "3000000.0", "3000000.0", "3000000"]
+
+
 def test_trace_event_is_a_named_tuple():
     t = 3 * engine.TICKS_PER_NS // 2
     e = TraceEvent(t, "rf_a", 0.25)
@@ -553,9 +564,10 @@ def test_golden_ties_hold_on_ticks(baseline):
         assert tie in ticks["conversion"]
         assert tie in ticks["_ramp_mode_event"]
         assert tie in ticks["_word_clock_event"]
-    _, _, ticks = _handler_ticks(baseline, *SIM_GOLDEN_STIMULI["play-at-last-sample-edge"])
+    _, trace, ticks = _handler_ticks(baseline, *SIM_GOLDEN_STIMULI["play-at-last-sample-edge"])
     assert len(ticks["command_received"]) == 2
-    assert ticks["command_received"][1] == ticks["sample_edge"][31]   # 2 x 16 samples
+    samples = [e.t for e in trace.of("rf_a")]
+    assert ticks["command_received"][1] == samples[31]   # 2 x 16 samples
 
 
 def test_bias_runs_first_on_a_tick_tie(baseline):
@@ -582,10 +594,9 @@ def test_no_drift_a_million_periods_out(baseline):
     sample, period = sim.sample_period_ticks, sim.conversion_period_ticks
     t_play = (k * sample - engine.RF_COMMAND_BITS * sim.t_rf_ticks - 1000) / engine.TICKS_PER_NS
     t_end_ns = (k * period + period // 2) / engine.TICKS_PER_NS
-    sim, _, ticks = _handler_ticks(baseline, f"0 write-bias 0 2048\n{t_play!r} play 0 0 0 0\n",
-                                   t_end_ns)
-    assert ticks["sample_edge"] == [(k + j) * sample for j in range(32)]
-    assert ticks["conversion"][-1] == k * period
+    sim.run(f"0 write-bias 0 2048\n{t_play!r} play 0 0 0 0\n", t_end_ns)
+    assert [e.t for e in sim.trace.of("rf_a")] == [(k + j) * sample for j in range(32)]
+    assert sim.bias_ctrl.index == k + 1   # the last conversion ran at k * period
     assert sim.caps[k % 8].t_set == k * period
 
 
@@ -636,9 +647,10 @@ def test_returned_edges_match_push_then_pop(n_loaded, commands, t_end_ns):
     # heappop, as in a loop where each clocked handler pushes its own edge.
     # The window is narrow, so plays land inside running sequences and RF
     # writes complete mid-sequence; commands may fall on the conversion at
-    # 20262.0 ns.
+    # 20262.0 ns. The command at 0 bounds the first conversion, so at least
+    # one returned edge goes through heappushpop.
     loads = [(0.0, ("write-rf", a, (37 * a) % 1024)) for a in range(16 * n_loaded)]
-    stimulus = _stimulus_text(loads + commands)
+    stimulus = _stimulus_text([(0.0, ("ramp-mode", "off"))] + loads + commands)
     fast = run_simulation(baseline_scenario(), stimulus, t_end_ns)
 
     pushpops = []
@@ -653,9 +665,65 @@ def test_returned_edges_match_push_then_pop(n_loaded, commands, t_end_ns):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(engine, "heapq", reference)
         slow = run_simulation(baseline_scenario(), stimulus, t_end_ns)
-    assert pushpops  # the conversion clock alone returns an edge
+    assert pushpops
     assert slow.to_csv() == fast.to_csv()
     assert slow.stats == fast.stats
+
+
+def _one_edge_per_call(stimulus, t_end_ns):
+    """The reference engine: with no horizon ahead, each handler call takes
+    one edge, every data word is clocked bit by bit and no quiet round is
+    skipped."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(engine.Simulator, "horizon", lambda self: -1)
+        return run_simulation(baseline_scenario(), stimulus, t_end_ns)
+
+
+def _with_golden_examples(test):
+    for stimulus, t_end_ns in SIM_GOLDEN_STIMULI.values():
+        test = example(stimulus=stimulus, t_end_ns=t_end_ns)(test)
+    return test
+
+
+_loaded_stimulus = st.builds(
+    lambda n_loaded, commands: _stimulus_text(
+        [(0.0, ("write-rf", a, (37 * a) % 1024)) for a in range(16 * n_loaded)] + commands),
+    st.integers(0, 4),
+    st.lists(st.tuples(st.floats(0, 25_000), _command), max_size=30))
+
+
+@settings(max_examples=100, deadline=None)
+@given(stimulus=_loaded_stimulus, t_end_ns=st.floats(1_000, 30_000))
+@_with_golden_examples
+def test_blocks_match_one_edge_per_call(stimulus, t_end_ns):
+    # Every clock runs its edges up to the next queued event in one call and
+    # a data word that completes before it lands whole; RF writes during
+    # playback, plays inside a running sequence and conversions during a
+    # shift must give the same trace as one edge per call.
+    fast = run_simulation(baseline_scenario(), stimulus, t_end_ns)
+    slow = _one_edge_per_call(stimulus, t_end_ns)
+    assert fast.to_csv() == slow.to_csv()
+    assert fast.to_vcd_text() == slow.to_vcd_text()
+    assert fast.stats == slow.stats
+
+
+def test_a_conversion_during_the_write_clocks_reads_the_partly_shifted_code(baseline):
+    # Conversion 16 recharges electrode 0 after k of the 12 write clocks of
+    # the second word: the register holds the old code shifted up by k with
+    # the payload's top k bits below it. Conversion 24 reads the payload.
+    old, new, k = 2730, 240, 5
+    sim = Simulator(baseline)
+    period, t_rf = sim.conversion_period_ticks, sim.t_rf_ticks
+    # the conversion falls half a clock after the k-th write clock, which is
+    # clock 10 + 12 + k - 1 of the frame
+    t_write_ns = (16 * period - (10 + 12 + k - 0.5) * t_rf) / engine.TICKS_PER_NS
+    stimulus = f"0 write-bias 0 {old}\n{t_write_ns!r} write-bias 0 {new}\n"
+    t_end_ns = 25 * period / engine.TICKS_PER_NS
+    trace = sim.run(stimulus, t_end_ns)
+    mixed = (old << k | new >> (12 - k)) & 4095
+    assert [(e.t, e.value * 4096) for e in trace.of("bias_e0")] == [
+        (8 * period, old), (16 * period, mixed), (24 * period, new)]
+    assert trace.to_csv() == _one_edge_per_call(stimulus, t_end_ns).to_csv()
 
 
 def _counting(counts, key, fn):
@@ -669,23 +737,38 @@ def _counting(counts, key, fn):
 @given(n_loaded=st.integers(0, 4),
        commands=st.lists(st.tuples(st.floats(0, 25_000), _command), max_size=30))
 def test_clocks_run_only_while_busy(n_loaded, commands):
-    # Counting wrappers installed on the classes, as the benchmark's tracer
-    # installs its own: at quiescence the sample clock has run once per
-    # emitted sample (no idle edge) and the serial line once per frame bit
-    # and write clock of each data word (10 + 2 x width, no idle clock).
+    # Wrappers installed on the classes, as the benchmark's tracer installs
+    # its own: every call of the sample clock emits a sample (no idle edge),
+    # and each data word's feedback comes 10 + 2 x width - 1 RF clocks after
+    # its first clock, which is its write time on a free line or the clock
+    # after the previous word's feedback (no idle clock).
     loads = [(0.0, ("write-rf", a, (37 * a) % 1024)) for a in range(16 * n_loaded)]
     stimulus = _stimulus_text(loads + commands)
     t_end_ns = 25_000.0 + 60.0 * len(loads + commands) + 2_000.0
-    counts = {"sample_edge": 0, "step": 0}
+    emitted = []
+    sample_edge = engine.RfController.sample_edge
+
+    def counting_samples(self, t, arg):
+        before = self.sim.rf_samples_emitted
+        t_next = sample_edge(self, t, arg)
+        emitted.append(self.sim.rf_samples_emitted - before)
+        return t_next
+
     with pytest.MonkeyPatch.context() as mp:
-        for owner, name in ((engine.RfController, "sample_edge"),
-                            (DataInputController, "step")):
-            mp.setattr(owner, name, _counting(counts, name, getattr(owner, name)))
-        trace = run_simulation(baseline_scenario(), stimulus, t_end_ns)
-    assert counts["sample_edge"] == trace.stats["rf_samples_emitted"]
+        mp.setattr(engine.RfController, "sample_edge", counting_samples)
+        sim = Simulator(baseline_scenario())
+        trace = sim.run(stimulus, t_end_ns)
+    assert sum(emitted) == trace.stats["rf_samples_emitted"]
+    assert all(n >= 1 for n in emitted)
     widths = {"write-bias": 12, "write-rf": 10}
-    assert counts["step"] == sum(10 + 2 * widths[op] for _, (op, *_) in loads + commands
-                                 if op in widths)
+    feedback, last = [], None
+    for c in parse_stimulus(stimulus):
+        if c.op in widths:
+            t = engine.to_ticks(c.t_ns)
+            start = t if last is None or t > last else last + sim.t_rf_ticks
+            last = start + (10 + 2 * widths[c.op] - 1) * sim.t_rf_ticks
+            feedback.append(last)
+    assert [e.t for e in trace.of("feedback")] == feedback
 
 
 @settings(max_examples=100, deadline=None)
@@ -824,15 +907,26 @@ def test_skipped_rounds_match_the_per_conversion_loop(name, loads, commands, t_e
     assert fast_conversions <= slow_conversions
 
 
+def _run_counting_refreshes(scenario, stimulus, t_end_ns):
+    counts = collections.Counter()
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(engine.Simulator, "refresh_electrode",
+                   _counting(counts, "refresh", engine.Simulator.refresh_electrode))
+        trace = run_simulation(scenario, stimulus, t_end_ns)
+    return trace, counts["refresh"]
+
+
 def test_quiet_rounds_cost_nothing():
     # bias only, 1 ms at a hundredth of the off-resistance: ~108k conversion
     # periods, of which only those near the serial writes run one by one
     scenario = _SCENARIOS_FOR_SKIP["r_off x 0.01"]
     stimulus = "".join(f"0 write-bias {e} {511 * (e + 1)}\n" for e in range(8))
-    fast, fast_conversions = _run_counting_conversions(scenario, stimulus, 1e6)
-    slow, slow_conversions = _per_conversion(scenario, stimulus, 1e6)
-    assert slow_conversions > 100_000
-    assert fast_conversions < 100
+    fast, fast_refreshes = _run_counting_refreshes(scenario, stimulus, 1e6)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(engine.BiasController, "skip_quiet_rounds", lambda self: None)
+        slow, slow_refreshes = _run_counting_refreshes(scenario, stimulus, 1e6)
+    assert slow_refreshes > 100_000
+    assert fast_refreshes < 100
     assert fast.to_csv() == slow.to_csv()
     assert fast.stats == slow.stats
 
