@@ -16,7 +16,7 @@ import sys
 from pathlib import Path
 
 from . import noise
-from .config import ConfigError, DacArchitecture, Scenario, load_scenario
+from .config import ConfigError, DacArchitecture, Scenario, escape_controls, load_scenario
 from .report import (
     SWEEP_PARAMS,
     assemble,
@@ -94,7 +94,7 @@ def _build_parser() -> _Parser:
 def _scenario(args) -> Scenario:
     path = Path(args.scenario)
     if not path.is_file():
-        raise ConfigError(f"scenario file not found: {path}")
+        raise ConfigError(f"scenario file not found: {escape_controls(path)}")
     return load_scenario(path)
 
 
@@ -177,7 +177,7 @@ def _cmd_simulate(args) -> str:
     sc = _scenario(args)
     stim_path = Path(args.stimulus)
     if not stim_path.is_file():
-        raise ConfigError(f"stimulus file not found: {stim_path}")
+        raise ConfigError(f"stimulus file not found: {escape_controls(stim_path)}")
     try:
         t_end = parse_duration_ns(args.until)
         valid = 0 < t_end < math.inf
@@ -201,9 +201,12 @@ def _cmd_simulate(args) -> str:
 
 
 def _check_output_dirs(args) -> None:
-    """Refuse, before any work, an output file whose directory does not exist."""
+    """Refuse, before any work, an output file that is a directory or whose
+    directory does not exist."""
     for option in ("out", "trace", "vcd"):
         path = getattr(args, option, None)
+        if path and Path(path).is_dir():
+            raise OSError(f"cannot write {path!r}: it is a directory")
         if path and not Path(path).parent.is_dir():
             raise OSError(f"cannot write {path!r}: {str(Path(path).parent)!r} "
                           "is not a directory")

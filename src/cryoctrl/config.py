@@ -305,10 +305,19 @@ def apply_node(tech: TechnologyParams, node: Node | str) -> TechnologyParams:
 # ---------------------------------------------------------------------------
 # JSON loading / saving
 
+def escape_controls(text) -> str:
+    """``str(text)`` with each character that is not printable (a newline, a
+    tab, a line separator) escaped as ``repr`` escapes it, for a one-line
+    message; a printable text keeps its characters."""
+    text = str(text)
+    if text.isprintable():
+        return text
+    return "".join(c if c.isprintable() else repr(c)[1:-1] for c in text)
+
+
 def _excerpt(value) -> str:
-    """``str(value)`` for a one-line message: control characters escaped as
-    ``repr`` escapes them, then cut in the middle if over 80 characters."""
-    text = repr(str(value))[1:-1]
+    """``escape_controls(value)``, cut in the middle if over 80 characters."""
+    text = escape_controls(value)
     return text if len(text) <= 80 else f"{text[:40]}...{text[-40:]}"
 
 
@@ -361,15 +370,14 @@ def load_scenario(path: str | Path) -> Scenario:
     try:
         text = path.read_text()
     except (OSError, UnicodeDecodeError) as exc:
-        raise ConfigError(f"cannot read scenario file {path}: {exc}") from exc
+        raise ConfigError(f"cannot read scenario file {escape_controls(path)}: {exc}") from exc
     try:
         data = json.loads(text)
     except json.JSONDecodeError as exc:
-        raise ConfigError(
-            f"{path}: parse error at line {exc.lineno}, column {exc.colno}: {exc.msg}"
-        ) from exc
+        raise ConfigError(f"{escape_controls(path)}: parse error at line {exc.lineno}, "
+                          f"column {exc.colno}: {exc.msg}") from exc
     except RecursionError:
-        raise ConfigError(f"{path}: parse error: JSON nested too deeply") from None
+        raise ConfigError(f"{escape_controls(path)}: parse error: JSON nested too deeply") from None
     return scenario_from_dict(data)
 
 

@@ -26,14 +26,15 @@ gives the trace of one edge per call:
   stops. In refresh mode, once a full round has run since the last bias
   write clock or ramp-mode command, the rounds up to the next event repeat
   it and are skipped in closed form (``BiasController.skip_quiet_rounds``).
-- ``Simulator._word_clock_event``, the serial data line: one bit per RF
-  clock while a data word is in flight, then the next queued frame. A word
-  whose last write clock, ``10 + 2 * width - 1`` RF clocks after its first,
-  falls before the horizon lands in one step, with the rows of its end of
-  reception and of its last write clock; no checked word raises
-  ``protocol_error``. Any other word is clocked bit by bit through
-  ``DataInputController.step``, so a read mid-shift sees the partly
-  shifted code.
+- ``Simulator._word_clock_event``, the serial data line: one RF clock per
+  frame bit of the data word in flight, then one per payload bit shifted
+  into its register, then the next queued word. One closed form advances
+  the word by every clock before the horizon: the rows of its end of
+  reception and of its last write clock, ``10 + 2 * width - 1`` clocks after
+  its first, at their ticks, and the write clocks crossed shifted in at
+  once, so a read mid-shift sees the partly shifted code. No checked word
+  raises ``protocol_error``. It gives the rows and register values of the
+  clocked model, ``protocol.DataInputController``.
 - ``RfController.sample_edge``: the sample clock runs while a pair is active
   or latched; ``command_received`` starts it on the grid when neither is.
 
@@ -84,19 +85,19 @@ from operator import attrgetter
 from pathlib import Path
 from typing import NamedTuple
 
-from ..config import Scenario
+from ..config import Scenario, escape_controls
 from ..digital import memory_design
 from .memory import MemoryBank
 from .protocol import (
     ADDRESS_BITS,
+    HEADER_AND_TYPE_BITS,
     RF_COMMAND_BITS,
     SEQUENCE_ID_BITS,
-    DataInputController,
     DataWord,
     ProtocolError,
     RfCommandWord,
     WordType,
-    encode_dataword,
+    check_payload_widths,
 )
 
 PRIORITY_BIAS = 0
@@ -219,7 +220,7 @@ def parse_stimulus(source: Path | str) -> list[Command]:
     try:
         text = source.read_text() if isinstance(source, Path) else source
     except UnicodeDecodeError as exc:
-        raise StimulusError(f"cannot read stimulus file {source}: {exc}") from exc
+        raise StimulusError(f"cannot read stimulus file {escape_controls(source)}: {exc}") from exc
     commands: list[Command] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -485,8 +486,7 @@ class Simulator:
             bias_registers=d.bias_registers, rf_registers=d.rf_registers,
         )
         try:
-            # rejects payloads the 5-bit reception counter cannot time
-            self.data_input = DataInputController(self.memory, d.bias_width, d.rf_width)
+            check_payload_widths(d.bias_width, d.rf_width)
         except ProtocolError as exc:
             raise SimulationConfigError(str(exc)) from exc
         self.bias_ctrl = BiasController(self)
@@ -501,8 +501,8 @@ class Simulator:
         self._queue: list = []
         self._seq = 0
         self._t_end: int | None = None  # ticks, set when the run starts
-        # (encoded bits, word) of each queued data word, the one in flight first
-        self._frames: deque[tuple[str, DataWord]] = deque()
+        # the queued data words, the one in flight first, at clock _frame_pos
+        self._frames: deque[DataWord] = deque()
         self._frame_pos = 0
 
     # event queue -----------------------------------------------------------
@@ -537,37 +537,38 @@ class Simulator:
 
     def _word_clock_event(self, t: int, _) -> int | None:
         """Clock the serial line from ``t`` up to the next queued event; return
-        the next clock, or ``None`` once no frame is left."""
+        the next clock, or ``None`` once no word is left."""
         horizon = self.horizon()
-        period, frames, data_input = self.t_rf_ticks, self._frames, self.data_input
-        emit = self.trace.emit
+        period, frames, emit = self.t_rf_ticks, self._frames, self.trace.emit
         while True:
-            bits, word = frames[0]
-            pos, n = self._frame_pos, len(bits)
-            if pos == 0 and t + (n + word.width - 1) * period < horizon:
-                # nothing reads the register mid-shift, so the word lands whole:
-                # width shifts into a width-bit register leave the payload
-                t += (n - 1) * period   # the last frame bit
-                emit(t, "write_select", float(word.address))
-                emit(t, "write_enable", 1.0)
+            word = frames[0]
+            pos, w = self._frame_pos, word.width
+            # clock rx takes the last frame bit; write clocks rx+1 .. rx+w
+            # shift the payload in, MSB first, while the line idles low
+            rx = HEADER_AND_TYPE_BITS + ADDRESS_BITS + w - 1
+            # this clock and the word's later clocks before the horizon
+            stop = min(rx + w, pos + max(0, (horizon - t - 1) // period))
+            if pos <= rx <= stop:
+                emit(t + (rx - pos) * period, "write_select", float(word.address))
+                emit(t + (rx - pos) * period, "write_enable", 1.0)
+            # write clocks run before this block, and by its end
+            done, now = max(0, pos - rx - 1), max(0, stop - rx)
+            if now > done:
+                k = now - done
                 bank = self.memory.bias if word.kind is WordType.BIAS else self.memory.rf
-                bank[word.address] = word.payload
-                t += word.width * period   # the last write clock
-                emit(t, "write_enable", 0.0)
-                emit(t, "feedback", 1.0)
-                done = True
-            else:
-                self._frame_pos = pos + 1
-                # the line idles low after the frame, through the write clocks
-                for signal, value in data_input.step(int(bits[pos]) if pos < n else 0):
-                    emit(t, signal, value)
-                done = not data_input.busy
-            if done:
-                # feedback issued; the next queued frame may start on the next clock
-                frames.popleft()
-                self._frame_pos = 0
-                if not frames:
-                    return None
+                bits = (word.payload >> (w - now)) & ((1 << k) - 1)
+                bank[word.address] = (bank[word.address] << k | bits) & ((1 << w) - 1)
+            t += (stop - pos) * period
+            if stop < rx + w:
+                self._frame_pos = stop + 1
+                return t + period
+            emit(t, "write_enable", 0.0)
+            emit(t, "feedback", 1.0)
+            # feedback issued; the next queued word may start on the next clock
+            frames.popleft()
+            self._frame_pos = 0
+            if not frames:
+                return None
             t += period
             if t >= horizon:
                 return t
@@ -575,7 +576,7 @@ class Simulator:
     # stimulus ---------------------------------------------------------------
 
     def _write_event(self, t: int, word: DataWord):
-        self._frames.append((encode_dataword(word), word))
+        self._frames.append(word)
         if len(self._frames) == 1:  # the line was free
             self._push(t, PRIORITY_RF, self._word_clock_event)
 

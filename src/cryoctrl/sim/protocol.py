@@ -83,6 +83,16 @@ class RfCommandWord:
         return ((self.id_e1_set1, self.id_e2_set1), (self.id_e1_set2, self.id_e2_set2))
 
 
+def check_payload_widths(n_bias: int, n_rf: int) -> None:
+    """Refuse a bias or pulse resolution the reception counter cannot time."""
+    for name, n in (("n_bias", n_bias), ("n_rf", n_rf)):
+        if n > MAX_PAYLOAD_BITS:
+            raise ProtocolError(
+                f"{name}={n} exceeds the {MAX_PAYLOAD_BITS}-bit payload limit of "
+                f"the {RECEPTION_COUNTER_BITS}-bit reception counter"
+            )
+
+
 def _to_bits(value: int, width: int) -> str:
     return format(value, f"0{width}b")
 
@@ -131,7 +141,10 @@ class DataInputController:
     """Clocked reception FSM: shift register plus 5-bit cycle counter.
 
     The model counts received bits in the shift register itself; the cycle
-    counter only bounds the frame length, which ``__init__`` enforces.
+    counter only bounds the frame length, which ``__init__`` enforces. The
+    simulator lands the same rows and register values in closed form
+    (``Simulator._word_clock_event``); this is the clocked model it is
+    tested against.
 
     ``step(bit)`` advances one clock with the given line value and returns
     the events raised on that edge as (signal, value) tuples. After the
@@ -148,12 +161,7 @@ class DataInputController:
     WRITE = "write"
 
     def __init__(self, memory, n_bias: int, n_rf: int):
-        for name, n in (("n_bias", n_bias), ("n_rf", n_rf)):
-            if n > MAX_PAYLOAD_BITS:
-                raise ProtocolError(
-                    f"{name}={n} exceeds the {MAX_PAYLOAD_BITS}-bit payload limit of "
-                    f"the {RECEPTION_COUNTER_BITS}-bit reception counter"
-                )
+        check_payload_widths(n_bias, n_rf)
         self.memory = memory
         self.n_bias = n_bias
         self.n_rf = n_rf

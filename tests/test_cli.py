@@ -358,28 +358,67 @@ def test_an_until_message_escapes_control_characters(capsys, scenario_dir, tmp_p
     assert len(err.splitlines()) == len(plain.splitlines())
 
 
-@pytest.mark.parametrize("command, option, work", [
-    (("estimate",), "--out", "assemble"),
-    (("sweep", "--param", "v_dd", "--points", "1"), "--csv", "sweep"),
-    (("simulate", "--until", "2.3ms"), "--trace", "run_simulation"),
-    (("simulate", "--until", "2.3ms"), "--vcd", "run_simulation"),
-], ids=["estimate-out", "sweep-csv", "simulate-trace", "simulate-vcd"])
+@pytest.mark.parametrize("command, option, work, target, reason", [
+    (("estimate",), "--out", "assemble", "nodir/x.csv", "'{parent}' is not a directory"),
+    (("sweep", "--param", "v_dd", "--points", "1"), "--csv", "sweep", "nodir/x.csv",
+     "'{parent}' is not a directory"),
+    (("simulate", "--until", "2.3ms"), "--trace", "run_simulation", "nodir/x.csv",
+     "'{parent}' is not a directory"),
+    (("simulate", "--until", "2.3ms"), "--vcd", "run_simulation", "nodir/x.csv",
+     "'{parent}' is not a directory"),
+    (("simulate", "--until", "400ms"), "--trace", "run_simulation", ".", "it is a directory"),
+], ids=["estimate-out", "sweep-csv", "simulate-trace", "simulate-vcd",
+        "simulate-trace-directory"])
 def test_an_output_without_its_directory_fails_before_the_work(
-        capsys, monkeypatch, scenario_dir, tmp_path, command, option, work):
+        capsys, monkeypatch, scenario_dir, tmp_path, command, option, work, target, reason):
     def must_not_run(*args, **kwargs):
         raise AssertionError(f"{work} ran before the output path was checked")
 
     monkeypatch.setattr(cli, work, must_not_run)
     stim = tmp_path / "stim.txt"
     stim.write_text("0 write-bias 0 2048\n")
+    path = tmp_path / target
     argv = [*command, "--scenario", str(scenario_dir / "paper-defaults.json"),
-            option, str(tmp_path / "nodir" / "x.csv")]
+            option, str(path)]
     if command[0] == "simulate":
         argv += ["--stimulus", str(stim)]
     code, out, err = run_cli(capsys, *argv)
     assert code == 2 and out == ""
-    assert err.splitlines() == [f"runtime error: cannot write '{tmp_path / 'nodir' / 'x.csv'}': "
-                                f"'{tmp_path / 'nodir'}' is not a directory"]
+    assert err.splitlines() == [f"runtime error: cannot write '{path}': "
+                                + reason.format(parent=path.parent)]
+
+
+def _write(path, data: bytes):
+    path.parent.mkdir(exist_ok=True)
+    path.write_bytes(data)
+    return path
+
+
+def _simulate(scenario, stimulus):
+    return ("simulate", "--until", "1us", "--scenario", str(scenario), "--stimulus", str(stimulus))
+
+
+@pytest.mark.parametrize("argv, shown", [
+    (lambda d, sc, st: ("estimate", "--scenario", str(d / "no\nfile.json")),
+     "error: scenario file not found: {d}/no\\nfile.json"),
+    (lambda d, sc, st: _simulate(sc, d / "no\nstim.txt"),
+     "error: stimulus file not found: {d}/no\\nstim.txt"),
+    (lambda d, sc, st: ("estimate", "--scenario", str(_write(d / "d\nx" / "s.json", b"{,}"))),
+     "error: {d}/d\\nx/s.json: parse error at line 1, column 2: "),
+    (lambda d, sc, st: _simulate(_write(d / "d\u2028x" / "s.json", b"\xff"), st),
+     "error: cannot read scenario file {d}/d\\u2028x/s.json: 'utf-8' codec"),
+    (lambda d, sc, st: _simulate(sc, _write(d / "d\rx" / "stim.txt", b"0 play 0 0 0 0 #\xff")),
+     "error: cannot read stimulus file {d}/d\\rx/stim.txt: 'utf-8' codec"),
+    (lambda d, sc, st: ("estimate", "--scenario", str(d / "a b\\c'd\"e.json")),
+     "error: scenario file not found: {d}/a b\\c'd\"e.json"),
+], ids=["missing-scenario", "missing-stimulus", "scenario-parse-error",
+        "non-utf8-scenario", "non-utf8-stimulus", "printable-path-kept"])
+def test_a_path_in_a_message_escapes_control_characters(
+        capsys, scenario_dir, tmp_path, argv, shown):
+    stim = _write(tmp_path / "stim.txt", b"0 write-bias 0 2048\n")
+    code, out, err = run_cli(capsys, *argv(tmp_path, scenario_dir / "paper-defaults.json", stim))
+    assert code == 1 and out == ""
+    assert len(err.splitlines()) == 1 and err.startswith(shown.format(d=tmp_path))
 
 
 def test_output_file_holds_what_stdout_would(capsys, scenario_dir, tmp_path):

@@ -31,3 +31,23 @@ def test_a_workload_runs_and_checks_its_first_input(name):
     item = workload.inputs[0]
     _digest, failures = workload.check(item, workload.run(item))
     assert failures == []
+
+
+@pytest.mark.parametrize("name", ["playback", "tuneup"])
+def test_a_traced_run_gives_the_untraced_output(name):
+    # What ``perfbench/run.py --trace 1`` does: the tracer's wrappers must
+    # leave the simulator's output unchanged.
+    tracer = _load("tracing").Tracer()
+    workload = _load("workloads").WORKLOADS[name]()
+    workload.setup(7)
+    item = workload.inputs[0]
+    untraced, failures = workload.check(item, workload.run(item))
+    tracer.install()
+    try:
+        result = workload.run(item)
+    finally:
+        tracer.uninstall()
+    traced, traced_failures = workload.check(item, result)
+    assert failures == traced_failures == []
+    assert traced == untraced
+    assert tracer.calls("sim.engine.run") == 1

@@ -20,11 +20,16 @@ from cryoctrl import (
     temperature_adjust,
 )
 from cryoctrl.sim import (
+    DataInputController,
+    DataWord,
+    MemoryBank,
     SimulationConfigError,
     StimulusError,
     Simulator,
     Trace,
     TraceEvent,
+    WordType,
+    encode_dataword,
     engine,
     parse_duration_ns,
     parse_stimulus,
@@ -672,8 +677,8 @@ def test_returned_edges_match_push_then_pop(n_loaded, commands, t_end_ns):
 
 def _one_edge_per_call(stimulus, t_end_ns):
     """The reference engine: with no horizon ahead, each handler call takes
-    one edge, every data word is clocked bit by bit and no quiet round is
-    skipped."""
+    one edge, so a data word advances one clock per call, and no quiet round
+    is skipped."""
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(engine.Simulator, "horizon", lambda self: -1)
         return run_simulation(baseline_scenario(), stimulus, t_end_ns)
@@ -724,6 +729,62 @@ def test_a_conversion_during_the_write_clocks_reads_the_partly_shifted_code(base
     assert [(e.t, e.value * 4096) for e in trace.of("bias_e0")] == [
         (8 * period, old), (16 * period, mixed), (24 * period, new)]
     assert trace.to_csv() == _one_edge_per_call(stimulus, t_end_ns).to_csv()
+
+
+_data_word = st.one_of(
+    st.builds(lambda a, p: DataWord(WordType.BIAS, a, p, 12),
+              st.integers(0, 8), st.integers(0, 4095)),
+    st.builds(lambda a, p: DataWord(WordType.RF, a, p, 10),
+              st.integers(0, 255), st.integers(0, 1023)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(word=_data_word, old=st.integers(0, 4095), start=st.integers(0, 10 ** 6),
+       blocks=st.lists(st.tuples(st.integers(0, 40), st.integers(0, 10 ** 13)), max_size=8))
+def test_a_word_in_blocks_matches_the_clocked_reception(word, old, start, blocks):
+    # Reference: DataInputController.step fed the word's frame, then zeros,
+    # from the same old register value. The simulator advances the word in
+    # blocks: a horizon in the size-th clock period after the block's first
+    # clock bounds it to that many clocks, or to its first clock alone for a
+    # horizon at or before it (size 0). After every block the rows so far and
+    # the register must match.
+    old &= (1 << word.width) - 1
+    sim = Simulator(baseline_scenario())
+    period = sim.t_rf_ticks
+    bank = sim.memory.bias if word.kind is WordType.BIAS else sim.memory.rf
+    bank[word.address] = old
+    sim._frames.append(word)
+
+    ref_memory = MemoryBank(12, 10, len(sim.memory.bias), len(sim.memory.rf))
+    ref_bank = ref_memory.bias if word.kind is WordType.BIAS else ref_memory.rf
+    ref_bank[word.address] = old
+    ref = DataInputController(ref_memory, 12, 10)
+    bits = encode_dataword(word)
+    n_clocks = len(bits) + word.width
+    t0 = start * period
+    rows, registers = [], []
+    for j in range(n_clocks):
+        t = t0 + j * period
+        rows += [(t, s, v) for s, v in ref.step(int(bits[j]) if j < len(bits) else 0)]
+        registers.append(ref_bank[word.address])
+    assert not ref.busy
+
+    clock = 0
+    for size, lag in blocks:
+        if clock + max(1, size) >= n_clocks:
+            break
+        t = t0 + clock * period
+        horizon = t + size * period - lag % period
+        sim.horizon = lambda: horizon
+        clock += max(1, size)
+        assert sim._word_clock_event(t, None) == t0 + clock * period
+        assert sim.trace.events == [r for r in rows if r[0] < t0 + clock * period]
+        assert bank[word.address] == registers[clock - 1]
+    sim.horizon = lambda: t0 + n_clocks * period + 10 ** 15
+    assert sim._word_clock_event(t0 + clock * period, None) is None
+    assert sim.trace.events == rows
+    assert bank[word.address] == registers[-1] == word.payload
+    assert not sim._frames and sim._frame_pos == 0
 
 
 def _counting(counts, key, fn):
