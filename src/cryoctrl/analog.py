@@ -65,17 +65,10 @@ def derived_clocks(sc: Scenario) -> Clocks:
 class SampleHoldDesign:
     n_channels: int
     c_h: float
-    r_off: float
-    r_on: float
 
 
 def sample_hold_from(sc: Scenario) -> SampleHoldDesign:
-    return SampleHoldDesign(
-        n_channels=sc.spec.n_bias_signals,
-        c_h=sc.c_h,
-        r_off=sc.tech.r_off_effective(),
-        r_on=sc.tech.r_on,
-    )
+    return SampleHoldDesign(n_channels=sc.spec.n_bias_signals, c_h=sc.c_h)
 
 
 def sh_area(design: SampleHoldDesign, tech: TechnologyParams) -> float:

@@ -20,6 +20,7 @@ from .config import ConfigError, DacArchitecture, Scenario, escape_controls, loa
 from .report import (
     SWEEP_PARAMS,
     assemble,
+    csv_text,
     dac_sweep,
     dac_sweep_csv,
     qubit_capacity,
@@ -123,7 +124,8 @@ def _cmd_bounds(args) -> str:
                       for name, b in rows})
     if args.format == "csv":
         lines = ["bound,kind,value,binding"]
-        lines += [f"{name},{b.kind.value},{b.value!r},\"{b.binding_spec}\"" for name, b in rows]
+        lines += [f"{name},{b.kind.value},{b.value!r},{csv_text(b.binding_spec)}"
+                  for name, b in rows]
     else:
         width = max(len(name) for name, _ in rows)
         lines = [f"{name:<{width}}  {b.kind.value:<16} {b.value:.6g}  ({b.binding_spec})"

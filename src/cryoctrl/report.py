@@ -117,6 +117,14 @@ SWEEP_CSV_HEADER = ",".join(
 )
 
 
+def csv_text(text: str) -> str:
+    """``text`` as one CSV cell (RFC 4180): in double quotes, with each inner
+    quote doubled, where it holds a comma, a quote or a line break."""
+    if "," in text or '"' in text or "\n" in text or "\r" in text:
+        return '"' + text.replace('"', '""') + '"'
+    return text
+
+
 @dataclass(frozen=True)
 class SweepRow:
     param: str
@@ -155,7 +163,7 @@ def sweep_csv(rows: list[SweepRow]) -> str:
             cells = empty
         else:
             cells = [repr(x) for _, area, power in row.report.rows() for x in (area, power)]
-        lines.append(",".join([row.param, repr(row.value), *cells, row.status]))
+        lines.append(",".join([row.param, repr(row.value), *cells, csv_text(row.status)]))
     return "\n".join(lines) + "\n"
 
 

@@ -1,4 +1,6 @@
+import csv
 import hashlib
+import io
 import json
 import subprocess
 import sys
@@ -174,22 +176,30 @@ def test_simulate_bad_until_is_usage_error(capsys, scenario_dir, tmp_path, until
     assert "--until" in err
 
 
-def test_simulate_over_run_budget_fails_fast(scenario_dir, tmp_path, src_env):
+# the events end by 150 us; the quiet refresh rounds after them cost nothing
+_EARLY_STIMULUS = "".join(f"0 write-bias {e} {511 * (e + 1)}\n" for e in range(8)) + (
+    "0 write-rf 0 512\n20000 play 0 0 0 0\n150000 write-bias 3 100\n")
+
+
+def test_simulate_far_past_the_events_finishes_fast(scenario_dir, tmp_path, src_env):
     stim = tmp_path / "stim.txt"
-    stim.write_text("0 write-bias 0 2048\n")
-    t0 = time.perf_counter()
-    proc = subprocess.run(
-        [sys.executable, "-m", "cryoctrl.cli", "simulate", "--scenario",
-         str(scenario_dir / "paper-defaults.json"), "--stimulus", str(stim),
-         "--until", "1e30ns"],
-        capture_output=True, text=True, env=src_env, timeout=10)
-    assert time.perf_counter() - t0 < 1.0
-    assert proc.returncode != 0
-    assert "bias conversions" in proc.stderr and "Traceback" not in proc.stderr
+    stim.write_text(_EARLY_STIMULUS)
+    argv = [sys.executable, "-m", "cryoctrl.cli", "simulate", "--scenario",
+            str(scenario_dir / "paper-defaults.json"), "--stimulus", str(stim), "--until"]
+    short = subprocess.run([*argv, "300us"], capture_output=True, text=True, env=src_env,
+                           timeout=10)
+    assert short.returncode == 0
+    for until in ("1e30ns", "1.7e308ns"):
+        t0 = time.perf_counter()
+        proc = subprocess.run([*argv, until], capture_output=True, text=True, env=src_env,
+                              timeout=10)
+        assert time.perf_counter() - t0 < 1.0
+        assert proc.returncode == 0 and "Traceback" not in proc.stderr
+        assert (proc.stdout, proc.stderr) == (short.stdout, short.stderr)
 
 
 def test_simulate_over_ramp_budget_fails_fast(scenario_dir, tmp_path, src_env):
-    # 9 s is within MAX_CONVERSIONS, but ramp mode would step on every one
+    # ramp mode would step on every conversion of the 9 s
     stim = tmp_path / "stim.txt"
     stim.write_text("0 ramp-mode on\n")
     t0 = time.perf_counter()
@@ -201,6 +211,26 @@ def test_simulate_over_ramp_budget_fails_fast(scenario_dir, tmp_path, src_env):
     assert time.perf_counter() - t0 < 1.0
     assert proc.returncode == 2 and proc.stdout == ""
     assert len(proc.stderr.splitlines()) == 1 and "ramp steps" in proc.stderr
+
+
+@pytest.mark.parametrize("call", [
+    ("bounds", "--format", "csv"),
+    ("estimate", "--format", "csv"),
+    ("sweep", "--param", "n_bias", "--points", "0,1,8,12,25"),
+    ("sweep", "--param", "v_dd", "--points", "1e308,1,-0.1"),
+    ("sweep", "--unit", "dac"),
+    ("simulate", "--until", "300us"),
+], ids=" ".join)
+def test_every_csv_parses_into_rows_as_wide_as_its_header(capsys, scenario_dir, tmp_path,
+                                                          call):
+    stim = tmp_path / "stim.txt"
+    stim.write_text(_EARLY_STIMULUS)
+    extra = ("--stimulus", str(stim)) if call[0] == "simulate" else ()
+    code, out, _ = run_cli(capsys, call[0], "--scenario",
+                           str(scenario_dir / "paper-defaults.json"), *call[1:], *extra)
+    assert code == 0
+    header, *rows = csv.reader(io.StringIO(out, newline=""))
+    assert rows and all(len(row) == len(header) for row in rows)
 
 
 def _scenario_file(tmp_path, data) -> str:
@@ -481,7 +511,7 @@ GOLDEN_SHA256 = {
     "14nm-sram-10mv bounds-csv": "7f0fa62bd731b6a4ef7655c300bc375f1f28c40326371d6ccbe37b6391573ae8",
     "14nm-sram-10mv bounds-json": "15265d31cf21af8f36814d9dfc1e02df2d3dc99d63ec8e27d6d8d46a20621eab",
     "14nm-sram-10mv sweep-v_dd": "4737d13ac45acaf0c74046c0cfa7b86d42322a8615e9beff74d4760e753c0883",
-    "14nm-sram-10mv sweep-n_bias": "c0f4b153c1ff23094389180fe4479d7803ec5ef908123764812564a6bf57da2a",
+    "14nm-sram-10mv sweep-n_bias": "a898dcfcb59cd66850c1be775eb80c53bc0db971fc9b1f336fe5eee524e136fb",
     "14nm-sram-10mv sweep-dac-bias": "7081e5c2378db98c9d8f28ac6c33fff5dbdd224adfe7b813f14b42495f13315a",
     "14nm-sram-10mv sweep-dac-rf": "dbe2be6589facce1c6d9cd0aea6a0810d0f630df9338861f6c809cc24fbcdb79",
     "14nm-sram-10mv capacity-json": "9bd1f6ff4a4303f0b338ffbbfb96e0d6bb6197cb195b143a38070d3931fd60ba",
@@ -493,7 +523,7 @@ GOLDEN_SHA256 = {
     "65nm-ff-1v bounds-csv": "7f0fa62bd731b6a4ef7655c300bc375f1f28c40326371d6ccbe37b6391573ae8",
     "65nm-ff-1v bounds-json": "15265d31cf21af8f36814d9dfc1e02df2d3dc99d63ec8e27d6d8d46a20621eab",
     "65nm-ff-1v sweep-v_dd": "24ae9df72dc7c8a8b28c81d29a8ad9d3e8be51fcca6503af70b459073a7f2dee",
-    "65nm-ff-1v sweep-n_bias": "3116e7ed0bd94738e2d7a1f389271765607155c1699cdc59b92b50528ca67c64",
+    "65nm-ff-1v sweep-n_bias": "0067f6167ed19506a90da976054d376a1ea0a3b062124ee2b0c3f16655535359",
     "65nm-ff-1v sweep-dac-bias": "06c3212e5c7883accae0aeee70c933fc06b1393dc8094839e52aab8b7890e38a",
     "65nm-ff-1v sweep-dac-rf": "91a763592e462fa4ccb7ef7ba2b965e27f53c19687deec48c39f29d09ed017bb",
     "65nm-ff-1v capacity-json": "d2121f54c5a78dc9111fe210188b460afe4f89bfb6e8cdd61621ab254734db2f",
@@ -505,7 +535,7 @@ GOLDEN_SHA256 = {
     "65nm-sram-100mv bounds-csv": "7f0fa62bd731b6a4ef7655c300bc375f1f28c40326371d6ccbe37b6391573ae8",
     "65nm-sram-100mv bounds-json": "15265d31cf21af8f36814d9dfc1e02df2d3dc99d63ec8e27d6d8d46a20621eab",
     "65nm-sram-100mv sweep-v_dd": "94fdc920d0f277dcedcec1db10cf43e6b8fff16d3c7f3292f4d3fcfdfa9f0c8d",
-    "65nm-sram-100mv sweep-n_bias": "3f9903feb1a27473f42344726d6e8173c01d84f3c7c1b9746eb48c2cb4118516",
+    "65nm-sram-100mv sweep-n_bias": "291b71f895300bd2b32ba00957d1900b624ebb4b4c780638483364410782a3cc",
     "65nm-sram-100mv sweep-dac-bias": "eab8ce4be308f65b6852e8fa64a7234302245ae092caf391e935e1e6dff880ef",
     "65nm-sram-100mv sweep-dac-rf": "10f0aff96688dda2b5b3a6a08af562a14198efc406029e65b6320e7403173911",
     "65nm-sram-100mv capacity-json": "abebfb8e27fbdf51c18bc9d41c9181927a5beb78d66bc18cc8b83f08922a48cb",
@@ -517,7 +547,7 @@ GOLDEN_SHA256 = {
     "65nm-sram-1v bounds-csv": "7f0fa62bd731b6a4ef7655c300bc375f1f28c40326371d6ccbe37b6391573ae8",
     "65nm-sram-1v bounds-json": "15265d31cf21af8f36814d9dfc1e02df2d3dc99d63ec8e27d6d8d46a20621eab",
     "65nm-sram-1v sweep-v_dd": "94fdc920d0f277dcedcec1db10cf43e6b8fff16d3c7f3292f4d3fcfdfa9f0c8d",
-    "65nm-sram-1v sweep-n_bias": "d51d71e58c7d0ed0ab8c624d7024572ca33e9ae0e1aa0b2ae0b9da77af5741a2",
+    "65nm-sram-1v sweep-n_bias": "63099fc74f72ea2119a615d8b58f1ddcb009657579a8f1b9b90faf7bddc44dfc",
     "65nm-sram-1v sweep-dac-bias": "06c3212e5c7883accae0aeee70c933fc06b1393dc8094839e52aab8b7890e38a",
     "65nm-sram-1v sweep-dac-rf": "91a763592e462fa4ccb7ef7ba2b965e27f53c19687deec48c39f29d09ed017bb",
     "65nm-sram-1v capacity-json": "994501809c34fb0a3b460ab052d4f3f70d185da17319f071475afe95dc7bd3e8",
@@ -529,7 +559,7 @@ GOLDEN_SHA256 = {
     "paper-defaults bounds-csv": "7f0fa62bd731b6a4ef7655c300bc375f1f28c40326371d6ccbe37b6391573ae8",
     "paper-defaults bounds-json": "15265d31cf21af8f36814d9dfc1e02df2d3dc99d63ec8e27d6d8d46a20621eab",
     "paper-defaults sweep-v_dd": "24ae9df72dc7c8a8b28c81d29a8ad9d3e8be51fcca6503af70b459073a7f2dee",
-    "paper-defaults sweep-n_bias": "3116e7ed0bd94738e2d7a1f389271765607155c1699cdc59b92b50528ca67c64",
+    "paper-defaults sweep-n_bias": "0067f6167ed19506a90da976054d376a1ea0a3b062124ee2b0c3f16655535359",
     "paper-defaults sweep-dac-bias": "06c3212e5c7883accae0aeee70c933fc06b1393dc8094839e52aab8b7890e38a",
     "paper-defaults sweep-dac-rf": "91a763592e462fa4ccb7ef7ba2b965e27f53c19687deec48c39f29d09ed017bb",
     "paper-defaults capacity-json": "d2121f54c5a78dc9111fe210188b460afe4f89bfb6e8cdd61621ab254734db2f",

@@ -941,7 +941,7 @@ def _run_counting_conversions(scenario, stimulus, t_end_ns):
 def _per_conversion(scenario, stimulus, t_end_ns):
     """The reference: every conversion runs, no round is skipped."""
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(engine.BiasController, "skip_quiet_rounds", lambda self: None)
+        mp.setattr(engine.BiasController, "skip_quiet_rounds", lambda self, horizon: None)
         return _run_counting_conversions(scenario, stimulus, t_end_ns)
 
 
@@ -984,12 +984,38 @@ def test_quiet_rounds_cost_nothing():
     stimulus = "".join(f"0 write-bias {e} {511 * (e + 1)}\n" for e in range(8))
     fast, fast_refreshes = _run_counting_refreshes(scenario, stimulus, 1e6)
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(engine.BiasController, "skip_quiet_rounds", lambda self: None)
+        mp.setattr(engine.BiasController, "skip_quiet_rounds", lambda self, horizon: None)
         slow, slow_refreshes = _run_counting_refreshes(scenario, stimulus, 1e6)
     assert slow_refreshes > 100_000
     assert fast_refreshes < 100
     assert fast.to_csv() == slow.to_csv()
     assert fast.stats == slow.stats
+
+
+@settings(max_examples=60, deadline=None)
+@given(name=st.sampled_from(sorted(_SCENARIOS_FOR_SKIP)),
+       commands=st.lists(st.tuples(st.floats(0, 39_999),
+                                  _skip_command.filter(lambda c: c[0] != "ramp-window")),
+                         max_size=12))
+def test_a_run_far_past_the_last_command_ends_as_a_short_one(name, commands):
+    # After the last command, every refresh round is quiet: a run to any
+    # later end gives the same trace and droop, and costs at most the
+    # conversions of one more partial round
+    scenario = _SCENARIOS_FOR_SKIP[name]
+    n = scenario.spec.n_bias_signals
+    lines = []
+    for t_ns, (op, *args) in commands:
+        if op == "write-bias":
+            args[0] %= n + 1
+        lines.append(f"{t_ns!r} {op} " + " ".join(map(str, args)))
+    stimulus = "\n".join(lines) + "\n"
+    short, short_refreshes = _run_counting_refreshes(scenario, stimulus, 300e3)
+    for t_end_ns in (10e9, 1e30, 1.7e308):
+        long, long_refreshes = _run_counting_refreshes(scenario, stimulus, t_end_ns)
+        assert long.to_csv() == short.to_csv()
+        assert (long.stats["max_refresh_deviation_v"]
+                == short.stats["max_refresh_deviation_v"])
+        assert long_refreshes <= short_refreshes + n
 
 
 @settings(max_examples=80, deadline=None)
