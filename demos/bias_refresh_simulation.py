@@ -21,7 +21,7 @@ stimulus = "\n".join(stimulus_lines)
 sim = Simulator(sc)
 trace = sim.run(stimulus, 1_020_000.0)
 Path("bias_refresh_trace.csv").write_text(trace.to_csv())
-print(f"wrote bias_refresh_trace.csv ({len(trace.events)} events)")
+print(f"wrote bias_refresh_trace.csv ({len(trace)} events)")
 
 print(f"\nrefresh rate {sim.f_clk_bias / 2:.4g} Hz, each electrode served every "
       f"{8 / (sim.f_clk_bias / 2) * 1e6:.2f} us")

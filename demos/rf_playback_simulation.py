@@ -27,7 +27,7 @@ lines.append("30045 play 2 2 2 2   # staging full: dropped and flagged")
 
 trace = run_simulation(sc, "\n".join(lines), 90_000.0)
 Path("rf_playback_trace.csv").write_text(trace.to_csv())
-print(f"wrote rf_playback_trace.csv ({len(trace.events)} events)")
+print(f"wrote rf_playback_trace.csv ({len(trace)} events)")
 
 samples = trace.of("rf_a")
 spacing = samples[1].t_ns - samples[0].t_ns

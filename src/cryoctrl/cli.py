@@ -193,7 +193,7 @@ def _cmd_simulate(args) -> str:
     if args.vcd:
         Path(args.vcd).write_text(trace.to_vcd_text())
     summary = {
-        "events": len(trace.events),
+        "events": len(trace),
         "max_refresh_deviation_v": max(trace.stats["max_refresh_deviation_v"]),
         "rf_samples_emitted": trace.stats["rf_samples_emitted"],
         "backpressure_count": trace.stats["backpressure_count"],

@@ -154,7 +154,6 @@ class TechnologyParams:
     a_mos: float = 0.375           # um^2, mean transistor area
     c_mos: float = 150e-18         # F, mean transistor gate capacitance
     r_off: float = 1e12            # ohm, switch off-resistance
-    r_on: float = 5e3              # ohm, switch on-resistance
     r_min: float = 15.0            # ohm, minimum poly resistor
     c_min: float = 10e-15          # F, minimum MIM capacitor
     v_dd: float = 1.0              # V, nominal digital supply

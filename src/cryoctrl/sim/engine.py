@@ -26,6 +26,9 @@ gives the trace of one edge per call:
   stops. In refresh mode, once a full round has run since the last bias
   write clock or ramp-mode command, the rounds up to the next event repeat
   it and are skipped in closed form (``BiasController.skip_quiet_rounds``).
+  In ramp mode the target and the mode hold up to the next event, so the
+  steps before it run as one block: ``refresh_electrode`` for the first,
+  which alone can recharge, then the code up by one a step.
 - ``Simulator._word_clock_event``, the serial data line: one RF clock per
   frame bit of the data word in flight, then one per payload bit shifted
   into its register, then the next queued word. One closed form advances
@@ -80,7 +83,7 @@ from __future__ import annotations
 import heapq
 import math
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from operator import attrgetter
 from pathlib import Path
 from typing import NamedTuple
@@ -108,10 +111,11 @@ TICKS_PER_S = 10**21
 
 # The one run limit. Quiet refresh rounds are skipped in closed form, so a
 # run's host time follows its stimulus events and its ramp steps, not its
-# simulated time. Ramp mode steps on every conversion: ~1.9 us of host time
-# each, ~3.6 us and ~0.4 kB of memory with the trace CSV (2-core Xeon,
-# Python 3.11). 10^6 steps are ~0.92 s simulated at the defaults, or ~244
-# full 12-bit staircases.
+# simulated time. Ramp mode steps on every conversion, in blocks up to the
+# next queued event: ~0.45 us of host time a step, ~1.5 us and ~0.22 kB of
+# peak memory with the trace CSV (10^5 steps, 2-core Xeon, Python 3.11).
+# 10^6 steps are ~0.92 s simulated at the defaults, or ~244 full 12-bit
+# staircases.
 MAX_RAMP_STEPS = 1_000_000
 
 # The largest relative error of a clock period rounded to whole ticks. A
@@ -155,50 +159,94 @@ class TraceEvent(NamedTuple):
         return self.t / TICKS_PER_NS
 
 
-@dataclass
 class Trace:
-    """Time-ordered signal events plus simulation statistics."""
+    """Time-ordered signal events plus simulation statistics.
 
-    events: list[TraceEvent] = field(default_factory=list)
-    stats: dict = field(default_factory=dict)
+    The events are kept as three parallel columns, one entry per row: the
+    tick, the signal's index and an integer code. Each signal has one exact
+    decoder from its code to its value, registered with ``signal``; a pulse
+    DAC code decodes to ``code * rf_lsb`` and an electrode's bias code to
+    ``code / 2**n_bias * v_range_bias``, as the simulator computes them.
+    ``emit`` appends a row holding any value itself. ``TraceEvent`` rows are
+    built only where they are read (``events``, ``of``).
+    """
 
-    def emit(self, t: int, signal: str, value: float):
-        self.events.append(TraceEvent(t, signal, value))
+    def __init__(self):
+        self.ticks: list[int] = []
+        self.signal_ids: list[int] = []
+        self.codes: list[int] = []
+        self.stats: dict = {}
+        self._names: list[str] = []   # by signal index
+        self._decoders: list = []     # by signal index: code -> value
+        self._emitted: dict[str, int] = {}   # emit's signals, by name
+        self._values: list = []       # emit's values, by code
+
+    def signal(self, name: str, decode) -> int:
+        """Register a signal whose codes ``decode`` maps to values; return its index."""
+        self._names.append(name)
+        self._decoders.append(decode)
+        return len(self._names) - 1
+
+    def append(self, t: int, signal: int, code: int):
+        self.ticks.append(t)
+        self.signal_ids.append(signal)
+        self.codes.append(code)
+
+    def extend(self, ticks: list[int], signals: list[int], codes: list[int]):
+        self.ticks += ticks
+        self.signal_ids += signals
+        self.codes += codes
+
+    def emit(self, t: int, signal: str, value):
+        """Append a row of ``signal`` that holds ``value`` itself."""
+        index = self._emitted.get(signal)
+        if index is None:
+            index = self._emitted[signal] = self.signal(signal, self._values.__getitem__)
+        self.append(t, index, len(self._values))
+        self._values.append(value)
+
+    def __len__(self) -> int:
+        return len(self.ticks)
+
+    @property
+    def events(self) -> list[TraceEvent]:
+        names, decoders = self._names, self._decoders
+        return [TraceEvent(t, names[s], decoders[s](c))
+                for t, s, c in zip(self.ticks, self.signal_ids, self.codes)]
 
     def signals(self) -> set[str]:
-        return {e.signal for e in self.events}
+        return {self._names[s] for s in set(self.signal_ids)}
 
     def of(self, signal: str) -> list[TraceEvent]:
-        return [e for e in self.events if e.signal == signal]
+        wanted = {s for s, name in enumerate(self._names) if name == signal}
+        decoders = self._decoders
+        return [TraceEvent(t, signal, decoders[s](c))
+                for t, s, c in zip(self.ticks, self.signal_ids, self.codes) if s in wanted]
 
-    def _text_rows(self) -> list[tuple[str, str, str]]:
-        """Each event as ``(repr(t_ns), signal, repr(value))``; each time is
-        formatted once for its run of events and each float once per trace,
-        but zeros each time (``0.0 == -0.0``)."""
+    def _text_rows(self, prefix: str, sep: str) -> list[str]:
+        """Each row as ``prefix + repr(t_ns) + sep + signal + sep + repr(value)``. A
+        time is formatted once for the run of rows at its tick, and a signal
+        and value once for each distinct ``(signal, code)``."""
+        names, decoders = self._names, self._decoders
+        texts = [{} for _ in names]   # by signal, then code: signal + sep + value
         rows = []
         append = rows.append
-        values = {}
         last = t_text = None
-        for t, s, v in self.events:
+        for t, s, c in zip(self.ticks, self.signal_ids, self.codes):
             if t != last:
-                last, t_text = t, repr(t / TICKS_PER_NS)
-            if v and type(v) is float:   # an int equal to a cached float is not its text
-                v_text = values.get(v)
-                if v_text is None:
-                    v_text = values[v] = repr(v)
-            else:
-                v_text = repr(v)
-            append((t_text, s, v_text))
+                last, t_text = t, f"{prefix}{t / TICKS_PER_NS!r}{sep}"
+            text = texts[s].get(c)
+            if text is None:
+                text = texts[s][c] = f"{names[s]}{sep}{decoders[s](c)!r}"
+            append(t_text + text)
         return rows
 
     def to_csv(self) -> str:
-        lines = ["t_ns,signal,value"]
-        lines += [f"{t},{s},{v}" for t, s, v in self._text_rows()]
-        return "\n".join(lines) + "\n"
+        return "\n".join(["t_ns,signal,value", *self._text_rows("", ",")]) + "\n"
 
     def to_vcd_text(self) -> str:
         """Minimal value-change dump: one '#<t_ns> <signal> <value>' per event."""
-        return "\n".join(f"#{t} {s} {v}" for t, s, v in self._text_rows()) + "\n"
+        return "\n".join(self._text_rows("#", " ")) + "\n"
 
 
 # ---------------------------------------------------------------------------
@@ -301,18 +349,34 @@ class BiasController:
         sim = self.sim
         horizon = sim.horizon()
         period, n, bias = sim.conversion_period_ticks, sim.n_electrodes, sim.memory.bias
-        while True:
-            if self.ramp_mode:
-                target, code = bias[n] % n, self.ramp_counter
-                self.ramp_counter = (code + 1) % (1 << sim.n_bias)
-            else:
-                target = self.electrode_counter
-                code = bias[target]
-                self.electrode_counter = (target + 1) % n
+        if self.ramp_mode:
+            # The mode and the target register hold up to the horizon, and
+            # each step raises the code by one, so only the first step can
+            # recharge its electrode: the later steps before the horizon run
+            # as one block, each emitting on change.
+            target, code, size = bias[n] % n, self.ramp_counter, 1 << sim.n_bias
             sim.refresh_electrode(t, target, code)
+            cap, bias_value = sim.caps[target], sim.bias_value
+            steps = range(t + period, horizon, period)
+            v, ticks, codes = cap.v, [], []
+            for t in steps:
+                code = (code + 1) % size
+                v_step = bias_value(code)
+                if v_step != v:
+                    ticks.append(t)
+                    codes.append(code)
+                v = v_step
+            sim.trace.extend(ticks, [sim.bias_signals[target]] * len(ticks), codes)
+            cap.v, cap.t_set, cap.code = v, t, code
+            self.ramp_counter = (code + 1) % size
+            self.index += 1 + len(steps)
+            return self.index * period
+        while True:
+            target = self.electrode_counter
+            self.electrode_counter = (target + 1) % n
+            sim.refresh_electrode(t, target, bias[target])
             self.index += 1
-            if not self.ramp_mode:
-                self.skip_quiet_rounds(horizon)
+            self.skip_quiet_rounds(horizon)
             t = self.index * period
             if t >= horizon:
                 return t
@@ -373,7 +437,7 @@ class RfController:
     def command_received(self, t: int, cmd: RfCommandWord):
         sim = self.sim
         if self.staging is not None:
-            sim.trace.emit(t, "rf_cmd_ignored", 1.0)
+            sim.trace.append(t, sim.control_signals["rf_cmd_ignored"], 1)
             sim.backpressure_count += 1
             return
         self.staging = cmd
@@ -386,16 +450,15 @@ class RfController:
     def _latch_from_staging(self, t: int):
         self.latched.extend(self.staging.pairs())
         self.staging = None
-        self.sim.trace.emit(t, "latch_transfer", 1.0)
+        self.sim.trace.append(t, self.sim.control_signals["latch_transfer"], 1)
 
     def sample_edge(self, t: int, _) -> int | None:
         """Emit the samples from ``t`` up to the next queued event; return the
         next sample edge, or ``None`` once the clock stops."""
         sim = self.sim
         horizon = sim.horizon()
-        period, l_pulse, rf, lsb = sim.sample_period_ticks, sim.l_pulse, sim.memory.rf, sim.rf_lsb
-        # a TraceEvent without the NamedTuple's Python-level __new__, ~0.15 us less
-        append, row = sim.trace.events.append, tuple.__new__
+        period, l_pulse, rf = sim.sample_period_ticks, sim.l_pulse, sim.memory.rf
+        trace, pair = sim.trace, sim.rf_signals
         while True:
             if self.active is None:
                 self.active = self.latched.pop(0)
@@ -404,17 +467,20 @@ class RfController:
             k = self.sample_counter
             # this edge and the sequence's later edges before the horizon
             stop = min(l_pulse, k + 1 + max(0, (horizon - t - 1) // period))
-            addr_a, addr_b = id_a * l_pulse, id_b * l_pulse
-            for j in range(k, stop):
-                append(row(TraceEvent, (t, "rf_a", rf[addr_a + j] * lsb)))
-                append(row(TraceEvent, (t, "rf_b", rf[addr_b + j] * lsb)))
-                t += period
-            sim.rf_samples_emitted += stop - k
+            # the block's rows, rf_a then rf_b at each edge
+            m, addr_a, addr_b = stop - k, id_a * l_pulse + k, id_b * l_pulse + k
+            edges = list(range(t, t + m * period, period))
+            ticks, codes = [0] * (2 * m), [0] * (2 * m)
+            ticks[::2] = ticks[1::2] = edges
+            codes[::2], codes[1::2] = rf[addr_a:addr_a + m], rf[addr_b:addr_b + m]
+            trace.extend(ticks, pair * m, codes)
+            t += m * period
+            sim.rf_samples_emitted += m
             self.sample_counter = stop
             if stop < l_pulse:
                 return t
             last = t - period
-            sim.trace.emit(last, "end_sequ", 1.0)
+            trace.append(last, sim.control_signals["end_sequ"], 1)
             self.active = None
             # the latch array holds one command word; staging transfers in
             # only once both of its sets have been consumed
@@ -491,7 +557,25 @@ class Simulator:
         self.rf_ctrl = RfController(self)
         self.caps = [HoldCap() for _ in range(self.n_electrodes)]
 
-        self.trace = Trace()
+        # each signal and its exact decoder; an electrode's voltage is computed
+        # by its decoder only, in the run as in the trace text
+        self.trace = trace = Trace()
+        rf_lsb, bias_size, v_range_bias = self.rf_lsb, 1 << self.n_bias, self.v_range_bias
+
+        def rf_value(code):
+            return code * rf_lsb
+
+        def bias_value(code):
+            return code / bias_size * v_range_bias
+
+        self.bias_value = bias_value
+        self.rf_signals = [trace.signal(name, rf_value) for name in ("rf_a", "rf_b")]
+        self.bias_signals = [trace.signal(f"bias_e{e}", bias_value)
+                             for e in range(self.n_electrodes)]
+        # the other signals hold 0.0, 1.0 or a register address
+        self.control_signals = {name: trace.signal(name, float) for name in (
+            "write_select", "write_enable", "feedback", "latch_transfer", "end_sequ",
+            "rf_cmd_ignored", "ramp_mode")}
         self.max_refresh_deviation = [0.0] * self.n_electrodes
         self.backpressure_count = 0
         self.rf_samples_emitted = 0
@@ -519,14 +603,14 @@ class Simulator:
 
     def refresh_electrode(self, t: int, electrode: int, code: int):
         cap = self.caps[electrode]
-        v_ideal = code / (1 << self.n_bias) * self.v_range_bias
+        v_ideal = self.bias_value(code)
         if cap.code == code:   # a recharge: measure the droop since the last one
             dev = abs(v_ideal - cap.voltage(t, self.tau_s))
             if dev > self.max_refresh_deviation[electrode]:
                 self.max_refresh_deviation[electrode] = dev
         # the hold capacitor holds the last emitted value, 0 V at start
         if v_ideal != cap.v:
-            self.trace.emit(t, f"bias_e{electrode}", v_ideal)
+            self.trace.append(t, self.bias_signals[electrode], code)
         cap.v = v_ideal
         cap.t_set = t
         cap.code = code
@@ -537,7 +621,9 @@ class Simulator:
         """Clock the serial line from ``t`` up to the next queued event; return
         the next clock, or ``None`` once no word is left."""
         horizon = self.horizon()
-        period, frames, emit = self.t_rf_ticks, self._frames, self.trace.emit
+        period, frames, append = self.t_rf_ticks, self._frames, self.trace.append
+        select, enable, feedback = (self.control_signals[name] for name in
+                                    ("write_select", "write_enable", "feedback"))
         while True:
             word = frames[0]
             pos, w = self._frame_pos, word.width
@@ -547,8 +633,8 @@ class Simulator:
             # this clock and the word's later clocks before the horizon
             stop = min(rx + w, pos + max(0, (horizon - t - 1) // period))
             if pos <= rx <= stop:
-                emit(t + (rx - pos) * period, "write_select", float(word.address))
-                emit(t + (rx - pos) * period, "write_enable", 1.0)
+                append(t + (rx - pos) * period, select, word.address)
+                append(t + (rx - pos) * period, enable, 1)
             # write clocks run before this block, and by its end
             done, now = max(0, pos - rx - 1), max(0, stop - rx)
             if now > done:
@@ -560,8 +646,8 @@ class Simulator:
             if stop < rx + w:
                 self._frame_pos = stop + 1
                 return t + period
-            emit(t, "write_enable", 0.0)
-            emit(t, "feedback", 1.0)
+            append(t, enable, 0)
+            append(t, feedback, 1)
             # feedback issued; the next queued word may start on the next clock
             frames.popleft()
             self._frame_pos = 0
@@ -585,7 +671,7 @@ class Simulator:
 
     def _ramp_mode_event(self, t: int, on: bool):
         self.bias_ctrl.ramp_mode = on
-        self.trace.emit(t, "ramp_mode", 1.0 if on else 0.0)
+        self.trace.append(t, self.control_signals["ramp_mode"], int(on))
 
     def _event(self, cmd: Command):
         """The handler of ``cmd`` and its checked argument."""

@@ -503,10 +503,10 @@ GOLDEN_CALLS = {
 }
 
 GOLDEN_SHA256 = {
-    "14nm-sram-10mv estimate-json": "9103a964d154f4bb10c278552c303b917150f15056d71f889c9d497aa7bf9bab",
+    "14nm-sram-10mv estimate-json": "1afcecaf9236348ee75865f712a0b228897a9339aefc235f1d2a77fae8efdc22",
     "14nm-sram-10mv estimate-csv": "fab375001d5bd726050664945f37010c50c47285d1a6da2671a35e5f80b61d7a",
     "14nm-sram-10mv estimate-text": "2477647d3485abb6e566f7a714a2d243096ca0b6587dc3ce126e6e73621b5ff7",
-    "14nm-sram-10mv estimate-data-input": "83ea2629d262fa4bd065ff4d9c712f641b54f7280c2cebbf8ccdf65d3d91ae80",
+    "14nm-sram-10mv estimate-data-input": "d89f13f22df73aa57fa0e401ab6d40fa573808e9c055c67825f7e7212a2dc9ac",
     "14nm-sram-10mv bounds-text": "5adbde190d4da22063325a494ae17f0612032fd959c93b1ea3d20e8b407d795c",
     "14nm-sram-10mv bounds-csv": "7f0fa62bd731b6a4ef7655c300bc375f1f28c40326371d6ccbe37b6391573ae8",
     "14nm-sram-10mv bounds-json": "15265d31cf21af8f36814d9dfc1e02df2d3dc99d63ec8e27d6d8d46a20621eab",
@@ -515,10 +515,10 @@ GOLDEN_SHA256 = {
     "14nm-sram-10mv sweep-dac-bias": "7081e5c2378db98c9d8f28ac6c33fff5dbdd224adfe7b813f14b42495f13315a",
     "14nm-sram-10mv sweep-dac-rf": "dbe2be6589facce1c6d9cd0aea6a0810d0f630df9338861f6c809cc24fbcdb79",
     "14nm-sram-10mv capacity-json": "9bd1f6ff4a4303f0b338ffbbfb96e0d6bb6197cb195b143a38070d3931fd60ba",
-    "65nm-ff-1v estimate-json": "762a4150217392d0745ab21acd83919205131240242e543c63c65f1507c22d67",
+    "65nm-ff-1v estimate-json": "3d1fd7a262ca60ec42a2015e1b28ca9132ce6053c76064d0532cc40492a6e976",
     "65nm-ff-1v estimate-csv": "fdb1a98e9029ac5c5170d3d83ece4ca4d84de40358ebc42b1611f4b3f400818d",
     "65nm-ff-1v estimate-text": "e0c383f6113c7f6e35592162ec56d3f689cfb17753c17548823a2fc1ae9f8200",
-    "65nm-ff-1v estimate-data-input": "5ca2d5e9f519ac5db6688cc664a8596af5a3b47b93ce836de63bb5646ae4339d",
+    "65nm-ff-1v estimate-data-input": "5d07fb3de20496669cd98c35766ff9ec4ed9e4e98a4755b0a24f4521b72a8fc6",
     "65nm-ff-1v bounds-text": "5adbde190d4da22063325a494ae17f0612032fd959c93b1ea3d20e8b407d795c",
     "65nm-ff-1v bounds-csv": "7f0fa62bd731b6a4ef7655c300bc375f1f28c40326371d6ccbe37b6391573ae8",
     "65nm-ff-1v bounds-json": "15265d31cf21af8f36814d9dfc1e02df2d3dc99d63ec8e27d6d8d46a20621eab",
@@ -527,10 +527,10 @@ GOLDEN_SHA256 = {
     "65nm-ff-1v sweep-dac-bias": "06c3212e5c7883accae0aeee70c933fc06b1393dc8094839e52aab8b7890e38a",
     "65nm-ff-1v sweep-dac-rf": "91a763592e462fa4ccb7ef7ba2b965e27f53c19687deec48c39f29d09ed017bb",
     "65nm-ff-1v capacity-json": "d2121f54c5a78dc9111fe210188b460afe4f89bfb6e8cdd61621ab254734db2f",
-    "65nm-sram-100mv estimate-json": "563d683ef49c79811a79a950aa9dd89d9291180519518ad87dfff5f8dcc08694",
+    "65nm-sram-100mv estimate-json": "8c2fab414916a23a6f5e53c2ca030dcb659134dabd896634d4f6879b31f0888a",
     "65nm-sram-100mv estimate-csv": "dccfaff9d5d63561132f808b1ce1b88d2a70555baf19bc6b6bb8b26319e52c8c",
     "65nm-sram-100mv estimate-text": "41ac4323d4fade7e49b7efd9bc1c5c6eba450c45fb21bea0df8646d455e80989",
-    "65nm-sram-100mv estimate-data-input": "12119a3f6d6e91c8b930388761ad7d27898c25a6f740ce8e04e06cf3ef8454ef",
+    "65nm-sram-100mv estimate-data-input": "c60ea7e19f6967755fbbe0ef717a23e9165c7a422dafac3ea63b7548bc218360",
     "65nm-sram-100mv bounds-text": "5adbde190d4da22063325a494ae17f0612032fd959c93b1ea3d20e8b407d795c",
     "65nm-sram-100mv bounds-csv": "7f0fa62bd731b6a4ef7655c300bc375f1f28c40326371d6ccbe37b6391573ae8",
     "65nm-sram-100mv bounds-json": "15265d31cf21af8f36814d9dfc1e02df2d3dc99d63ec8e27d6d8d46a20621eab",
@@ -539,10 +539,10 @@ GOLDEN_SHA256 = {
     "65nm-sram-100mv sweep-dac-bias": "eab8ce4be308f65b6852e8fa64a7234302245ae092caf391e935e1e6dff880ef",
     "65nm-sram-100mv sweep-dac-rf": "10f0aff96688dda2b5b3a6a08af562a14198efc406029e65b6320e7403173911",
     "65nm-sram-100mv capacity-json": "abebfb8e27fbdf51c18bc9d41c9181927a5beb78d66bc18cc8b83f08922a48cb",
-    "65nm-sram-1v estimate-json": "5beb85d97f87a5813d133f0aa88c205757a22ddefc308c98a578db9a98b7f03c",
+    "65nm-sram-1v estimate-json": "3746f8a12288b21a1da7b15035663f513627436097f55ea025662434fe67917c",
     "65nm-sram-1v estimate-csv": "e93a8824f83de638d31f6c8e684956001113e45861701c606ea97f6c8a53aeec",
     "65nm-sram-1v estimate-text": "cf44f6f87f3db0709c4956e41410f37b8aac050d52604f066a40d48c37888809",
-    "65nm-sram-1v estimate-data-input": "7296b23da30bf228d1215d502d20bb3d058246cd3007cba2b9698ef2bfb4d85f",
+    "65nm-sram-1v estimate-data-input": "d9f7ec0f5df8709ca7d8b405bbbaad69f76e79372edb77746d52e6ff94818e1e",
     "65nm-sram-1v bounds-text": "5adbde190d4da22063325a494ae17f0612032fd959c93b1ea3d20e8b407d795c",
     "65nm-sram-1v bounds-csv": "7f0fa62bd731b6a4ef7655c300bc375f1f28c40326371d6ccbe37b6391573ae8",
     "65nm-sram-1v bounds-json": "15265d31cf21af8f36814d9dfc1e02df2d3dc99d63ec8e27d6d8d46a20621eab",
@@ -551,10 +551,10 @@ GOLDEN_SHA256 = {
     "65nm-sram-1v sweep-dac-bias": "06c3212e5c7883accae0aeee70c933fc06b1393dc8094839e52aab8b7890e38a",
     "65nm-sram-1v sweep-dac-rf": "91a763592e462fa4ccb7ef7ba2b965e27f53c19687deec48c39f29d09ed017bb",
     "65nm-sram-1v capacity-json": "994501809c34fb0a3b460ab052d4f3f70d185da17319f071475afe95dc7bd3e8",
-    "paper-defaults estimate-json": "762a4150217392d0745ab21acd83919205131240242e543c63c65f1507c22d67",
+    "paper-defaults estimate-json": "3d1fd7a262ca60ec42a2015e1b28ca9132ce6053c76064d0532cc40492a6e976",
     "paper-defaults estimate-csv": "fdb1a98e9029ac5c5170d3d83ece4ca4d84de40358ebc42b1611f4b3f400818d",
     "paper-defaults estimate-text": "e0c383f6113c7f6e35592162ec56d3f689cfb17753c17548823a2fc1ae9f8200",
-    "paper-defaults estimate-data-input": "5ca2d5e9f519ac5db6688cc664a8596af5a3b47b93ce836de63bb5646ae4339d",
+    "paper-defaults estimate-data-input": "5d07fb3de20496669cd98c35766ff9ec4ed9e4e98a4755b0a24f4521b72a8fc6",
     "paper-defaults bounds-text": "5adbde190d4da22063325a494ae17f0612032fd959c93b1ea3d20e8b407d795c",
     "paper-defaults bounds-csv": "7f0fa62bd731b6a4ef7655c300bc375f1f28c40326371d6ccbe37b6391573ae8",
     "paper-defaults bounds-json": "15265d31cf21af8f36814d9dfc1e02df2d3dc99d63ec8e27d6d8d46a20621eab",

@@ -200,7 +200,7 @@ def _scenario_with(section=None, **values):
     # None only where it is the default, no strings, no bools
     ("op", {"v_dd": None}, "v_dd must be a number"),
     ("spec", {"dv_bias": None}, "dv_bias must be a number"),
-    ("tech", {"r_on": None}, "r_on must be a number"),
+    ("tech", {"r_min": None}, "r_min must be a number"),
     ("spec", {"dv_bias": "3e-6"}, "dv_bias must be a number"),
     (None, {"c_h": "1"}, "c_h must be a number"),
     ("tech", {"rho_r": True}, "rho_r must be a number"),
@@ -257,7 +257,7 @@ def test_every_requirement_and_process_symbol_has_one_field():
     }
     tech_fields = set(TechnologyParams.__dataclass_fields__)
     expected = {
-        "rho_r", "rho_c", "a_mos", "c_mos", "r_off", "r_on", "r_min", "c_min",
+        "rho_r", "rho_c", "a_mos", "c_mos", "r_off", "r_min", "c_min",
         "v_dd", "c_ff_equiv", "a_ff", "c_sram_bit", "a_sram_cell",
         "logic_area_scale", "sram_area_scale", "cap_density_scale",
         "digital_cap_scale", "r_off_multiplier",

@@ -470,6 +470,21 @@ SIM_GOLDEN_STIMULI = {
           "21500 ramp-mode on\n22300 ramp-mode off\n",
         23_000.0,
     ),
+    # refresh and ramp rows on a subnormal bias range (in SIM_GOLDEN_SCENARIOS),
+    # where code * (v_range_bias / 2**n_bias) is not code / 2**n_bias *
+    # v_range_bias: bias_e1 must read 9.99755859375e-311, as refresh computes it
+    "subnormal-bias-range": (
+        "0 write-bias 0 3\n0 write-bias 1 4095\n0 write-bias 8 2\n"
+        "100000 ramp-mode on\n130000 ramp-mode off\n",
+        200_000.0,
+    ),
+}
+
+# the golden stimuli that run on a scenario other than the baseline
+SIM_GOLDEN_SCENARIOS = {
+    "subnormal-bias-range": replace(
+        baseline_scenario(), spec=replace(baseline_scenario().spec, v_range_bias=1e-310),
+        op=replace(baseline_scenario().op, f_clk_bias=3e6)),
 }
 
 SIM_GOLDEN_SHA256 = {  # (to_csv, to_vcd_text, stats as sorted JSON)
@@ -508,13 +523,18 @@ SIM_GOLDEN_SHA256 = {  # (to_csv, to_vcd_text, stats as sorted JSON)
         "a898b2f1281d3593c99535d40722ee4f1e49de7981529420531720c6ef72078b",
         "26d718b5e41eedb4c159004cfb1dbad9814864d730dfb89a4e0dcae6a4568caa",
     ),
+    "subnormal-bias-range": (
+        "d676c36de5b66d73242005f7368bfee6f6cd1b6862cd4d32567f497a7f2fbab1",
+        "80cf8b4b5c4388dc605369bcb1b93792e300b8385aa8b4724a615f0a53c64ce2",
+        "0c6a201e99c4d0ff00630cdc3a69f1d4b9603a8edbd6dc65fa849b8aea61752c",
+    ),
 }
 
 
 @pytest.mark.parametrize("key", sorted(SIM_GOLDEN_SHA256))
 def test_simulator_output_golden(baseline, key):
     stimulus, t_end_ns = SIM_GOLDEN_STIMULI[key]
-    trace = run_simulation(baseline, stimulus, t_end_ns)
+    trace = run_simulation(SIM_GOLDEN_SCENARIOS.get(key, baseline), stimulus, t_end_ns)
     outputs = (trace.to_csv(), trace.to_vcd_text(), json.dumps(trace.stats, sort_keys=True))
     assert tuple(hashlib.sha256(o.encode()).hexdigest() for o in outputs) \
         == SIM_GOLDEN_SHA256[key]
@@ -529,6 +549,26 @@ def test_trace_keeps_ticks(baseline, key):
     for e in trace.events:
         assert type(e.t) is int
         assert e.t_ns == e.t / engine.TICKS_PER_NS
+
+
+@pytest.mark.parametrize("key", sorted(SIM_GOLDEN_STIMULI))
+def test_trace_length_counts_its_events(baseline, key):
+    stimulus, t_end_ns = SIM_GOLDEN_STIMULI[key]
+    trace = run_simulation(SIM_GOLDEN_SCENARIOS.get(key, baseline), stimulus, t_end_ns)
+    assert len(trace) == len(trace.events) > 0
+
+
+def test_a_run_and_its_text_build_no_trace_event(baseline, monkeypatch):
+    # the trace keeps columns of codes; rows are built only where read
+    def refuse(*_):
+        raise AssertionError("a TraceEvent was built")
+
+    monkeypatch.setattr(engine, "TraceEvent", refuse)
+    for stimulus, t_end_ns in SIM_GOLDEN_STIMULI.values():
+        trace = run_simulation(baseline, stimulus, t_end_ns)
+        trace.to_csv()
+        trace.to_vcd_text()
+        assert len(trace) > 2
 
 
 def test_no_nanosecond_mirrors(baseline):
@@ -966,6 +1006,60 @@ def test_skipped_rounds_match_the_per_conversion_loop(name, loads, commands, t_e
     assert fast.to_csv() == slow.to_csv()
     assert fast.stats == slow.stats
     assert fast_conversions <= slow_conversions
+
+
+def _one_ramp_step_per_call(conversion):
+    """The reference: a ramp step is one ``refresh_electrode`` call, and the
+    conversion returns its next edge after it; refresh mode is unchanged."""
+    def wrapper(self, t, arg):
+        if not self.ramp_mode:
+            return conversion(self, t, arg)
+        sim, n = self.sim, self.sim.n_electrodes
+        code = self.ramp_counter
+        self.ramp_counter = (code + 1) % (1 << sim.n_bias)
+        sim.refresh_electrode(t, sim.memory.bias[n] % n, code)
+        self.index += 1
+        return self.index * sim.conversion_period_ticks
+    return wrapper
+
+
+@settings(max_examples=100, deadline=None)
+@given(name=st.sampled_from(sorted(_SCENARIOS_FOR_SKIP)), n_bias=st.integers(2, 12),
+       loads=st.lists(_code, max_size=9),
+       windows=st.lists(st.tuples(_periods, st.integers(1, 300) | st.floats(0, 300)),
+                        max_size=3),
+       writes=st.lists(st.tuples(_periods, st.integers(0, 8), _code), max_size=6),
+       t_end=st.floats(1, 800))
+# a 2-bit counter wraps 3 -> 0 within the window, and a write to the target
+# register (8) lands mid-window
+@example(name="baseline", n_bias=2, loads=[3, 1], windows=[(20, 30)],
+         writes=[(32, 8, 1)], t_end=60.0)
+# the write to register 8 moves the ramp back to electrode 0, which has held
+# code 1 since step 22; its first step there, at 38, is code 1 again: a
+# recharge after 16 periods, the largest droop of the run
+@example(name="r_off x 0.01", n_bias=2, loads=[1, 0, 0, 0, 0, 0, 0, 0, 1],
+         windows=[(20, 30)], writes=[(35, 8, 0)], t_end=60.0)
+def test_ramp_blocks_match_one_refresh_per_step(name, n_bias, loads, windows, writes, t_end):
+    scenario = _SCENARIOS_FOR_SKIP[name]
+    scenario = replace(scenario, spec=replace(scenario.spec, n_bias=n_bias))
+    sim = Simulator(scenario)
+    registers, mask = sim.n_electrodes + 1, (1 << n_bias) - 1
+    period_ns = sim.conversion_period_ticks / engine.TICKS_PER_NS
+    lines = [f"0 write-bias {reg} {code & mask}" for reg, code in enumerate(loads[:registers])]
+    for start, length in windows:
+        lines += [f"{start * period_ns!r} ramp-mode on",
+                  f"{(start + length) * period_ns!r} ramp-mode off"]
+    lines += [f"{t * period_ns!r} write-bias {reg % registers} {code & mask}"
+              for t, reg, code in writes]
+    stimulus = "\n".join(lines) + "\n"
+    t_end_ns = t_end * period_ns
+    fast = run_simulation(scenario, stimulus, t_end_ns)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(engine.BiasController, "conversion",
+                   _one_ramp_step_per_call(engine.BiasController.conversion))
+        slow = run_simulation(scenario, stimulus, t_end_ns)
+    assert fast.to_csv() == slow.to_csv()
+    assert fast.stats == slow.stats   # max_refresh_deviation_v included
 
 
 def _run_counting_refreshes(scenario, stimulus, t_end_ns):
