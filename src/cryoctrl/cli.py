@@ -20,7 +20,7 @@ from .config import ConfigError, DacArchitecture, Scenario, escape_controls, loa
 from .report import (
     SWEEP_PARAMS,
     assemble,
-    csv_text,
+    csv_table,
     dac_sweep,
     dac_sweep_csv,
     qubit_capacity,
@@ -123,13 +123,11 @@ def _cmd_bounds(args) -> str:
         return _json({name: {"kind": b.kind.value, "value": b.value, "binding": b.binding_spec}
                       for name, b in rows})
     if args.format == "csv":
-        lines = ["bound,kind,value,binding"]
-        lines += [f"{name},{b.kind.value},{b.value!r},{csv_text(b.binding_spec)}"
-                  for name, b in rows]
-    else:
-        width = max(len(name) for name, _ in rows)
-        lines = [f"{name:<{width}}  {b.kind.value:<16} {b.value:.6g}  ({b.binding_spec})"
-                 for name, b in rows]
+        return csv_table("bound,kind,value,binding",
+                         ((name, b.kind.value, b.value, b.binding_spec) for name, b in rows))
+    width = max(len(name) for name, _ in rows)
+    lines = [f"{name:<{width}}  {b.kind.value:<16} {b.value:.6g}  ({b.binding_spec})"
+             for name, b in rows]
     return "\n".join(lines) + "\n"
 
 
@@ -139,17 +137,11 @@ def _report_text(rep) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _report_csv(rep) -> str:
-    lines = ["unit,area_um2,power_w"]
-    lines += [f"{unit},{area!r},{power!r}" for unit, area, power in rep.rows()]
-    return "\n".join(lines) + "\n"
-
-
 def _cmd_estimate(args) -> str:
     rep = assemble(_scenario(args), include_data_input=args.include_data_input)
-    if args.format == "json":
-        return _json(rep.to_dict())
-    return _report_csv(rep) if args.format == "csv" else _report_text(rep)
+    if args.format == "csv":
+        return csv_table("unit,area_um2,power_w", rep.rows())
+    return _json(rep.to_dict()) if args.format == "json" else _report_text(rep)
 
 
 def _cmd_sweep(args) -> str:

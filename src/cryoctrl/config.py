@@ -34,14 +34,11 @@ class ConfigError(ValueError):
 
 
 def _check_number(name: str, value, default=0.0) -> None:
-    """Raise ConfigError unless ``value`` suits a number field with this
-    ``default`` (a float one where omitted): an int or float but not a bool,
-    or None where the default is None."""
+    """Raise ConfigError unless ``value`` is a number, not a bool, or None if ``default`` is."""
     if value is None and default is None:
         return
     if isinstance(value, bool) or not isinstance(value, (int, float)):
-        kind = "an integer" if type(default) is int else "a number"
-        raise ConfigError(f"{name} must be {kind}" + (" or null" if default is None else ""))
+        raise ConfigError(f"{name} must be a number" + (" or null" if default is None else ""))
 
 
 def _check_positive(obj, names) -> None:

@@ -18,6 +18,7 @@ from dataclasses import dataclass, field
 
 from . import noise
 from .config import DEFAULT_LADDER_UNIT_RES, RESOLUTION_RANGE, DacArchitecture, TechnologyParams
+from .digital import switching_power
 
 
 @dataclass(frozen=True)
@@ -53,8 +54,8 @@ def default_unit_value(arch: DacArchitecture, tech: TechnologyParams) -> float:
 
 @dataclass(frozen=True)
 class DacDesign:
-    """A sized DAC: architecture, resolution, and unit component value.
-    Its component counts are computed once, when it is built."""
+    """A sized DAC: architecture (a member or its value), resolution, and unit
+    component value. Its component counts are computed once, when it is built."""
 
     arch: DacArchitecture
     n: int
@@ -62,6 +63,8 @@ class DacDesign:
     counts: ComponentCounts = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        if type(self.arch) is not DacArchitecture:
+            object.__setattr__(self, "arch", DacArchitecture(self.arch))
         # component_counts range-checks n
         object.__setattr__(self, "counts", component_counts(self.arch, self.n))
         if self.unit_value <= 0:
@@ -92,7 +95,6 @@ def design_dac(
 ) -> DacDesign:
     """Build a DacDesign; defaults are clamped to process minimums, an
     explicit ``unit_value`` is taken as given."""
-    arch = DacArchitecture(arch)
     if unit_value is None:
         unit_value = default_unit_value(arch, tech)
     return DacDesign(arch, n, unit_value)
@@ -131,10 +133,8 @@ def dac_switch_power(
     tech: TechnologyParams,
 ) -> float:
     """Switching power of the DAC's switch transistors at clock ``f`` [W]."""
-    if v_dd < 0 or f < 0 or not 0 <= sigma <= 1:
-        raise ValueError("invalid switch-power operating point")
     c_gate = design.counts.switches * tech.c_mos * tech.digital_cap_scale
-    return sigma * f * v_dd * v_dd * c_gate
+    return switching_power(c_gate, f, v_dd, sigma)
 
 
 def dac_output_noise(design: DacDesign, t: float, b: float = 0.0) -> float:

@@ -53,12 +53,16 @@ class UnitReport:
 
 @dataclass(frozen=True)
 class MemoryDesign:
-    arch: MemoryArch
+    arch: MemoryArch  # a member or its value
     bias_registers: int
     bias_width: int
     rf_registers: int
     rf_width: int
     rf_read_ports = 2  # the pulse memory's two read ports (a constant, not a field)
+
+    def __post_init__(self):
+        if type(self.arch) is not MemoryArch:
+            object.__setattr__(self, "arch", MemoryArch(self.arch))
 
     @property
     def bias_bits(self) -> int:

@@ -117,12 +117,20 @@ SWEEP_CSV_HEADER = ",".join(
 )
 
 
-def csv_text(text: str) -> str:
-    """``text`` as one CSV cell (RFC 4180): in double quotes, with each inner
-    quote doubled, where it holds a comma, a quote or a line break."""
+def _csv_text(text: str) -> str:
     if "," in text or '"' in text or "\n" in text or "\r" in text:
         return '"' + text.replace('"', '""') + '"'
     return text
+
+
+def csv_table(header: str, rows) -> str:
+    """The ``header`` line, then one CSV line per row: a ``str`` cell as RFC 4180
+    asks (quoted, inner quotes doubled, where it holds a comma, a quote or a
+    line break), any other cell as its ``repr``."""
+    lines = [header]
+    lines += [",".join([_csv_text(c) if isinstance(c, str) else repr(c) for c in row])
+              for row in rows]
+    return "\n".join(lines) + "\n"
 
 
 @dataclass(frozen=True)
@@ -156,15 +164,12 @@ def sweep(sc: Scenario, param: str, values) -> list[SweepRow]:
 
 
 def sweep_csv(rows: list[SweepRow]) -> str:
-    lines = [SWEEP_CSV_HEADER]
     empty = [""] * (2 * (len(UNITS) + 1))  # area and power per unit and total
+    table = []
     for row in rows:
-        if row.report is None:
-            cells = empty
-        else:
-            cells = [repr(x) for _, area, power in row.report.rows() for x in (area, power)]
-        lines.append(",".join([row.param, repr(row.value), *cells, csv_text(row.status)]))
-    return "\n".join(lines) + "\n"
+        cells = [x for _, a, p in row.report.rows() for x in (a, p)] if row.report else empty
+        table.append((row.param, row.value, *cells, row.status))
+    return csv_table(SWEEP_CSV_HEADER, table)
 
 
 DAC_SWEEP_CSV_HEADER = "arch,n,area_um2,p_analog_w,p_switch_w,noise_vrms"
@@ -204,11 +209,7 @@ def dac_sweep(sc: Scenario, condition: str = "bias") -> list[dict]:
 
 
 def dac_sweep_csv(rows: list[dict]) -> str:
-    lines = [DAC_SWEEP_CSV_HEADER]
-    for r in rows:
-        cells = (r[c] for c in _DAC_SWEEP_COLUMNS)
-        lines.append(",".join(c if isinstance(c, str) else repr(c) for c in cells))
-    return "\n".join(lines) + "\n"
+    return csv_table(DAC_SWEEP_CSV_HEADER, ([r[c] for c in _DAC_SWEEP_COLUMNS] for r in rows))
 
 
 # ---------------------------------------------------------------------------

@@ -44,12 +44,17 @@ class WordType(str, Enum):
 
 @dataclass(frozen=True)
 class DataWord:
-    kind: WordType
+    kind: WordType  # a member or its value
     address: int
     payload: int
     width: int  # payload bits
 
     def __post_init__(self):
+        if type(self.kind) is not WordType:
+            try:
+                object.__setattr__(self, "kind", WordType(self.kind))
+            except ValueError:
+                raise ProtocolError(f"kind must be 'bias' or 'rf', got {self.kind!r}") from None
         # the wire limit only; whether the register exists is the memory's
         # answer (``MemoryBank.holds``)
         if not 0 <= self.address < 2 ** ADDRESS_BITS:

@@ -3,6 +3,7 @@ from hypothesis import given, strategies as st
 
 from cryoctrl import (
     DacArchitecture,
+    DacDesign,
     TechnologyParams,
     component_counts,
     dac_analog_power,
@@ -57,6 +58,22 @@ def test_a_dac_design_counts_its_components_once(monkeypatch):
     for n in (1, 25):   # the range is checked when the design is built
         with pytest.raises(ValueError, match="resolution must be in"):
             dac.DacDesign(DacArchitecture.CAP, n, 10e-15)
+
+
+def test_a_dac_design_takes_its_architecture_as_a_member_or_its_value():
+    # the value compares equal to the member, so check the figures too
+    for arch in DacArchitecture:
+        by_value, by_member = DacDesign(arch.value, 8, 10e-15), DacDesign(arch, 8, 10e-15)
+        assert by_value.arch is arch
+        assert dac_area(by_value, TECH) == dac_area(by_member, TECH)
+        assert dac_analog_power(by_value, 1.0, 1e6) == dac_analog_power(by_member, 1.0, 1e6)
+        assert dac_output_noise(by_value, 0.2, 1e7) == dac_output_noise(by_member, 0.2, 1e7)
+        assert design_dac(arch.value, 8, TECH).arch is arch
+    cap = DacDesign("cap", 8, 10e-15)
+    assert dac_area(cap, TECH) == pytest.approx(183.143, rel=1e-5)
+    assert cap.c_in == cap.counts.units * 10e-15
+    with pytest.raises(ValueError, match="is not a valid DacArchitecture"):
+        DacDesign("sigma-delta", 8, 10e-15)
 
 
 def test_default_unit_values():

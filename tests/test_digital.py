@@ -5,6 +5,7 @@ from hypothesis import given, strategies as st
 
 from cryoctrl import (
     MemoryArch,
+    MemoryDesign,
     load_budget,
     managing_report,
     memory_design,
@@ -54,6 +55,20 @@ def test_memory_design_shape(baseline):
     assert d.rf_read_ports == 2
     assert d.bias_bits == 108
     assert d.rf_bits == 2560
+
+
+def test_a_memory_design_takes_its_architecture_as_a_member_or_its_value(baseline):
+    # the value compares equal to the member, so check the figures too
+    for arch in MemoryArch:
+        by_value = MemoryDesign(arch.value, 9, 12, 256, 10)
+        assert by_value.arch is arch
+        assert memory_report(by_value, baseline) == \
+            memory_report(MemoryDesign(arch, 9, 12, 256, 10), baseline)
+    ff = memory_report(MemoryDesign("ff", 9, 12, 256, 10), baseline)
+    assert ff == memory_report(memory_design(baseline), baseline)
+    assert ff.area_um2 == pytest.approx(30842.5)
+    with pytest.raises(ValueError, match="is not a valid MemoryArch"):
+        MemoryDesign("dram", 9, 12, 256, 10)
 
 
 def test_memory_report_ff(baseline):

@@ -41,6 +41,19 @@ def test_word_field_validation():
         DataWord(WordType.BIAS, 0, 0, 22)
 
 
+def test_a_word_takes_its_kind_as_a_member_or_its_value():
+    bits = encode_dataword(DataWord("bias", 3, 5, N_BIAS))
+    assert bits == "1" + "0" + "00000011" + "000000000101"   # type bit 0: a bias frame
+    for kind, width in ((WordType.BIAS, N_BIAS), (WordType.RF, N_RF)):
+        word = DataWord(kind.value, 3, 5, width)
+        assert word.kind is kind
+        bits = encode_dataword(word)
+        assert bits == encode_dataword(DataWord(kind, 3, 5, width))
+        assert decode_dataword(bits, N_BIAS, N_RF) == word
+    with pytest.raises(ProtocolError, match="kind must be 'bias' or 'rf'"):
+        DataWord("dc", 3, 5, N_BIAS)
+
+
 def test_decode_rejects_malformed():
     with pytest.raises(ProtocolError, match="header"):
         decode_dataword("0" * 22, N_BIAS, N_RF)

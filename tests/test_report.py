@@ -1,7 +1,10 @@
+import csv
+import io
 import math
 from dataclasses import replace
 
 import pytest
+from hypothesis import given, strategies as st
 
 from cryoctrl import (
     assemble,
@@ -18,7 +21,36 @@ from cryoctrl.config import (
     scenario_14nm_sram_10mv,
     scenario_65nm_sram_100mv,
 )
-from cryoctrl.report import SWEEP_CSV_HEADER
+from cryoctrl.report import SWEEP_CSV_HEADER, csv_table
+
+
+def _parse_csv(text):
+    return list(csv.reader(io.StringIO(text, newline="")))
+
+
+def test_csv_table_quotes_only_the_text_cells_that_need_it():
+    header = "comma,quote,cr,lf,empty,int,float,plain"
+    row = ("a,b", 'say "hi"', "a\rb", "a\nb", "", 7, 0.1, "ok")
+    text = csv_table(header, [row, ("v_dd", 12, -2.5e-300, "ok", "", 0, 1.0, "x")])
+    assert text == (header + "\n"
+                    + '"a,b","say ""hi""","a\rb","a\nb",,7,0.1,ok\n'
+                    + "v_dd,12,-2.5e-300,ok,,0,1.0,x\n")
+    parsed = _parse_csv(text)
+    assert parsed == [header.split(","), [*row[:5], "7", "0.1", "ok"],
+                      ["v_dd", "12", "-2.5e-300", "ok", "", "0", "1.0", "x"]]
+    assert all(len(r) == len(parsed[0]) for r in parsed)
+    assert csv_table("a,b", []) == "a,b\n"
+
+
+_cell = st.one_of(st.text(st.characters(exclude_characters="\x00")), st.integers(),
+                  st.floats(allow_nan=False))
+
+
+@given(rows=st.lists(st.lists(_cell, min_size=3, max_size=3), max_size=4))
+def test_csv_table_parses_back_into_its_cells(rows):
+    parsed = _parse_csv(csv_table("a,b,c", rows))
+    assert parsed == [["a", "b", "c"]] + [[c if isinstance(c, str) else repr(c) for c in r]
+                                          for r in rows]
 
 
 def test_totals_are_additive(baseline):
