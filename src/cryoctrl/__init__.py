@@ -73,6 +73,28 @@ from .report import (
     sweep_csv,
     temperature_adjust,
 )
-from .sim import Simulator, Trace, run_simulation
 
 __version__ = "0.1.0"
+
+# The simulator is loaded on first use (PEP 562), so the estimator's
+# subcommands do not pay for importing it.
+_SIM_NAMES = ("Simulator", "Trace", "run_simulation")
+
+
+def __getattr__(name):
+    if name == "sim" or name in _SIM_NAMES:
+        from importlib import import_module
+
+        sim = import_module(".sim", __name__)
+        value = sim if name == "sim" else getattr(sim, name)
+        globals()[name] = value
+        return value
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__():
+    return sorted({*globals(), "sim", *_SIM_NAMES})
+
+
+# the lazy names are public too: ``from cryoctrl import *`` loads and gives them
+__all__ = sorted({name for name in globals() if not name.startswith("_")} | {"sim", *_SIM_NAMES})

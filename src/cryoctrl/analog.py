@@ -10,7 +10,7 @@ DACs running at the pulse sample rate.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .config import DacArchitecture, Scenario, TechnologyParams
 from .dac import (
@@ -28,13 +28,12 @@ def refresh_rate(v_range, r_off, n_bias, dv, c_out) -> float:
     capacitance ``c_out`` without exceeding ``dv``."""
     for name, v in (("v_range", v_range), ("r_off", r_off), ("n_bias", n_bias),
                     ("dv", dv), ("c_out", c_out)):
-        if v <= 0:
+        if not v > 0:  # NaN fails too
             raise ValueError(f"{name} must be positive")
     return (v_range / r_off * n_bias) / (dv * c_out)
 
 
-@dataclass(frozen=True)
-class Clocks:
+class Clocks(NamedTuple):
     f_refresh: float
     f_clk_bias: float
     f_clk_rf: float
@@ -61,8 +60,7 @@ def derived_clocks(sc: Scenario) -> Clocks:
     return Clocks(f_ref, f_clk_bias, f_clk_rf)
 
 
-@dataclass(frozen=True)
-class SampleHoldDesign:
+class SampleHoldDesign(NamedTuple):
     n_channels: int
     c_h: float
 
@@ -103,8 +101,7 @@ def bias_power_reduction(v_from, v_to, n_from=None, n_to=None) -> float:
     return factor
 
 
-@dataclass(frozen=True)
-class GenReport:
+class GenReport(NamedTuple):
     area_um2: float
     p_analog_w: float
     p_digital_w: float

@@ -27,7 +27,6 @@ from .report import (
     sweep,
     sweep_csv,
 )
-from .sim import SimulationConfigError, StimulusError, parse_duration_ns, run_simulation
 
 
 class UsageError(Exception):
@@ -164,10 +163,13 @@ def _cmd_capacity(args) -> str:
         raise UsageError(f"--budget must be a positive, finite power in W, got '{args.budget}'")
     rep = assemble(_scenario(args))
     result = qubit_capacity(rep, args.budget, sig_figs=None if args.exact else 2)
-    return _json(vars(result)) if args.format == "json" else f"{result.n_qubits}\n"
+    return _json(result._asdict()) if args.format == "json" else f"{result.n_qubits}\n"
 
 
 def _cmd_simulate(args) -> str:
+    # deferred: only this subcommand runs the simulator
+    from .sim import SimulationConfigError, StimulusError, parse_duration_ns, run_simulation
+
     sc = _scenario(args)
     stim_path = Path(args.stimulus)
     if not stim_path.is_file():
@@ -179,7 +181,10 @@ def _cmd_simulate(args) -> str:
         valid = False
     if not valid:
         raise UsageError(f"--until must be a positive, finite duration, got {args.until!r}")
-    trace = run_simulation(sc, stim_path, t_end)
+    try:
+        trace = run_simulation(sc, stim_path, t_end)
+    except (StimulusError, SimulationConfigError) as exc:
+        raise ConfigError(str(exc)) from exc
     if args.trace:
         Path(args.trace).write_text(trace.to_csv())
     if args.vcd:
@@ -225,7 +230,7 @@ def main(argv=None) -> int:
         sys.stderr.write(f"error: {exc}\n")
         parser.print_usage(sys.stderr)
         return 1
-    except (ConfigError, StimulusError, SimulationConfigError) as exc:
+    except ConfigError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 1
     except (ValueError, OSError) as exc:

@@ -14,15 +14,16 @@ of its units.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from . import noise
 from .config import DEFAULT_LADDER_UNIT_RES, RESOLUTION_RANGE, DacArchitecture, TechnologyParams
 from .digital import switching_power
 
 
-@dataclass(frozen=True)
-class ComponentCounts:
+class ComponentCounts(NamedTuple):
     units: float
     switches: int
 
@@ -67,8 +68,8 @@ class DacDesign:
             object.__setattr__(self, "arch", DacArchitecture(self.arch))
         # component_counts range-checks n
         object.__setattr__(self, "counts", component_counts(self.arch, self.n))
-        if self.unit_value <= 0:
-            raise ValueError("unit_value must be positive")
+        if not 0 < self.unit_value < math.inf:
+            raise ValueError(f"unit_value must be positive and finite, got {self.unit_value!r}")
 
     @property
     def c_in(self) -> float:

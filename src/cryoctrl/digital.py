@@ -22,6 +22,7 @@ import json
 import math
 from dataclasses import dataclass
 from importlib import resources
+from typing import NamedTuple
 
 from .config import MemoryArch, Scenario
 
@@ -45,8 +46,7 @@ def selector_transistors(ways: int, width: int) -> int:
     return (2 ** (k + 1) - 2) * width
 
 
-@dataclass(frozen=True)
-class UnitReport:
+class UnitReport(NamedTuple):
     area_um2: float
     power_w: float
 
@@ -129,8 +129,7 @@ def memory_report(d: MemoryDesign, sc: Scenario) -> UnitReport:
 # ---------------------------------------------------------------------------
 # Managing component
 
-@dataclass(frozen=True)
-class Subunit:
+class Subunit(NamedTuple):
     name: str
     flipflops: int
     logic_transistors: int | dict
@@ -143,8 +142,7 @@ class Subunit:
         return int(self.logic_transistors)
 
 
-@dataclass(frozen=True)
-class DigitalBudget:
+class DigitalBudget(NamedTuple):
     subunits: tuple[Subunit, ...]
     sram_column_transistors: int
 

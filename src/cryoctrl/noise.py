@@ -40,7 +40,7 @@ class SizingBound:
 
 def _require_positive(**values: float) -> None:
     for name, v in values.items():
-        if v <= 0:
+        if not v > 0:  # NaN fails too
             raise ValueError(f"{name} must be positive, got {v!r}")
 
 

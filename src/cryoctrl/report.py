@@ -5,6 +5,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from operator import attrgetter
+from typing import NamedTuple
 
 from . import noise
 from .analog import (
@@ -64,10 +65,10 @@ class Report:
     def to_dict(self) -> dict:
         """Each unit's fields plus its power, the totals, the scenario's clocks
         and the inputs."""
-        d = {name: {**vars(u), "power_w": u.power_w} for name, u in self.units()}
+        d = {name: {**u._asdict(), "power_w": u.power_w} for name, u in self.units()}
         _, area, power = self.rows()[-1]
         d["totals"] = {"area_um2": area, "power_w": power}
-        d["clocks_hz"] = dict(vars(self.scenario.clocks))
+        d["clocks_hz"] = self.scenario.clocks._asdict()
         d["include_data_input"] = self.include_data_input
         d["notes"] = list(self.notes)
         d["scenario"] = scenario_to_dict(self.scenario)
@@ -133,8 +134,7 @@ def csv_table(header: str, rows) -> str:
     return "\n".join(lines) + "\n"
 
 
-@dataclass(frozen=True)
-class SweepRow:
+class SweepRow(NamedTuple):
     param: str
     value: float
     report: Report | None
@@ -215,8 +215,7 @@ def dac_sweep_csv(rows: list[dict]) -> str:
 # ---------------------------------------------------------------------------
 # Cooling-budget capacity
 
-@dataclass(frozen=True)
-class CapacityResult:
+class CapacityResult(NamedTuple):
     budget_w: float
     per_qubit_w: float
     n_qubits: int

@@ -252,8 +252,7 @@ class Trace:
 # ---------------------------------------------------------------------------
 # Stimulus
 
-@dataclass(frozen=True)
-class Command:
+class Command(NamedTuple):
     t_ns: float
     op: str
     args: tuple

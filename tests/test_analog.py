@@ -26,6 +26,14 @@ def test_refresh_rate_reference_point():
     assert f == pytest.approx(1.0857763e6, rel=1e-6)
 
 
+@pytest.mark.parametrize("index", range(5))
+def test_refresh_rate_refuses_a_nan_operand(index):
+    args = [1.0, 1e12, 8, 3e-6, 2.456e-12]
+    args[index] = float("nan")
+    with pytest.raises(ValueError, match="must be positive"):
+        refresh_rate(*args)
+
+
 def test_refresh_rate_proportional_to_leakage():
     f1 = refresh_rate(1.0, 1e12, 8, 3e-6, 2.456e-12)
     f2 = refresh_rate(1.0, 2e12, 8, 3e-6, 2.456e-12)

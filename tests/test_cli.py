@@ -8,7 +8,7 @@ import time
 
 import pytest
 
-from cryoctrl import baseline_scenario, cli, load_scenario, run_simulation
+from cryoctrl import baseline_scenario, cli, load_scenario, run_simulation, sim
 from cryoctrl.analog import derived_clocks
 from cryoctrl.cli import main
 from cryoctrl.report import qubit_capacity
@@ -179,6 +179,35 @@ def test_simulate_bad_until_is_usage_error(capsys, scenario_dir, tmp_path, until
 # the events end by 150 us; the quiet refresh rounds after them cost nothing
 _EARLY_STIMULUS = "".join(f"0 write-bias {e} {511 * (e + 1)}\n" for e in range(8)) + (
     "0 write-rf 0 512\n20000 play 0 0 0 0\n150000 write-bias 3 100\n")
+
+
+_LAZY_SIM_CHECK = """
+import contextlib, io, sys
+import cryoctrl, cryoctrl.cli
+scenario = sys.argv[1]
+for argv in (["bounds"], ["estimate"], ["capacity", "--budget", "1e-3"],
+             ["sweep", "--param", "v_dd", "--points", "1,0.1"]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cryoctrl.cli.main([*argv, "--scenario", scenario]) == 0, argv
+    assert "cryoctrl.sim" not in sys.modules, argv
+assert {"sim", "Simulator", "Trace", "run_simulation"} <= set(dir(cryoctrl))
+assert not hasattr(cryoctrl, "no_such_name")
+assert "cryoctrl.sim" not in sys.modules
+from cryoctrl import Trace, run_simulation
+import cryoctrl.sim.engine as engine
+assert cryoctrl.Simulator is engine.Simulator
+assert (Trace, run_simulation) == (engine.Trace, engine.run_simulation)
+names = {}
+exec("from cryoctrl import *", names)
+assert names["Simulator"] is engine.Simulator and names["sim"] is cryoctrl.sim
+"""
+
+
+def test_the_estimator_subcommands_do_not_import_the_simulator(scenario_dir, src_env):
+    proc = subprocess.run(
+        [sys.executable, "-c", _LAZY_SIM_CHECK, str(scenario_dir / "paper-defaults.json")],
+        capture_output=True, text=True, env=src_env, timeout=30)
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_simulate_far_past_the_events_finishes_fast(scenario_dir, tmp_path, src_env):
@@ -404,7 +433,8 @@ def test_an_output_without_its_directory_fails_before_the_work(
     def must_not_run(*args, **kwargs):
         raise AssertionError(f"{work} ran before the output path was checked")
 
-    monkeypatch.setattr(cli, work, must_not_run)
+    # simulate imports the simulator when it runs, so its work is patched there
+    monkeypatch.setattr(sim if work == "run_simulation" else cli, work, must_not_run)
     stim = tmp_path / "stim.txt"
     stim.write_text("0 write-bias 0 2048\n")
     path = tmp_path / target

@@ -76,6 +76,15 @@ def test_a_dac_design_takes_its_architecture_as_a_member_or_its_value():
         DacDesign("sigma-delta", 8, 10e-15)
 
 
+@pytest.mark.parametrize("unit_value", [0.0, -1e-15, float("nan"), float("inf")])
+def test_a_dac_design_refuses_a_unit_value_not_positive_and_finite(unit_value):
+    for arch in DacArchitecture:
+        with pytest.raises(ValueError, match="unit_value must be positive"):
+            DacDesign(arch, 8, unit_value)
+        with pytest.raises(ValueError, match="unit_value must be positive"):
+            design_dac(arch, 8, TECH, unit_value=unit_value)
+
+
 def test_default_unit_values():
     assert design_dac(DacArchitecture.KELVIN, 12, TECH).unit_value == 15.0
     assert design_dac(DacArchitecture.LADDER, 12, TECH).unit_value == 150.0

@@ -29,6 +29,18 @@ def test_ktc_domain_errors():
         ktc_rms(1e-12, -1.0)
 
 
+@pytest.mark.parametrize("call", [
+    lambda: ktc_rms(float("nan"), 4.0),
+    lambda: ktc_rms(1e-12, float("nan")),
+    lambda: johnson_rms(1e3, float("nan"), 1e6),
+    lambda: johnson_rms(float("nan"), 4.0, 1e6),
+    lambda: min_unit_cap(8, float("nan"), 4.0),
+], ids=["ktc-c", "ktc-t", "johnson-t", "johnson-r", "min-unit-cap-dv"])
+def test_a_nan_operand_is_refused(call):
+    with pytest.raises(ValueError, match="must be positive, got nan"):
+        call()
+
+
 def test_johnson_examples():
     assert johnson_rms(81.4834183e3, 0.2, 10e6) == pytest.approx(3.0e-6, rel=1e-6)
     assert johnson_rms(9.6572940e3, 0.2, 600e6) == pytest.approx(8.0e-6, rel=1e-6)
