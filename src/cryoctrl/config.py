@@ -15,12 +15,11 @@ Each part checks and converts its own fields when it is built, by its
 constructor, :func:`dataclasses.replace` or :func:`load_scenario`, so a part
 or scenario that exists is valid; the loader only parses, rejects unknown
 keys and prefixes a part's message with its section. A scenario derives its
-clocks once, as :attr:`Scenario.clocks`.
+clocks once, when it is built, as ``Scenario.clocks``.
 """
 
 from __future__ import annotations
 
-import functools
 import json
 import math
 import sys
@@ -47,11 +46,13 @@ def _check_positive(obj, names) -> None:
     float (an integer beyond it counts as infinite); a field left ``None``
     where that is its default (derived or defaulted) is skipped."""
     top = sys.float_info.max
-    defaults = obj.__dataclass_fields__
     for name in names:
         v = getattr(obj, name)
-        _check_number(name, v, defaults[name].default)
-        if v is not None and not 0 < v <= top:
+        if type(v) is not float and type(v) is not int:   # a float or int needs the range only
+            _check_number(name, v, obj.__dataclass_fields__[name].default)
+            if v is None:
+                continue
+        if not 0 < v <= top:
             raise ConfigError(f"{name} must be {'positive' if v <= 0 else 'finite'}")
 
 
@@ -206,7 +207,11 @@ class OperatingPoint:
 
 @dataclass(frozen=True)
 class Scenario:
-    """A complete technology + architecture + operating-point choice."""
+    """A complete technology + architecture + operating-point choice.
+
+    ``clocks`` holds the refresh rate and both digital clocks
+    (``analog.Clocks``), derived once, when the scenario is built.
+    """
 
     spec: SystemSpec = field(default_factory=SystemSpec)
     tech: TechnologyParams = field(default_factory=TechnologyParams)
@@ -231,24 +236,16 @@ class Scenario:
         _check_positive(self, ("c_h", "bias_dac_unit", "rf_dac_unit"))
         self.validate()
 
-    @functools.cached_property
-    def clocks(self):
-        """The refresh rate and both digital clocks (``analog.Clocks``),
-        derived once per scenario."""
-        from .analog import derived_clocks  # deferred: analog imports this module
-
-        return derived_clocks(self)
-
     def validate(self) -> None:
         """The rules across parts, run when the scenario is built: the hold
         capacitor against its thermal-noise floor, positive and finite derived
-        clocks, and no explicit clock below the conversions it drives."""
-        from . import noise  # deferred: noise imports the enums above
+        clocks, and no explicit clock below the conversions it drives. The
+        first run, as the scenario is built, derives its ``clocks``."""
+        from . import analog, noise  # deferred: both import this module
 
         try:
-            hold_min = noise.min_hold_cap(
-                self.spec.n_bias_signals, self.spec.dv_bias, self.op.t_el
-            ).value
+            hold_min = noise.min_hold_cap_value(
+                self.spec.n_bias_signals, self.spec.dv_bias, self.op.t_el)
         except ValueError as exc:   # the bound underflows or overflows
             raise ConfigError(f"spec.dv_bias, spec.n_bias_signals and op.t_el give no "
                               f"hold-capacitor minimum: {exc}") from None
@@ -257,7 +254,11 @@ class Scenario:
                 f"c_h={self.c_h:.3e} F is below the thermal-noise minimum "
                 f"{hold_min:.3e} F at t_el={self.op.t_el} K"
             )
-        clocks = self.clocks
+        # the clocks divide by the hold capacitance, so they come after its check
+        clocks = self.__dict__.get("clocks")
+        if clocks is None:
+            clocks = analog.derived_clocks(self)
+            object.__setattr__(self, "clocks", clocks)
         for name in ("f_refresh", "f_clk_bias", "f_clk_rf"):
             if not 0 < getattr(clocks, name) < math.inf:
                 raise ConfigError(f"the derived {name} must be positive and finite; check "
@@ -378,16 +379,13 @@ def load_scenario(path: str | Path) -> Scenario:
 
 
 def scenario_to_dict(sc: Scenario) -> dict:
-    """Serialize a Scenario to a plain dict (inverse of scenario_from_dict)."""
-    out = {}
-    for name in sc.__dataclass_fields__:
-        value = getattr(sc, name)
-        if isinstance(value, Enum):
-            value = value.value
-        elif hasattr(value, "__dataclass_fields__"):   # a part
-            value = {key: getattr(value, key) for key in value.__dataclass_fields__}
-        out[name] = value
-    return out
+    """Serialize a Scenario to a plain dict (inverse of scenario_from_dict),
+    its fields in declaration order."""
+    # a part's __dict__ holds its fields alone, in declaration order
+    return {"spec": dict(vars(sc.spec)), "tech": dict(vars(sc.tech)), "op": dict(vars(sc.op)),
+            "memory_arch": sc.memory_arch.value, "bias_dac_arch": sc.bias_dac_arch.value,
+            "rf_dac_arch": sc.rf_dac_arch.value, "c_h": sc.c_h,
+            "bias_dac_unit": sc.bias_dac_unit, "rf_dac_unit": sc.rf_dac_unit}
 
 
 def save_scenario(sc: Scenario, path: str | Path) -> None:

@@ -31,7 +31,8 @@ class ComponentCounts(NamedTuple):
 def component_counts(arch: DacArchitecture, n: int) -> ComponentCounts:
     """Unit elements and switches needed at resolution ``n``, in
     ``RESOLUTION_RANGE``."""
-    arch = DacArchitecture(arch)
+    if type(arch) is not DacArchitecture:
+        arch = DacArchitecture(arch)
     lo, hi = RESOLUTION_RANGE
     if not lo <= n <= hi:
         raise ValueError(f"resolution must be in [{lo}, {hi}], got {n}")
@@ -45,7 +46,8 @@ def component_counts(arch: DacArchitecture, n: int) -> ComponentCounts:
 def default_unit_value(arch: DacArchitecture, tech: TechnologyParams) -> float:
     """Default unit component: process minimum, except the ladder which uses
     a larger unit resistor to keep static dissipation in check."""
-    arch = DacArchitecture(arch)
+    if type(arch) is not DacArchitecture:
+        arch = DacArchitecture(arch)
     if arch is DacArchitecture.KELVIN:
         return tech.r_min
     if arch is DacArchitecture.LADDER:

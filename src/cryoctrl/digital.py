@@ -21,7 +21,6 @@ import functools
 import json
 import math
 from dataclasses import dataclass
-from importlib import resources
 from typing import NamedTuple
 
 from .config import MemoryArch, Scenario
@@ -156,6 +155,8 @@ class DigitalBudget(NamedTuple):
 @functools.cache
 def load_budget() -> DigitalBudget:
     """The managing-component budget shipped as package data, read once."""
+    from importlib import resources  # only here: its import costs more than the read
+
     text = resources.files("cryoctrl.data").joinpath("managing_budget.json").read_text()
     raw = json.loads(text)
     subunits = tuple(
@@ -174,6 +175,14 @@ def load_budget() -> DigitalBudget:
     )
 
 
+@functools.cache
+def _managing_rows(arch: MemoryArch) -> tuple[tuple[int, int, str, bool], ...]:
+    """``(flip-flops, logic transistors, clock, in the operation regime)`` per
+    budget subunit, for ``arch``; built on first use."""
+    return tuple((u.flipflops, u.logic_for(arch), u.clock, u.operation_regime)
+                 for u in load_budget().subunits)
+
+
 def managing_report(sc: Scenario, include_data_input: bool = False) -> UnitReport:
     """Area and power of the managing component.
 
@@ -186,11 +195,10 @@ def managing_report(sc: Scenario, include_data_input: bool = False) -> UnitRepor
 
     area = 0.0
     power = 0.0
-    for u in load_budget().subunits:
-        logic = u.logic_for(sc.memory_arch)
-        area += (u.flipflops * tech.a_ff + logic * tech.a_mos) * tech.logic_area_scale
-        if not u.operation_regime and not include_data_input:
+    for flipflops, logic, clock, operation_regime in _managing_rows(sc.memory_arch):
+        area += (flipflops * tech.a_ff + logic * tech.a_mos) * tech.logic_area_scale
+        if not operation_regime and not include_data_input:
             continue
-        c_gate = (u.flipflops * tech.c_ff_equiv + logic * tech.c_mos) * tech.digital_cap_scale
-        power += switching_power(c_gate, freq[u.clock], sc.op.v_dd, sc.op.sigma_con)
+        c_gate = (flipflops * tech.c_ff_equiv + logic * tech.c_mos) * tech.digital_cap_scale
+        power += switching_power(c_gate, freq[clock], sc.op.v_dd, sc.op.sigma_con)
     return UnitReport(area, power)

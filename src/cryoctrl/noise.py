@@ -33,9 +33,16 @@ class SizingBound:
     binding_spec: str
 
     def __post_init__(self):
-        if not 0 < self.value < math.inf:
-            raise ValueError(f"the {self.kind.value} bound of {self.binding_spec} is "
-                             f"{self.value!r}, not positive and finite")
+        _check_bound(self.kind, self.value, "{}", self.binding_spec)
+
+
+def _check_bound(kind: BoundKind, value: float, spec: str, *args) -> float:
+    """``value``, or ValueError where it is not positive and finite; the
+    requirement's text, ``spec`` formatted with ``args``, is built only then."""
+    if not 0 < value < math.inf:
+        raise ValueError(f"the {kind.value} bound of {spec.format(*args)} is {value!r}, "
+                         f"not positive and finite")
+    return value
 
 
 def _require_positive(**values: float) -> None:
@@ -61,19 +68,42 @@ def johnson_rms(r: float, t: float, b: float) -> float:
     return math.sqrt(4.0 * K_B * t * r * b)
 
 
+# Each bound comes as its value alone (``*_value``, what the sizing checks
+# read) and as a SizingBound that also names its requirement, from the text
+# below; both refuse a bound that underflows or overflows with one message.
+_UNIT_CAP_SPEC = "kT/C <= ({1:g} V)^2 at {2:g} K, n={0}"
+_UNIT_RES_SPEC = "4kTRB <= ({2:g} V)^2 at {3:g} K, B={4:g} Hz, n={1}, {0.value}"
+_HOLD_CAP_SPEC = "kT/(N*C) <= ({1:g} V)^2 at {2:g} K, N={0}"
+
+
+def min_unit_cap_value(n: int, dv: float, t: float) -> float:
+    """The value of :func:`min_unit_cap`."""
+    _require_positive(n=n, dv=dv, t=t)
+    value = _ratio(K_B * t, 2.0 ** (n / 2.0) * dv * dv)
+    return _check_bound(BoundKind.MIN_CAPACITANCE, value, _UNIT_CAP_SPEC, n, dv, t)
+
+
 def min_unit_cap(n: int, dv: float, t: float) -> SizingBound:
     """Minimum DAC unit capacitor so that kT/C output noise stays below ``dv``.
 
     The output capacitance of the capacitive divider is approximately
     2^(n/2) unit capacitors; odd resolutions use the real-valued power.
     """
-    _require_positive(n=n, dv=dv, t=t)
-    value = _ratio(K_B * t, 2.0 ** (n / 2.0) * dv * dv)
-    return SizingBound(
-        BoundKind.MIN_CAPACITANCE,
-        value,
-        f"kT/C <= ({dv:g} V)^2 at {t:g} K, n={n}",
-    )
+    return SizingBound(BoundKind.MIN_CAPACITANCE, min_unit_cap_value(n, dv, t),
+                       _UNIT_CAP_SPEC.format(n, dv, t))
+
+
+def max_unit_res_value(arch: DacArchitecture, n: int, dv: float, t: float, b: float) -> float:
+    """The value of :func:`max_unit_res`."""
+    if type(arch) is not DacArchitecture:
+        arch = DacArchitecture(arch)
+    _require_positive(n=n, dv=dv, t=t, b=b)
+    if arch is DacArchitecture.CAP:
+        raise ValueError("capacitive DAC has no resistive noise bound")
+    value = _ratio(dv * dv, 4.0 * K_B * t * b)
+    if arch is DacArchitecture.KELVIN:
+        value /= 2.0 ** (n - 2)
+    return _check_bound(BoundKind.MAX_RESISTANCE, value, _UNIT_RES_SPEC, arch, n, dv, t, b)
 
 
 def max_unit_res(
@@ -84,18 +114,15 @@ def max_unit_res(
     The ladder presents its unit resistance at the output; the divider-string
     converter is code dependent and in the worst case presents 2^(n-2) units.
     """
-    arch = DacArchitecture(arch)
-    _require_positive(n=n, dv=dv, t=t, b=b)
-    if arch is DacArchitecture.CAP:
-        raise ValueError("capacitive DAC has no resistive noise bound")
-    value = _ratio(dv * dv, 4.0 * K_B * t * b)
-    if arch is DacArchitecture.KELVIN:
-        value /= 2.0 ** (n - 2)
-    return SizingBound(
-        BoundKind.MAX_RESISTANCE,
-        value,
-        f"4kTRB <= ({dv:g} V)^2 at {t:g} K, B={b:g} Hz, n={n}, {arch.value}",
-    )
+    return SizingBound(BoundKind.MAX_RESISTANCE, max_unit_res_value(arch, n, dv, t, b),
+                       _UNIT_RES_SPEC.format(DacArchitecture(arch), n, dv, t, b))
+
+
+def min_hold_cap_value(n_channels: int, dv: float, t: float) -> float:
+    """The value of :func:`min_hold_cap`."""
+    _require_positive(n_channels=n_channels, dv=dv, t=t)
+    value = _ratio(K_B * t, n_channels * dv * dv)
+    return _check_bound(BoundKind.MIN_CAPACITANCE, value, _HOLD_CAP_SPEC, n_channels, dv, t)
 
 
 def min_hold_cap(n_channels: int, dv: float, t: float) -> SizingBound:
@@ -104,10 +131,5 @@ def min_hold_cap(n_channels: int, dv: float, t: float) -> SizingBound:
     The pooled output capacitance of ``n_channels`` hold capacitors sets the
     kT/C noise seen at the electrodes.
     """
-    _require_positive(n_channels=n_channels, dv=dv, t=t)
-    value = _ratio(K_B * t, n_channels * dv * dv)
-    return SizingBound(
-        BoundKind.MIN_CAPACITANCE,
-        value,
-        f"kT/(N*C) <= ({dv:g} V)^2 at {t:g} K, N={n_channels}",
-    )
+    return SizingBound(BoundKind.MIN_CAPACITANCE, min_hold_cap_value(n_channels, dv, t),
+                       _HOLD_CAP_SPEC.format(n_channels, dv, t))

@@ -8,15 +8,16 @@ from operator import attrgetter
 from typing import NamedTuple
 
 from . import noise
-from .analog import (
-    GenReport,
-    bias_dac_design,
-    bias_gen_report,
-    rf_dac_design,
-    rf_gen_report,
-)
+from .analog import GenReport, bias_gen_report, rf_gen_report
 from .config import DacArchitecture, Scenario, scenario_to_dict
-from .dac import dac_analog_power, dac_area, dac_output_noise, dac_switch_power, design_dac
+from .dac import (
+    dac_analog_power,
+    dac_area,
+    dac_output_noise,
+    dac_switch_power,
+    default_unit_value,
+    design_dac,
+)
 from .digital import UnitReport, managing_report, memory_design, memory_report
 
 # The report's units in report order. Every per-unit output (totals, dicts,
@@ -141,23 +142,47 @@ class SweepRow(NamedTuple):
     status: str  # "ok" or "invalid: <reason>"
 
 
-def _with_param(sc: Scenario, param: str, value) -> Scenario:
-    if param in ("n_bias", "n_rf"):
-        if not float(value).is_integer():
-            raise ValueError(f"{param} must be an integer, got {value!r}")
-        return replace(sc, spec=replace(sc.spec, **{param: int(value)}))
+def _field_value(param: str, value):
+    """A sweep value as its field holds it: ``v_dd`` a float (an integer beyond
+    the float range counts as infinite), a resolution an integer."""
     if param == "v_dd":
-        return replace(sc, op=replace(sc.op, v_dd=float(value)))
-    raise ValueError(f"unknown sweep parameter '{param}' (one of {SWEEP_PARAMS})")
+        try:
+            return float(value)
+        except OverflowError:
+            return math.inf if value > 0 else -math.inf
+    if value % 1 != 0:   # NaN and inf too
+        raise ValueError(f"{param} must be an integer, got {value!r}")
+    return int(value)
+
+
+def _nan_last(value):
+    """Sort key of a sweep value: NaN last; ``math.isnan`` refuses a value that
+    is no number."""
+    try:
+        return math.isnan(value), value
+    except OverflowError:   # an integer beyond the float range
+        return False, value
 
 
 def sweep(sc: Scenario, param: str, values) -> list[SweepRow]:
-    """One report per parameter value, ordered by value with NaN last; a value
-    that fails validation yields an invalid row instead of aborting the sweep."""
+    """One report per value of ``param`` (one of ``SWEEP_PARAMS``), ordered by
+    value with NaN last; a value that fails validation yields an invalid row
+    instead of aborting the sweep. Each point is ``sc`` with that value, as
+    :func:`dataclasses.replace` would build it."""
+    if param not in SWEEP_PARAMS:
+        raise ValueError(f"unknown sweep parameter '{param}' (one of {SWEEP_PARAMS})")
+    section = "op" if param == "v_dd" else "spec"
+    part = getattr(sc, section)
+    # fields read once per sweep: one constructor call per changed object
+    # costs less than dataclasses.replace, which reads them all again
+    sc_fields = {name: getattr(sc, name) for name in sc.__dataclass_fields__}
+    part_fields = dict(vars(part))   # a part's __dict__ holds its fields alone
     rows = []
-    for value in sorted(values, key=lambda v: (math.isnan(v), v)):
+    for value in sorted(values, key=_nan_last):
         try:
-            rows.append(SweepRow(param, value, assemble(_with_param(sc, param, value)), "ok"))
+            changed = type(part)(**{**part_fields, param: _field_value(param, value)})
+            point = assemble(Scenario(**{**sc_fields, section: changed}))
+            rows.append(SweepRow(param, value, point, "ok"))
         except ValueError as exc:
             rows.append(SweepRow(param, value, None, f"invalid: {exc}"))
     return rows
@@ -274,21 +299,21 @@ def temperature_adjust(sc: Scenario, t_el: float) -> Scenario:
     ratio = t_el / sc.op.t_el
     s = sc.spec
 
-    c_h = sc.c_h * ratio
+    bias_unit = sc.bias_dac_unit
+    if bias_unit is None:
+        bias_unit = default_unit_value(sc.bias_dac_arch, sc.tech)
+    if sc.bias_dac_arch is DacArchitecture.CAP:
+        bias_unit *= ratio
+    else:
+        bias_unit /= ratio  # resistive bound shrinks with T
 
-    def scaled_bias_unit() -> float:
-        d = bias_dac_design(sc)
-        if d.arch is DacArchitecture.CAP:
-            return d.unit_value * ratio
-        return d.unit_value / ratio  # resistive bound shrinks with T
+    rf_unit = sc.rf_dac_unit
+    if rf_unit is None:
+        rf_unit = default_unit_value(sc.rf_dac_arch, sc.tech)
+    if sc.rf_dac_arch is DacArchitecture.CAP:
+        rf_unit = max(rf_unit, noise.min_unit_cap_value(s.n_rf, s.dv_rf, t_el))
+    else:
+        rf_unit = min(rf_unit, noise.max_unit_res_value(sc.rf_dac_arch, s.n_rf, s.dv_rf,
+                                                        t_el, sc.op.b_rf))
 
-    def adjusted_rf_unit() -> float:
-        d = rf_dac_design(sc)
-        if d.arch is DacArchitecture.CAP:
-            bound = noise.min_unit_cap(s.n_rf, s.dv_rf, t_el).value
-            return max(d.unit_value, bound)
-        bound = noise.max_unit_res(d.arch, s.n_rf, s.dv_rf, t_el, sc.op.b_rf).value
-        return min(d.unit_value, bound)
-
-    return replace(sc, c_h=c_h, bias_dac_unit=scaled_bias_unit(),
-                   rf_dac_unit=adjusted_rf_unit(), op=op)
+    return replace(sc, c_h=sc.c_h * ratio, bias_dac_unit=bias_unit, rf_dac_unit=rf_unit, op=op)

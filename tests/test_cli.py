@@ -210,6 +210,28 @@ def test_the_estimator_subcommands_do_not_import_the_simulator(scenario_dir, src
     assert proc.returncode == 0, proc.stderr
 
 
+_LAZY_RESOURCES_CHECK = """
+import contextlib, io, sys
+import cryoctrl.cli
+assert "importlib.resources" not in sys.modules
+with contextlib.redirect_stdout(io.StringIO()):
+    assert cryoctrl.cli.main(["bounds", "--scenario", sys.argv[1]]) == 0
+assert "importlib.resources" not in sys.modules
+with contextlib.redirect_stdout(io.StringIO()):
+    assert cryoctrl.cli.main(["estimate", "--scenario", sys.argv[1]]) == 0
+assert "importlib.resources" in sys.modules   # the managing budget was read
+"""
+
+
+def test_only_the_budget_read_imports_importlib_resources(scenario_dir, src_env):
+    # -S: no site module, whose .pth files may import importlib.resources first
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", _LAZY_RESOURCES_CHECK,
+         str(scenario_dir / "paper-defaults.json")],
+        capture_output=True, text=True, env=src_env, timeout=30)
+    assert proc.returncode == 0, proc.stderr
+
+
 def test_simulate_far_past_the_events_finishes_fast(scenario_dir, tmp_path, src_env):
     stim = tmp_path / "stim.txt"
     stim.write_text(_EARLY_STIMULUS)

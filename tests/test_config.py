@@ -14,7 +14,13 @@ from cryoctrl import (
     save_scenario,
     scenario_from_dict,
 )
-from cryoctrl.config import MemoryArch, OperatingPoint, SystemSpec, TechnologyParams
+from cryoctrl.config import (
+    MemoryArch,
+    OperatingPoint,
+    SystemSpec,
+    TechnologyParams,
+    scenario_to_dict,
+)
 
 
 def test_defaults_only_file(tmp_path):
@@ -246,6 +252,37 @@ def test_a_built_scenario_derives_its_clocks_once(monkeypatch):
     assert sc.clocks is sc.clocks and sc.clocks == derive(sc)
     sc.validate()
     assert len(calls) == 1
+
+
+@pytest.mark.parametrize("kwargs, message", [
+    ({"c_h": 10e-15},
+     "c_h=1.000e-14 F is below the thermal-noise minimum 3.835e-14 F at t_el=0.2 K"),
+    # the clocks divide by dv_bias * n_bias_signals * c_h, which underflows to
+    # 0 here: the hold-capacitor check comes first and refuses both
+    ({"c_h": 5e-324},
+     "c_h=4.941e-324 F is below the thermal-noise minimum 3.835e-14 F at t_el=0.2 K"),
+    ({"spec": SystemSpec(dv_bias=1e-200), "c_h": 1e-200},
+     "spec.dv_bias, spec.n_bias_signals and op.t_el give no hold-capacitor minimum: the "
+     "min_capacitance bound of kT/(N*C) <= (1e-200 V)^2 at 0.2 K, N=8 is inf, not positive "
+     "and finite"),
+])
+def test_the_hold_capacitor_check_comes_before_the_clocks(kwargs, message):
+    with pytest.raises(ConfigError) as refused:
+        Scenario(**kwargs)
+    assert str(refused.value) == message
+
+
+def test_a_scenario_dict_lists_every_field_in_declaration_order():
+    sc = Scenario(bias_dac_unit=2e-14)
+    d = scenario_to_dict(sc)
+    assert list(d) == [f.name for f in fields(Scenario)]
+    for section, part in _PARTS.items():
+        assert list(d[section]) == [f.name for f in fields(part)]
+        assert d[section] == {f.name: getattr(getattr(sc, section), f.name)
+                              for f in fields(part)}
+    assert (d["memory_arch"], d["bias_dac_arch"], d["c_h"], d["bias_dac_unit"],
+            d["rf_dac_unit"]) == ("ff", "cap", 307e-15, 2e-14, None)
+    assert scenario_from_dict(d) == sc
 
 
 def test_every_requirement_and_process_symbol_has_one_field():

@@ -1,3 +1,5 @@
+import math
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -9,7 +11,13 @@ from cryoctrl import (
     min_hold_cap,
     min_unit_cap,
 )
-from cryoctrl.noise import K_B, BoundKind
+from cryoctrl.noise import (
+    K_B,
+    BoundKind,
+    max_unit_res_value,
+    min_hold_cap_value,
+    min_unit_cap_value,
+)
 
 # Frozen oracle values: each is sqrt(kT/C), sqrt(4kTRB), or the algebraic
 # inverse thereof, evaluated independently with k_B = 1.380649e-23 J/K.
@@ -96,6 +104,45 @@ def test_min_hold_cap_examples():
 def test_a_bound_that_underflows_or_overflows_names_its_requirement(bound, args, value):
     with pytest.raises(ValueError, match=r"the \w+ bound of .+ V\)\^2 at .+ is " + value):
         bound(*args)
+
+
+_VALUE_OF = {min_unit_cap: min_unit_cap_value, max_unit_res: max_unit_res_value,
+             min_hold_cap: min_hold_cap_value}
+
+
+@pytest.mark.parametrize("bound, args", [
+    (min_unit_cap, (10, 1e-200, 0.2)),
+    (min_unit_cap, (10, 1e300, 0.2)),
+    (min_unit_cap, (11, 8e-6, 0.2)),
+    (min_hold_cap, (8, 1e-200, 0.2)),
+    (min_hold_cap, (8, 3e-6, 1.8)),
+    (max_unit_res, (DacArchitecture.LADDER, 12, 1e-200, 0.2, 10e6)),
+    (max_unit_res, ("kelvin", 12, 3e-6, 5e-324, 1e-300)),
+    (max_unit_res, ("ladder", 10, 8e-6, 0.2, 600e6)),
+    (max_unit_res, (DacArchitecture.CAP, 10, 8e-6, 0.2, 600e6)),
+    (min_unit_cap, (10, math.nan, 0.2)),
+])
+def test_a_bound_value_is_its_bound_without_the_text(bound, args):
+    # the value alone, or the same ValueError, naming the requirement
+    try:
+        expected = bound(*args).value
+    except ValueError as exc:
+        with pytest.raises(ValueError) as refused:
+            _VALUE_OF[bound](*args)
+        assert str(refused.value) == str(exc)
+    else:
+        assert _VALUE_OF[bound](*args) == expected
+
+
+def test_a_refused_bound_message_is_pinned():
+    with pytest.raises(ValueError) as refused:
+        min_hold_cap_value(8, 1e-200, 0.2)
+    assert str(refused.value) == ("the min_capacitance bound of kT/(N*C) <= (1e-200 V)^2 at "
+                                  "0.2 K, N=8 is inf, not positive and finite")
+    with pytest.raises(ValueError) as refused:
+        max_unit_res_value("ladder", 12, 1e-200, 0.2, 10e6)
+    assert str(refused.value) == ("the max_resistance bound of 4kTRB <= (1e-200 V)^2 at 0.2 K, "
+                                  "B=1e+07 Hz, n=12, ladder is 0.0, not positive and finite")
 
 
 positive = st.floats(min_value=1e-9, max_value=1e9, allow_nan=False)

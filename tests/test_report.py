@@ -17,11 +17,13 @@ from cryoctrl import (
     temperature_adjust,
 )
 from cryoctrl.config import (
+    REFERENCE_SCENARIOS,
     ConfigError,
+    DacArchitecture,
     scenario_14nm_sram_10mv,
     scenario_65nm_sram_100mv,
 )
-from cryoctrl.report import SWEEP_CSV_HEADER, csv_table
+from cryoctrl.report import SWEEP_CSV_HEADER, SWEEP_PARAMS, csv_table
 
 
 def _parse_csv(text):
@@ -326,3 +328,120 @@ def test_scaled_leakage_capacity_row():
     r = assemble(sc)
     assert qubit_capacity(r, 10.0).n_qubits == pytest.approx(6.1e8, rel=0.15)
     assert qubit_capacity(r, 10.0, sig_figs=None).n_qubits == pytest.approx(6.1e8, rel=0.15)
+
+
+# ---------------------------------------------------------------------------
+# Sweep points and re-sized scenarios against dataclasses.replace
+
+def test_sweep_refuses_an_unknown_parameter_before_any_point(baseline, monkeypatch):
+    import cryoctrl.report as report
+
+    monkeypatch.setattr(report, "assemble", lambda sc: pytest.fail("a point was built"))
+    with pytest.raises(ValueError, match=r"unknown sweep parameter 'foo' \(one of "):
+        sweep(baseline, "foo", [1.0])
+
+
+@pytest.mark.parametrize("param, values, statuses", [
+    ("n_bias", [10 ** 400, 12, -10 ** 400],
+     ["invalid: n_bias must be positive", "ok", "invalid: n_bias must be finite"]),
+    ("n_rf", [10 ** 400], ["invalid: n_rf must be finite"]),
+    ("v_dd", [10 ** 400, 1, -10 ** 400],
+     ["invalid: v_dd must be positive", "ok", "invalid: v_dd must be finite"]),
+])
+def test_a_sweep_value_beyond_the_float_range_gives_an_invalid_row(baseline, param, values,
+                                                                   statuses):
+    # an integer beyond the largest float counts as infinite, as in a part
+    rows = sweep(baseline, param, values)
+    assert [r.status for r in rows] == statuses
+    assert [r.value for r in rows] == sorted(values)
+
+
+@pytest.mark.parametrize("param", SWEEP_PARAMS)
+def test_a_sweep_value_that_is_no_number_raises(baseline, param):
+    with pytest.raises(TypeError):
+        sweep(baseline, param, [1.0, "3"])
+
+
+def _replaced_point(sc, param, value):
+    """The sweep point of ``value`` built with dataclasses.replace: its report,
+    or the message it is refused with."""
+    if param == "v_dd":
+        section = "op"
+        if isinstance(value, int) and abs(value) <= 1.7976931348623157e308:
+            value = float(value)
+    else:
+        section = "spec"
+        if isinstance(value, float):
+            if not value.is_integer():
+                return f"{param} must be an integer, got {value!r}"
+            value = int(value)
+    try:
+        return assemble(replace(sc, **{section: replace(getattr(sc, section), **{param: value})}))
+    except ValueError as exc:
+        return str(exc)
+
+
+_SWEEP_VALUES = {
+    "v_dd": st.one_of(st.floats(), st.integers(-3, 3), st.sampled_from([10 ** 400, -10 ** 400])),
+    "n_bias": st.one_of(st.floats(), st.integers(-4, 30),
+                        st.sampled_from([10 ** 400, -10 ** 400, 2 ** 1000])),
+}
+_SWEEP_VALUES["n_rf"] = _SWEEP_VALUES["n_bias"]
+_SCENARIO_NAMES = st.sampled_from(sorted(REFERENCE_SCENARIOS))
+
+
+@given(name=_SCENARIO_NAMES, data=st.data())
+def test_each_sweep_row_is_the_replaced_scenario_assembled(name, data):
+    sc = REFERENCE_SCENARIOS[name]()
+    param = data.draw(st.sampled_from(SWEEP_PARAMS))
+    values = data.draw(st.lists(_SWEEP_VALUES[param], max_size=4))
+    rows = sweep(sc, param, values)
+    assert len(rows) == len(values)
+    finite = [r.value for r in rows if r.value == r.value]
+    assert finite == sorted(finite) and all(r.value != r.value for r in rows[len(finite):])
+    for row in rows:
+        expected = _replaced_point(sc, param, row.value)
+        if isinstance(expected, str):
+            assert (row.report, row.status) == (None, f"invalid: {expected}")
+        else:
+            assert (row.report, row.status) == (expected, "ok")
+            assert repr(row.report) == repr(expected)
+
+
+def _adjusted_with_replace(sc, t_el):
+    """The re-sizing of temperature_adjust, each DAC designed and each bound
+    built with its text, as dataclasses.replace derives it."""
+    from cryoctrl import max_unit_res, min_unit_cap
+    from cryoctrl.analog import bias_dac_design, rf_dac_design
+
+    if t_el == sc.op.t_el:
+        return sc
+    op = replace(sc.op, t_el=t_el, f_clk_bias=None)
+    ratio = t_el / sc.op.t_el
+    s = sc.spec
+    d = bias_dac_design(sc)
+    bias_unit = d.unit_value * ratio if d.arch is DacArchitecture.CAP else d.unit_value / ratio
+    d = rf_dac_design(sc)
+    if d.arch is DacArchitecture.CAP:
+        rf_unit = max(d.unit_value, min_unit_cap(s.n_rf, s.dv_rf, t_el).value)
+    else:
+        rf_unit = min(d.unit_value, max_unit_res(d.arch, s.n_rf, s.dv_rf, t_el, sc.op.b_rf).value)
+    return replace(sc, c_h=sc.c_h * ratio, bias_dac_unit=bias_unit, rf_dac_unit=rf_unit, op=op)
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except ValueError as exc:   # ConfigError included
+        return type(exc), str(exc)
+
+
+@given(name=_SCENARIO_NAMES, bias_arch=st.sampled_from(DacArchitecture),
+       rf_arch=st.sampled_from(DacArchitecture),
+       t_el=st.one_of(st.floats(), st.floats(0.01, 10.0), st.sampled_from([0.2, 4.0])))
+def test_temperature_adjust_is_the_scenario_replace_builds(name, bias_arch, rf_arch, t_el):
+    sc = replace(REFERENCE_SCENARIOS[name](), bias_dac_arch=bias_arch, rf_dac_arch=rf_arch)
+    got = _outcome(temperature_adjust, sc, t_el)
+    expected = _outcome(_adjusted_with_replace, sc, t_el)
+    assert got == expected
+    assert repr(got) == repr(expected)
