@@ -244,8 +244,8 @@ class Scenario:
         from . import analog, noise  # deferred: both import this module
 
         try:
-            hold_min = noise.min_hold_cap_value(
-                self.spec.n_bias_signals, self.spec.dv_bias, self.op.t_el)
+            hold_min = noise.min_hold_cap(
+                self.spec.n_bias_signals, self.spec.dv_bias, self.op.t_el).value
         except ValueError as exc:   # the bound underflows or overflows
             raise ConfigError(f"spec.dv_bias, spec.n_bias_signals and op.t_el give no "
                               f"hold-capacitor minimum: {exc}") from None
@@ -375,6 +375,9 @@ def load_scenario(path: str | Path) -> Scenario:
                           f"column {exc.colno}: {exc.msg}") from exc
     except RecursionError:
         raise ConfigError(f"{escape_controls(path)}: parse error: JSON nested too deeply") from None
+    except ValueError:   # an integer beyond the interpreter's digit limit
+        raise ConfigError(f"{escape_controls(path)}: parse error: an integer has too many "
+                          f"digits") from None
     return scenario_from_dict(data)
 
 

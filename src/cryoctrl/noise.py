@@ -11,8 +11,8 @@ its requirement.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
 from .config import DacArchitecture
 
@@ -24,25 +24,26 @@ class BoundKind(str, Enum):
     MAX_RESISTANCE = "max_resistance"
 
 
-@dataclass(frozen=True)
-class SizingBound:
-    """A single component bound and the requirement that produced it."""
+class SizingBound(NamedTuple):
+    """A single component bound and the requirement that produced it: ``spec``
+    formatted with ``args``."""
 
     kind: BoundKind
     value: float
-    binding_spec: str
+    spec: str
+    args: tuple
 
-    def __post_init__(self):
-        _check_bound(self.kind, self.value, "{}", self.binding_spec)
+    @property
+    def binding_spec(self) -> str:
+        return self.spec.format(*self.args)
 
 
-def _check_bound(kind: BoundKind, value: float, spec: str, *args) -> float:
-    """``value``, or ValueError where it is not positive and finite; the
-    requirement's text, ``spec`` formatted with ``args``, is built only then."""
+def _bound(kind: BoundKind, value: float, spec: str, args: tuple) -> SizingBound:
+    """The bound, or ValueError where ``value`` is not positive and finite."""
     if not 0 < value < math.inf:
         raise ValueError(f"the {kind.value} bound of {spec.format(*args)} is {value!r}, "
                          f"not positive and finite")
-    return value
+    return SizingBound(kind, value, spec, args)
 
 
 def _require_positive(**values: float) -> None:
@@ -68,19 +69,10 @@ def johnson_rms(r: float, t: float, b: float) -> float:
     return math.sqrt(4.0 * K_B * t * r * b)
 
 
-# Each bound comes as its value alone (``*_value``, what the sizing checks
-# read) and as a SizingBound that also names its requirement, from the text
-# below; both refuse a bound that underflows or overflows with one message.
+# The requirement behind each bound, formatted with its operands when read.
 _UNIT_CAP_SPEC = "kT/C <= ({1:g} V)^2 at {2:g} K, n={0}"
 _UNIT_RES_SPEC = "4kTRB <= ({2:g} V)^2 at {3:g} K, B={4:g} Hz, n={1}, {0.value}"
 _HOLD_CAP_SPEC = "kT/(N*C) <= ({1:g} V)^2 at {2:g} K, N={0}"
-
-
-def min_unit_cap_value(n: int, dv: float, t: float) -> float:
-    """The value of :func:`min_unit_cap`."""
-    _require_positive(n=n, dv=dv, t=t)
-    value = _ratio(K_B * t, 2.0 ** (n / 2.0) * dv * dv)
-    return _check_bound(BoundKind.MIN_CAPACITANCE, value, _UNIT_CAP_SPEC, n, dv, t)
 
 
 def min_unit_cap(n: int, dv: float, t: float) -> SizingBound:
@@ -89,21 +81,9 @@ def min_unit_cap(n: int, dv: float, t: float) -> SizingBound:
     The output capacitance of the capacitive divider is approximately
     2^(n/2) unit capacitors; odd resolutions use the real-valued power.
     """
-    return SizingBound(BoundKind.MIN_CAPACITANCE, min_unit_cap_value(n, dv, t),
-                       _UNIT_CAP_SPEC.format(n, dv, t))
-
-
-def max_unit_res_value(arch: DacArchitecture, n: int, dv: float, t: float, b: float) -> float:
-    """The value of :func:`max_unit_res`."""
-    if type(arch) is not DacArchitecture:
-        arch = DacArchitecture(arch)
-    _require_positive(n=n, dv=dv, t=t, b=b)
-    if arch is DacArchitecture.CAP:
-        raise ValueError("capacitive DAC has no resistive noise bound")
-    value = _ratio(dv * dv, 4.0 * K_B * t * b)
-    if arch is DacArchitecture.KELVIN:
-        value /= 2.0 ** (n - 2)
-    return _check_bound(BoundKind.MAX_RESISTANCE, value, _UNIT_RES_SPEC, arch, n, dv, t, b)
+    _require_positive(n=n, dv=dv, t=t)
+    value = _ratio(K_B * t, 2.0 ** (n / 2.0) * dv * dv)
+    return _bound(BoundKind.MIN_CAPACITANCE, value, _UNIT_CAP_SPEC, (n, dv, t))
 
 
 def max_unit_res(
@@ -114,15 +94,14 @@ def max_unit_res(
     The ladder presents its unit resistance at the output; the divider-string
     converter is code dependent and in the worst case presents 2^(n-2) units.
     """
-    return SizingBound(BoundKind.MAX_RESISTANCE, max_unit_res_value(arch, n, dv, t, b),
-                       _UNIT_RES_SPEC.format(DacArchitecture(arch), n, dv, t, b))
-
-
-def min_hold_cap_value(n_channels: int, dv: float, t: float) -> float:
-    """The value of :func:`min_hold_cap`."""
-    _require_positive(n_channels=n_channels, dv=dv, t=t)
-    value = _ratio(K_B * t, n_channels * dv * dv)
-    return _check_bound(BoundKind.MIN_CAPACITANCE, value, _HOLD_CAP_SPEC, n_channels, dv, t)
+    arch = DacArchitecture(arch)
+    _require_positive(n=n, dv=dv, t=t, b=b)
+    if arch is DacArchitecture.CAP:
+        raise ValueError("capacitive DAC has no resistive noise bound")
+    value = _ratio(dv * dv, 4.0 * K_B * t * b)
+    if arch is DacArchitecture.KELVIN:
+        value /= 2.0 ** (n - 2)
+    return _bound(BoundKind.MAX_RESISTANCE, value, _UNIT_RES_SPEC, (arch, n, dv, t, b))
 
 
 def min_hold_cap(n_channels: int, dv: float, t: float) -> SizingBound:
@@ -131,5 +110,6 @@ def min_hold_cap(n_channels: int, dv: float, t: float) -> SizingBound:
     The pooled output capacitance of ``n_channels`` hold capacitors sets the
     kT/C noise seen at the electrodes.
     """
-    return SizingBound(BoundKind.MIN_CAPACITANCE, min_hold_cap_value(n_channels, dv, t),
-                       _HOLD_CAP_SPEC.format(n_channels, dv, t))
+    _require_positive(n_channels=n_channels, dv=dv, t=t)
+    value = _ratio(K_B * t, n_channels * dv * dv)
+    return _bound(BoundKind.MIN_CAPACITANCE, value, _HOLD_CAP_SPEC, (n_channels, dv, t))

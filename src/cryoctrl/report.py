@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import replace
 from operator import attrgetter
 from typing import NamedTuple
 
@@ -26,8 +26,7 @@ UNITS = ("bias_gen", "rf_gen", "memory", "managing")
 _unit_reports = attrgetter(*UNITS)
 
 
-@dataclass(frozen=True)
-class Report:
+class Report(NamedTuple):
     """Per-unit area/power breakdown plus totals for one scenario."""
 
     scenario: Scenario
@@ -199,6 +198,7 @@ def sweep_csv(rows: list[SweepRow]) -> str:
 
 DAC_SWEEP_CSV_HEADER = "arch,n,area_um2,p_analog_w,p_switch_w,noise_vrms"
 _DAC_SWEEP_COLUMNS = DAC_SWEEP_CSV_HEADER.split(",")
+_DAC_SWEEP_FIGURES = _DAC_SWEEP_COLUMNS[2:]
 
 
 def dac_sweep(sc: Scenario, condition: str = "bias") -> list[dict]:
@@ -207,7 +207,8 @@ def dac_sweep(sc: Scenario, condition: str = "bias") -> list[dict]:
 
     ``condition`` selects the operating point: "bias" (full range at the
     refresh rate) or "rf" (pulse amplitude at the sample rate). Switches are
-    clocked at twice the conversion rate.
+    clocked at twice the conversion rate. A row whose area, power or noise
+    is not finite raises ``ValueError``.
     """
     s = sc.spec
     if condition == "bias":
@@ -221,7 +222,7 @@ def dac_sweep(sc: Scenario, condition: str = "bias") -> list[dict]:
     for arch in DacArchitecture:
         for n in range(2, 17):
             d = design_dac(arch, n, sc.tech)
-            rows.append({
+            row = {
                 "arch": arch.value,
                 "n": n,
                 "area_um2": dac_area(d, sc.tech),
@@ -229,7 +230,12 @@ def dac_sweep(sc: Scenario, condition: str = "bias") -> list[dict]:
                 "p_switch_w": dac_switch_power(d, sc.op.v_dd, 2.0 * f_conv,
                                                sc.op.sigma_con, sc.tech),
                 "noise_vrms": dac_output_noise(d, t, b),
-            })
+            }
+            for figure in _DAC_SWEEP_FIGURES:
+                if not math.isfinite(row[figure]):
+                    raise ValueError(f"the {arch.value} DAC at n={n}: {figure} is not "
+                                     f"finite: {row[figure]!r}")
+            rows.append(row)
     return rows
 
 
@@ -311,9 +317,9 @@ def temperature_adjust(sc: Scenario, t_el: float) -> Scenario:
     if rf_unit is None:
         rf_unit = default_unit_value(sc.rf_dac_arch, sc.tech)
     if sc.rf_dac_arch is DacArchitecture.CAP:
-        rf_unit = max(rf_unit, noise.min_unit_cap_value(s.n_rf, s.dv_rf, t_el))
+        rf_unit = max(rf_unit, noise.min_unit_cap(s.n_rf, s.dv_rf, t_el).value)
     else:
-        rf_unit = min(rf_unit, noise.max_unit_res_value(sc.rf_dac_arch, s.n_rf, s.dv_rf,
-                                                        t_el, sc.op.b_rf))
+        rf_unit = min(rf_unit, noise.max_unit_res(sc.rf_dac_arch, s.n_rf, s.dv_rf,
+                                                  t_el, sc.op.b_rf).value)
 
     return replace(sc, c_h=sc.c_h * ratio, bias_dac_unit=bias_unit, rf_dac_unit=rf_unit, op=op)

@@ -178,8 +178,6 @@ class Trace:
         self.stats: dict = {}
         self._names: list[str] = []   # by signal index
         self._decoders: list = []     # by signal index: code -> value
-        self._emitted: dict[str, int] = {}   # emit's signals, by name
-        self._values: list = []       # emit's values, by code
 
     def signal(self, name: str, decode) -> int:
         """Register a signal whose codes ``decode`` maps to values; return its index."""
@@ -198,12 +196,9 @@ class Trace:
         self.codes += codes
 
     def emit(self, t: int, signal: str, value):
-        """Append a row of ``signal`` that holds ``value`` itself."""
-        index = self._emitted.get(signal)
-        if index is None:
-            index = self._emitted[signal] = self.signal(signal, self._values.__getitem__)
-        self.append(t, index, len(self._values))
-        self._values.append(value)
+        """Append a row of ``signal`` that holds ``value`` itself: the row's
+        own signal, whose one code decodes to ``value``."""
+        self.append(t, self.signal(signal, (value,).__getitem__), 0)
 
     def __len__(self) -> int:
         return len(self.ticks)
@@ -218,10 +213,7 @@ class Trace:
         return {self._names[s] for s in set(self.signal_ids)}
 
     def of(self, signal: str) -> list[TraceEvent]:
-        wanted = {s for s, name in enumerate(self._names) if name == signal}
-        decoders = self._decoders
-        return [TraceEvent(t, signal, decoders[s](c))
-                for t, s, c in zip(self.ticks, self.signal_ids, self.codes) if s in wanted]
+        return [e for e in self.events if e.signal == signal]
 
     def _text_rows(self, prefix: str, sep: str) -> list[str]:
         """Each row as ``prefix + repr(t_ns) + sep + signal + sep + repr(value)``. A

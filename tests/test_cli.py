@@ -346,6 +346,9 @@ def test_clock_floor(capsys, tmp_path):
     # derived refresh rate is 0 Hz
     ({"c_h": 1.7e308}, ("simulate", "--until", "1us"), 1),
     ({"c_h": 1.7e308}, ("sweep", "--unit", "dac"), 1),
+    # a DAC's unit area divided by a subnormal density overflows
+    ({"tech": {"rho_c": 1e-320}}, ("sweep", "--unit", "dac"), 2),
+    ({"tech": {"rho_r": 1e-320}}, ("sweep", "--unit", "dac"), 2),
     ({"spec": {"v_range_bias": 1e-300}, "tech": {"r_off": 1e300}},
      ("simulate", "--until", "1us"), 1),
     # a resolution the DAC models cannot size
@@ -357,7 +360,8 @@ def test_clock_floor(capsys, tmp_path):
         "tiny-dv_bias-estimate", "tiny-dv_bias-bounds", "tiny-dv_bias-capacity",
         "huge-dv_bias-bounds", "tiny-dv_rf-bounds", "rounded-power-capacity",
         "huge-f_sample_rf-simulate", "huge-f_clk_bias-simulate", "huge-c_h-simulate",
-        "huge-c_h-sweep-dac", "zero-refresh-simulate", "1-bit-n_rf-estimate",
+        "huge-c_h-sweep-dac", "tiny-rho_c-sweep-dac", "tiny-rho_r-sweep-dac",
+        "zero-refresh-simulate", "1-bit-n_rf-estimate",
         "1-bit-n_rf-capacity"])
 def test_overflowing_design_point_fails_with_a_message(tmp_path, src_env, data, command, code):
     if command[0] == "simulate":
@@ -378,7 +382,10 @@ def test_overflowing_design_point_fails_with_a_message(tmp_path, src_env, data, 
     (b"[" * 200_000, b"0 write-bias 0 2048\n", "s.json"),
     (b'{"c_h": 3e-13\xff}', b"0 write-bias 0 2048\n", "s.json"),
     (b"{}", b"0 write-bias 0 2048 # \xff\n", "stim.txt"),
-], ids=["deeply-nested-scenario", "non-utf8-scenario", "non-utf8-stimulus"])
+    # beyond the interpreter's integer digit limit; without one, not finite
+    (b'{"c_h": ' + b"1" * 5000 + b"}", b"0 write-bias 0 2048\n", "s.json"),
+], ids=["deeply-nested-scenario", "non-utf8-scenario", "non-utf8-stimulus",
+        "over-long-integer-scenario"])
 def test_hostile_input_file_fails_with_a_message(tmp_path, src_env, scenario, stimulus, bad):
     (tmp_path / "s.json").write_bytes(scenario)
     (tmp_path / "stim.txt").write_bytes(stimulus)

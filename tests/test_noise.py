@@ -11,13 +11,7 @@ from cryoctrl import (
     min_hold_cap,
     min_unit_cap,
 )
-from cryoctrl.noise import (
-    K_B,
-    BoundKind,
-    max_unit_res_value,
-    min_hold_cap_value,
-    min_unit_cap_value,
-)
+from cryoctrl.noise import K_B, BoundKind
 
 # Frozen oracle values: each is sqrt(kT/C), sqrt(4kTRB), or the algebraic
 # inverse thereof, evaluated independently with k_B = 1.380649e-23 J/K.
@@ -106,8 +100,11 @@ def test_a_bound_that_underflows_or_overflows_names_its_requirement(bound, args,
         bound(*args)
 
 
-_VALUE_OF = {min_unit_cap: min_unit_cap_value, max_unit_res: max_unit_res_value,
-             min_hold_cap: min_hold_cap_value}
+class _Unformattable(float):
+    """An operand that fails the test where it is formatted into a requirement."""
+
+    def __format__(self, spec):
+        raise AssertionError("the requirement text was formatted")
 
 
 @pytest.mark.parametrize("bound, args", [
@@ -123,26 +120,31 @@ _VALUE_OF = {min_unit_cap: min_unit_cap_value, max_unit_res: max_unit_res_value,
     (min_unit_cap, (10, math.nan, 0.2)),
 ])
 def test_a_bound_value_is_its_bound_without_the_text(bound, args):
-    # the value alone, or the same ValueError, naming the requirement
+    # a bound is built, and its value read, without formatting its
+    # requirement; the text is formatted where binding_spec is read
     try:
-        expected = bound(*args).value
-    except ValueError as exc:
-        with pytest.raises(ValueError) as refused:
-            _VALUE_OF[bound](*args)
-        assert str(refused.value) == str(exc)
-    else:
-        assert _VALUE_OF[bound](*args) == expected
+        expected = bound(*args)
+    except ValueError:   # refused: the messages are pinned below
+        return
+    b = bound(*(_Unformattable(a) if type(a) is float else a for a in args))
+    assert b.value == expected.value and b.kind is expected.kind
+    with pytest.raises(AssertionError, match="formatted"):
+        b.binding_spec
 
 
 def test_a_refused_bound_message_is_pinned():
     with pytest.raises(ValueError) as refused:
-        min_hold_cap_value(8, 1e-200, 0.2)
+        min_hold_cap(8, 1e-200, 0.2)
     assert str(refused.value) == ("the min_capacitance bound of kT/(N*C) <= (1e-200 V)^2 at "
                                   "0.2 K, N=8 is inf, not positive and finite")
     with pytest.raises(ValueError) as refused:
-        max_unit_res_value("ladder", 12, 1e-200, 0.2, 10e6)
+        max_unit_res("ladder", 12, 1e-200, 0.2, 10e6)
     assert str(refused.value) == ("the max_resistance bound of 4kTRB <= (1e-200 V)^2 at 0.2 K, "
                                   "B=1e+07 Hz, n=12, ladder is 0.0, not positive and finite")
+    with pytest.raises(ValueError) as refused:
+        min_unit_cap(10, 1e300, 0.2)
+    assert str(refused.value) == ("the min_capacitance bound of kT/C <= (1e+300 V)^2 at 0.2 K, "
+                                  "n=10 is 0.0, not positive and finite")
 
 
 positive = st.floats(min_value=1e-9, max_value=1e9, allow_nan=False)

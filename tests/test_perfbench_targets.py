@@ -33,10 +33,14 @@ def test_a_workload_runs_and_checks_its_first_input(name):
     assert failures == []
 
 
-@pytest.mark.parametrize("name", ["playback", "tuneup"])
-def test_a_traced_run_gives_the_untraced_output(name):
+@pytest.mark.parametrize("name, boundary, calls", [
+    ("design-sweep", "report.sweep", 3),
+    ("playback", "sim.engine.run", 1),
+    ("tuneup", "sim.engine.run", 1),
+], ids=["design-sweep", "playback", "tuneup"])
+def test_a_traced_run_gives_the_untraced_output(name, boundary, calls):
     # What ``perfbench/run.py --trace 1`` does: the tracer's wrappers must
-    # leave the simulator's output unchanged.
+    # leave the estimator's and the simulator's output unchanged.
     tracer = _load("tracing").Tracer()
     workload = _load("workloads").WORKLOADS[name]()
     workload.setup(7)
@@ -50,4 +54,4 @@ def test_a_traced_run_gives_the_untraced_output(name):
     traced, traced_failures = workload.check(item, result)
     assert failures == traced_failures == []
     assert traced == untraced
-    assert tracer.calls("sim.engine.run") == 1
+    assert tracer.calls(boundary) == calls

@@ -5,14 +5,16 @@ import json
 
 import pytest
 
-from cryoctrl import MemoryArch, assemble, cli
+from cryoctrl import MemoryArch, Scenario, assemble, cli
 from cryoctrl.analog import Clocks, GenReport, SampleHoldDesign
 from cryoctrl.dac import ComponentCounts
 from cryoctrl.digital import DigitalBudget, Subunit, UnitReport
-from cryoctrl.report import CapacityResult, SweepRow
+from cryoctrl.noise import BoundKind, SizingBound
+from cryoctrl.report import CapacityResult, Report, SweepRow
 from cryoctrl.sim.engine import Command
 
 _SUBUNIT = Subunit(name="refresh", flipflops=12, logic_transistors={"ff": 40}, clock="bias")
+_GEN, _UNIT = GenReport(120.0, 1e-6, 2e-6), UnitReport(5.0, 2.5e-7)
 
 # name: (a record, a function that builds it again, its repr)
 RECORDS = {
@@ -57,6 +59,18 @@ RECORDS = {
         Command(20.0, "play", (0, 1, 2, 3), 4),
         lambda: Command(t_ns=20.0, op="play", args=(0, 1, 2, 3), line=4),
         "Command(t_ns=20.0, op='play', args=(0, 1, 2, 3), line=4)"),
+    "SizingBound": (
+        SizingBound(BoundKind.MIN_CAPACITANCE, 3.8e-14, "N={0}", (8,)),
+        lambda: SizingBound(kind=BoundKind.MIN_CAPACITANCE, value=3.8e-14, spec="N={0}",
+                            args=(8,)),
+        "SizingBound(kind=<BoundKind.MIN_CAPACITANCE: 'min_capacitance'>, value=3.8e-14, "
+        "spec='N={0}', args=(8,))"),
+    "Report": (
+        Report(Scenario(), _GEN, _GEN, _UNIT, _UNIT, False),
+        lambda: Report(scenario=Scenario(), bias_gen=_GEN, rf_gen=_GEN, memory=_UNIT,
+                       managing=_UNIT, include_data_input=False, notes=()),
+        f"Report(scenario={Scenario()!r}, bias_gen={_GEN!r}, rf_gen={_GEN!r}, "
+        f"memory={_UNIT!r}, managing={_UNIT!r}, include_data_input=False, notes=())"),
 }
 
 
@@ -73,6 +87,7 @@ def test_a_record_keeps_its_repr_equality_and_immutability(name):
 
 def test_a_record_keeps_its_properties_and_methods():
     assert GenReport(120.0, 1e-6, 2e-6).power_w == pytest.approx(3e-6)
+    assert SizingBound(BoundKind.MIN_CAPACITANCE, 3.8e-14, "N={0}", (8,)).binding_spec == "N=8"
     assert _SUBUNIT.logic_for(MemoryArch.FLIP_FLOP) == 40
     assert DigitalBudget((_SUBUNIT,), 6).subunit("refresh") is _SUBUNIT
     with pytest.raises(KeyError):
