@@ -9,11 +9,10 @@ hundredfold leakage improvement from transistors optimized for low-voltage
 cryogenic operation.
 """
 
-from dataclasses import replace
-
 from cryoctrl import assemble, qubit_capacity, temperature_adjust
 from cryoctrl.config import (
     baseline_scenario,
+    replace,
     scenario_14nm_sram_10mv,
     scenario_65nm_sram,
 )

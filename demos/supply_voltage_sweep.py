@@ -6,10 +6,10 @@ range. Somewhere below 100 mV the analog part becomes the largest consumer;
 this script brackets the crossover and writes the sweep as CSV.
 """
 
-from dataclasses import replace
 from pathlib import Path
 
 from cryoctrl import assemble, baseline_scenario, sweep, sweep_csv
+from cryoctrl.config import replace
 
 sc = baseline_scenario()
 

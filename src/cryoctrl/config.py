@@ -6,16 +6,16 @@ constants (``TechnologyParams``), the chosen operating point
 (``OperatingPoint``), and the architecture selections (memory type, DAC
 types, unit-component sizes).
 
-Scenario files are JSON with the same field names as the dataclasses below.
+Scenario files are JSON with the same field names as the records below.
 All physical quantities are SI units (volts, farads, ohms, hertz, kelvin);
 areas are in square micrometres. Unknown keys are a hard error so that a
 typo cannot silently fall back to a default.
 
 Each part checks and converts its own fields when it is built, by its
-constructor, :func:`dataclasses.replace` or :func:`load_scenario`, so a part
-or scenario that exists is valid; the loader only parses, rejects unknown
-keys and prefixes a part's message with its section. A scenario derives its
-clocks once, when it is built, as ``Scenario.clocks``.
+constructor, :func:`replace` or :func:`load_scenario`, so a part or scenario
+that exists is valid; the loader only parses, rejects unknown keys and
+prefixes a part's message with its section. A scenario derives its clocks
+once, when it is built, as ``Scenario.clocks``.
 """
 
 from __future__ import annotations
@@ -23,8 +23,8 @@ from __future__ import annotations
 import json
 import math
 import sys
-from dataclasses import dataclass, field, replace
 from enum import Enum
+from operator import attrgetter
 from pathlib import Path
 
 
@@ -49,11 +49,76 @@ def _check_positive(obj, names) -> None:
     for name in names:
         v = getattr(obj, name)
         if type(v) is not float and type(v) is not int:   # a float or int needs the range only
-            _check_number(name, v, obj.__dataclass_fields__[name].default)
+            _check_number(name, v, obj._field_defaults[name])
             if v is None:
                 continue
         if not 0 < v <= top:
             raise ConfigError(f"{name} must be {'positive' if v <= 0 else 'finite'}")
+
+
+class _Record:
+    """A frozen record of keyword fields, read as a named tuple is read.
+
+    A subclass maps each field, in order, to its default in
+    ``_field_defaults``, its one schema, and takes its ``__slots__`` from it.
+    ``__init__`` takes the fields by keyword, fills in the defaults and runs
+    the subclass's ``_check``, which checks and converts them and raises
+    ConfigError naming the first bad one. Records compare and hash by type
+    and field values; ``_fields`` names the fields and ``_asdict`` gives them,
+    in order. Use :func:`replace` for a changed copy."""
+
+    __slots__ = ()
+    _field_defaults: dict = {}
+
+    def __init_subclass__(cls):
+        cls._fields = tuple(cls._field_defaults)
+        cls._values = attrgetter(*cls._fields)
+        # each slot's own setter, which a frozen record's __setattr__ refuses
+        cls._setters = tuple((getattr(cls, name).__set__, name, default)
+                             for name, default in cls._field_defaults.items())
+
+    def __init__(self, **values):
+        for set_field, name, default in self._setters:
+            set_field(self, values.pop(name, default))
+        if values:
+            raise TypeError(f"{type(self).__qualname__}.__init__() got an unexpected keyword "
+                            f"argument '{next(iter(values))}'")
+        self._check()
+
+    def _asdict(self) -> dict:
+        return dict(zip(self._fields, self._values(self)))
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={value!r}"
+                           for name, value in zip(self._fields, self._values(self)))
+        return f"{type(self).__qualname__}({fields})"
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._values(self) == self._values(other)
+
+    def __hash__(self):
+        return hash(self._values(self))
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field '{name}'")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field '{name}'")
+
+    # copy and pickle build the record again, checked
+    __getstate__ = _asdict
+
+    def __setstate__(self, state):
+        self.__init__(**state)
+
+
+def replace(record, /, **changes):
+    """A copy of ``record``, a scenario, one of its parts or a named-tuple
+    record, with the fields in ``changes`` replaced; it is built, and so
+    checked, as its constructor builds it."""
+    return type(record)(**{**record._asdict(), **changes})
 
 
 class MemoryArch(str, Enum):
@@ -91,8 +156,7 @@ RESOLUTION_RANGE = (2, 24)
 DEFAULT_LADDER_UNIT_RES = 150.0
 
 
-@dataclass(frozen=True)
-class SystemSpec:
+class SystemSpec(_Record):
     """Qubit-side signal requirements.
 
     n_bias_signals : number of DC electrodes served by the bias path
@@ -108,23 +172,26 @@ class SystemSpec:
     n_pulses       : number of stored pulse sequences
     """
 
-    n_bias_signals: int = 8
-    v_range_bias: float = 1.0
-    dv_bias: float = 3e-6
-    n_bias: int = 12
-    n_rf_signals: int = 2
-    v_range_rf: float = 4e-3
-    n_rf: int = 10
-    dv_rf: float = 8e-6
-    f_sample_rf: float = 300e6
-    l_pulse: int = 16
-    n_pulses: int = 16
+    _field_defaults = {
+        "n_bias_signals": 8,
+        "v_range_bias": 1.0,
+        "dv_bias": 3e-6,
+        "n_bias": 12,
+        "n_rf_signals": 2,
+        "v_range_rf": 4e-3,
+        "n_rf": 10,
+        "dv_rf": 8e-6,
+        "f_sample_rf": 300e6,
+        "l_pulse": 16,
+        "n_pulses": 16,
+    }
+    __slots__ = tuple(_field_defaults)
 
-    def __post_init__(self):
+    def _check(self):
         for name in ("n_bias_signals", "n_bias", "n_rf_signals", "n_rf", "l_pulse", "n_pulses"):
             if type(getattr(self, name)) is not int:
                 raise ConfigError(f"{name} must be an integer")
-        _check_positive(self, vars(self))
+        _check_positive(self, self._fields)
         lo, hi = RESOLUTION_RANGE
         for name in ("n_bias", "n_rf"):
             if not lo <= getattr(self, name) <= hi:
@@ -135,8 +202,7 @@ class SystemSpec:
                 raise ConfigError(f"{name} must be a power of two")
 
 
-@dataclass(frozen=True)
-class TechnologyParams:
+class TechnologyParams(_Record):
     """Process constants of the CMOS technology, 65 nm baseline.
 
     The first group are effective densities and typical device figures; the
@@ -147,37 +213,41 @@ class TechnologyParams:
     1.0 at the 65 nm baseline and set by :func:`apply_node` for other nodes.
     """
 
-    rho_r: float = 21.4            # ohm per um^2, effective resistive density
-    rho_c: float = 1.75e-15        # F per um^2, effective capacitive density
-    a_mos: float = 0.375           # um^2, mean transistor area
-    c_mos: float = 150e-18         # F, mean transistor gate capacitance
-    r_off: float = 1e12            # ohm, switch off-resistance
-    r_min: float = 15.0            # ohm, minimum poly resistor
-    c_min: float = 10e-15          # F, minimum MIM capacitor
-    v_dd: float = 1.0              # V, nominal digital supply
-    c_ff_equiv: float = 3.25e-15   # F per flip-flop, calibration
-    a_ff: float = 10.0             # um^2 per flip-flop
-    c_sram_bit: float = 1.25e-15   # F per SRAM bit, calibration
-    a_sram_cell: float = 0.5       # um^2 per SRAM cell
-    logic_area_scale: float = 1.0
-    sram_area_scale: float = 1.0
-    cap_density_scale: float = 1.0
-    digital_cap_scale: float = 1.0
-    r_off_multiplier: float = 1.0
+    _field_defaults = {
+        "rho_r": 21.4,            # ohm per um^2, effective resistive density
+        "rho_c": 1.75e-15,        # F per um^2, effective capacitive density
+        "a_mos": 0.375,           # um^2, mean transistor area
+        "c_mos": 150e-18,         # F, mean transistor gate capacitance
+        "r_off": 1e12,            # ohm, switch off-resistance
+        "r_min": 15.0,            # ohm, minimum poly resistor
+        "c_min": 10e-15,          # F, minimum MIM capacitor
+        "v_dd": 1.0,              # V, nominal digital supply
+        "c_ff_equiv": 3.25e-15,   # F per flip-flop, calibration
+        "a_ff": 10.0,             # um^2 per flip-flop
+        "c_sram_bit": 1.25e-15,   # F per SRAM bit, calibration
+        "a_sram_cell": 0.5,       # um^2 per SRAM cell
+        "logic_area_scale": 1.0,
+        "sram_area_scale": 1.0,
+        "cap_density_scale": 1.0,
+        "digital_cap_scale": 1.0,
+        "r_off_multiplier": 1.0,
+    }
+    __slots__ = tuple(_field_defaults)
 
     def r_off_effective(self) -> float:
         return self.r_off * self.r_off_multiplier
 
-    def __post_init__(self):
-        _check_positive(self, vars(self))
-        r = self.r_off_effective()
-        if not 0 < r < math.inf:   # the product can underflow or overflow
-            raise ConfigError(f"r_off * r_off_multiplier = {r:.3g} ohm must be positive "
-                              f"and finite")
+    def _check(self):
+        _check_positive(self, self._fields)
+        # each product can underflow or overflow although its factors do not
+        for product, value, unit in (
+                ("r_off * r_off_multiplier", self.r_off_effective(), "ohm"),
+                ("rho_c * cap_density_scale", self.rho_c * self.cap_density_scale, "F/um^2")):
+            if not 0 < value < math.inf:
+                raise ConfigError(f"{product} = {value:.3g} {unit} must be positive and finite")
 
 
-@dataclass(frozen=True)
-class OperatingPoint:
+class OperatingPoint(_Record):
     """Operating temperature, supply, clocks, bandwidths, and activities.
 
     The clocks are normally left as ``None`` and derived: logic is edge
@@ -186,17 +256,20 @@ class OperatingPoint:
     ``f_clk_rf`` twice the pulse sample rate (600 MHz at the defaults).
     """
 
-    t_el: float = 0.2              # K, electronics temperature
-    v_dd: float = 1.0              # V, operating digital supply
-    f_clk_bias: float | None = None
-    f_clk_rf: float | None = None
-    b_bias: float = 10e6           # Hz, bias-path effective bandwidth
-    b_rf: float = 600e6            # Hz, pulse-path effective bandwidth
-    sigma_biasmem: float = 0.306
-    sigma_rfmem: float = 0.026
-    sigma_con: float = 0.5
+    _field_defaults = {
+        "t_el": 0.2,              # K, electronics temperature
+        "v_dd": 1.0,              # V, operating digital supply
+        "f_clk_bias": None,       # Hz, None = derived
+        "f_clk_rf": None,
+        "b_bias": 10e6,           # Hz, bias-path effective bandwidth
+        "b_rf": 600e6,            # Hz, pulse-path effective bandwidth
+        "sigma_biasmem": 0.306,
+        "sigma_rfmem": 0.026,
+        "sigma_con": 0.5,
+    }
+    __slots__ = tuple(_field_defaults)
 
-    def __post_init__(self):
+    def _check(self):
         _check_positive(self, ("t_el", "v_dd", "f_clk_bias", "f_clk_rf", "b_bias", "b_rf"))
         for name in ("sigma_biasmem", "sigma_rfmem", "sigma_con"):
             s = getattr(self, name)
@@ -205,25 +278,27 @@ class OperatingPoint:
                 raise ConfigError(f"{name} must be in (0, 0.5]")
 
 
-@dataclass(frozen=True)
-class Scenario:
+class Scenario(_Record):
     """A complete technology + architecture + operating-point choice.
 
     ``clocks`` holds the refresh rate and both digital clocks
     (``analog.Clocks``), derived once, when the scenario is built.
     """
 
-    spec: SystemSpec = field(default_factory=SystemSpec)
-    tech: TechnologyParams = field(default_factory=TechnologyParams)
-    op: OperatingPoint = field(default_factory=OperatingPoint)
-    memory_arch: MemoryArch = MemoryArch.FLIP_FLOP
-    bias_dac_arch: DacArchitecture = DacArchitecture.CAP
-    rf_dac_arch: DacArchitecture = DacArchitecture.CAP
-    c_h: float = 307e-15           # F, per-electrode hold capacitor
-    bias_dac_unit: float | None = None   # None = architecture default
-    rf_dac_unit: float | None = None
+    _field_defaults = {
+        "spec": SystemSpec(),
+        "tech": TechnologyParams(),
+        "op": OperatingPoint(),
+        "memory_arch": MemoryArch.FLIP_FLOP,
+        "bias_dac_arch": DacArchitecture.CAP,
+        "rf_dac_arch": DacArchitecture.CAP,
+        "c_h": 307e-15,           # F, per-electrode hold capacitor
+        "bias_dac_unit": None,    # None = architecture default
+        "rf_dac_unit": None,
+    }
+    __slots__ = (*_field_defaults, "clocks")
 
-    def __post_init__(self):
+    def _check(self):
         for name, part in (("spec", SystemSpec), ("tech", TechnologyParams),
                            ("op", OperatingPoint)):
             if not isinstance(getattr(self, name), part):
@@ -255,7 +330,7 @@ class Scenario:
                 f"{hold_min:.3e} F at t_el={self.op.t_el} K"
             )
         # the clocks divide by the hold capacitance, so they come after its check
-        clocks = self.__dict__.get("clocks")
+        clocks = getattr(self, "clocks", None)
         if clocks is None:
             clocks = analog.derived_clocks(self)
             object.__setattr__(self, "clocks", clocks)
@@ -281,7 +356,7 @@ def apply_node(tech: TechnologyParams, node: Node | str) -> TechnologyParams:
     raises the capacitive density by 200x (trench capacitors), and scales the
     digital switching capacitance by 0.75 (calibrated against the reference
     14 nm power figures). Individual factors can be overridden afterwards
-    with :func:`dataclasses.replace`.
+    with :func:`replace`.
     """
     node = _choice("node", Node, node)
     if node is Node.NODE_65NM:
@@ -320,7 +395,7 @@ def _excerpt(value) -> str:
 
 def _check_keys(cls, data: dict, section: str = "") -> None:
     for key in data:
-        if key not in cls.__dataclass_fields__:
+        if key not in cls._field_defaults:
             raise ConfigError(f"unknown key '{_excerpt(section + key)}' in scenario file")
 
 
@@ -384,11 +459,9 @@ def load_scenario(path: str | Path) -> Scenario:
 def scenario_to_dict(sc: Scenario) -> dict:
     """Serialize a Scenario to a plain dict (inverse of scenario_from_dict),
     its fields in declaration order."""
-    # a part's __dict__ holds its fields alone, in declaration order
-    return {"spec": dict(vars(sc.spec)), "tech": dict(vars(sc.tech)), "op": dict(vars(sc.op)),
-            "memory_arch": sc.memory_arch.value, "bias_dac_arch": sc.bias_dac_arch.value,
-            "rf_dac_arch": sc.rf_dac_arch.value, "c_h": sc.c_h,
-            "bias_dac_unit": sc.bias_dac_unit, "rf_dac_unit": sc.rf_dac_unit}
+    return {**sc._asdict(), "spec": sc.spec._asdict(), "tech": sc.tech._asdict(),
+            "op": sc.op._asdict(), "memory_arch": sc.memory_arch.value,
+            "bias_dac_arch": sc.bias_dac_arch.value, "rf_dac_arch": sc.rf_dac_arch.value}
 
 
 def save_scenario(sc: Scenario, path: str | Path) -> None:

@@ -15,11 +15,16 @@ of its units.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from typing import NamedTuple
 
 from . import noise
-from .config import DEFAULT_LADDER_UNIT_RES, RESOLUTION_RANGE, DacArchitecture, TechnologyParams
+from .config import (
+    DEFAULT_LADDER_UNIT_RES,
+    RESOLUTION_RANGE,
+    DacArchitecture,
+    TechnologyParams,
+    replace,
+)
 from .digital import switching_power
 
 
@@ -55,23 +60,30 @@ def default_unit_value(arch: DacArchitecture, tech: TechnologyParams) -> float:
     return tech.c_min
 
 
-@dataclass(frozen=True)
-class DacDesign:
-    """A sized DAC: architecture (a member or its value), resolution, and unit
-    component value. Its component counts are computed once, when it is built."""
-
+class _DacFields(NamedTuple):
     arch: DacArchitecture
     n: int
     unit_value: float
-    counts: ComponentCounts = field(init=False, repr=False, compare=False)
 
-    def __post_init__(self):
-        if type(self.arch) is not DacArchitecture:
-            object.__setattr__(self, "arch", DacArchitecture(self.arch))
-        # component_counts range-checks n
-        object.__setattr__(self, "counts", component_counts(self.arch, self.n))
-        if not 0 < self.unit_value < math.inf:
-            raise ValueError(f"unit_value must be positive and finite, got {self.unit_value!r}")
+
+class DacDesign(_DacFields):
+    """A sized DAC: architecture (a member or its value), resolution, and unit
+    component value. Its component counts are computed once, when it is built."""
+
+    _replace = replace   # built again, and so checked, as the constructor builds it
+
+    def __new__(cls, arch: DacArchitecture, n: int, unit_value: float):
+        if type(arch) is not DacArchitecture:
+            arch = DacArchitecture(arch)
+        counts = component_counts(arch, n)   # range-checks n
+        if not 0 < unit_value < math.inf:
+            raise ValueError(f"unit_value must be positive and finite, got {unit_value!r}")
+        self = tuple.__new__(cls, (arch, n, unit_value))
+        self.__dict__["counts"] = counts
+        return self
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field '{name}'")
 
     @property
     def c_in(self) -> float:

@@ -20,10 +20,9 @@ from __future__ import annotations
 import functools
 import json
 import math
-from dataclasses import dataclass
 from typing import NamedTuple
 
-from .config import MemoryArch, Scenario
+from .config import MemoryArch, Scenario, replace
 
 
 def switching_power(c_gate: float, f: float, v_dd: float, sigma: float) -> float:
@@ -50,18 +49,24 @@ class UnitReport(NamedTuple):
     power_w: float
 
 
-@dataclass(frozen=True)
-class MemoryDesign:
-    arch: MemoryArch  # a member or its value
+class _MemoryFields(NamedTuple):
+    arch: MemoryArch
     bias_registers: int
     bias_width: int
     rf_registers: int
     rf_width: int
-    rf_read_ports = 2  # the pulse memory's two read ports (a constant, not a field)
 
-    def __post_init__(self):
-        if type(self.arch) is not MemoryArch:
-            object.__setattr__(self, "arch", MemoryArch(self.arch))
+
+class MemoryDesign(_MemoryFields):
+    __slots__ = ()
+    rf_read_ports = 2  # the pulse memory's two read ports (a constant, not a field)
+    _replace = replace   # built again, and so checked, as the constructor builds it
+
+    def __new__(cls, arch: MemoryArch, bias_registers: int, bias_width: int,
+                rf_registers: int, rf_width: int):
+        if type(arch) is not MemoryArch:   # a member or its value
+            arch = MemoryArch(arch)
+        return tuple.__new__(cls, (arch, bias_registers, bias_width, rf_registers, rf_width))
 
     @property
     def bias_bits(self) -> int:

@@ -3,13 +3,12 @@
 from __future__ import annotations
 
 import math
-from dataclasses import replace
 from operator import attrgetter
 from typing import NamedTuple
 
 from . import noise
 from .analog import GenReport, bias_gen_report, rf_gen_report
-from .config import DacArchitecture, Scenario, scenario_to_dict
+from .config import DacArchitecture, Scenario, replace, scenario_to_dict
 from .dac import (
     dac_analog_power,
     dac_area,
@@ -167,15 +166,14 @@ def sweep(sc: Scenario, param: str, values) -> list[SweepRow]:
     """One report per value of ``param`` (one of ``SWEEP_PARAMS``), ordered by
     value with NaN last; a value that fails validation yields an invalid row
     instead of aborting the sweep. Each point is ``sc`` with that value, as
-    :func:`dataclasses.replace` would build it."""
+    :func:`config.replace` would build it."""
     if param not in SWEEP_PARAMS:
         raise ValueError(f"unknown sweep parameter '{param}' (one of {SWEEP_PARAMS})")
     section = "op" if param == "v_dd" else "spec"
     part = getattr(sc, section)
     # fields read once per sweep: one constructor call per changed object
-    # costs less than dataclasses.replace, which reads them all again
-    sc_fields = {name: getattr(sc, name) for name in sc.__dataclass_fields__}
-    part_fields = dict(vars(part))   # a part's __dict__ holds its fields alone
+    # costs less than replace, which reads them all again
+    sc_fields, part_fields = sc._asdict(), part._asdict()
     rows = []
     for value in sorted(values, key=_nan_last):
         try:

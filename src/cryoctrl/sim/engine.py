@@ -83,7 +83,6 @@ from __future__ import annotations
 import heapq
 import math
 from collections import deque
-from dataclasses import dataclass
 from operator import attrgetter
 from pathlib import Path
 from typing import NamedTuple
@@ -303,13 +302,15 @@ def parse_stimulus(source: Path | str) -> list[Command]:
 # ---------------------------------------------------------------------------
 # Controllers
 
-@dataclass
 class HoldCap:
     """One electrode's hold capacitor: value set at refresh, droops after."""
 
-    v: float = 0.0
-    t_set: int = 0   # ticks
-    code: int | None = None
+    __slots__ = ("v", "t_set", "code")
+
+    def __init__(self, v: float = 0.0, t_set: int = 0, code: int | None = None):
+        self.v = v
+        self.t_set = t_set   # ticks
+        self.code = code
 
     def voltage(self, t: int, tau_s: float) -> float:
         """The held voltage at tick ``t``."""

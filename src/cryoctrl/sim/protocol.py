@@ -19,8 +19,10 @@ order.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
+
+from ..config import replace
 
 BIAS_TYPE_BIT = 0
 RF_TYPE_BIT = 1
@@ -42,47 +44,58 @@ class WordType(str, Enum):
     RF = "rf"
 
 
-@dataclass(frozen=True)
-class DataWord:
+class _DataWordFields(NamedTuple):
     kind: WordType  # a member or its value
     address: int
     payload: int
     width: int  # payload bits
 
-    def __post_init__(self):
-        if type(self.kind) is not WordType:
+
+class DataWord(_DataWordFields):
+    __slots__ = ()
+    _replace = replace   # built again, and so checked, as the constructor builds it
+
+    def __new__(cls, kind: WordType, address: int, payload: int, width: int):
+        if type(kind) is not WordType:
             try:
-                object.__setattr__(self, "kind", WordType(self.kind))
+                kind = WordType(kind)
             except ValueError:
-                raise ProtocolError(f"kind must be 'bias' or 'rf', got {self.kind!r}") from None
+                raise ProtocolError(f"kind must be 'bias' or 'rf', got {kind!r}") from None
         # the wire limit only; whether the register exists is the memory's
         # answer (``MemoryBank.holds``)
-        if not 0 <= self.address < 2 ** ADDRESS_BITS:
+        if not 0 <= address < 2 ** ADDRESS_BITS:
             raise ProtocolError(
-                f"address {self.address} out of range for the {ADDRESS_BITS}-bit address field"
+                f"address {address} out of range for the {ADDRESS_BITS}-bit address field"
             )
-        if not 1 <= self.width <= MAX_PAYLOAD_BITS:
+        if not 1 <= width <= MAX_PAYLOAD_BITS:
             raise ProtocolError(f"payload width must be in [1, {MAX_PAYLOAD_BITS}]")
-        if not 0 <= self.payload < 2 ** self.width:
-            raise ProtocolError(f"payload {self.payload} does not fit in {self.width} bits")
+        if not 0 <= payload < 2 ** width:
+            raise ProtocolError(f"payload {payload} does not fit in {width} bits")
+        return tuple.__new__(cls, (kind, address, payload, width))
 
 
-@dataclass(frozen=True)
-class RfCommandWord:
-    """Two (electrode-1 id, electrode-2 id) sets, executed set1 then set2."""
-
+class _RfCommandFields(NamedTuple):
     id_e1_set1: int
     id_e2_set1: int
     id_e1_set2: int
     id_e2_set2: int
 
-    def __post_init__(self):
-        for v in self.ids():
+
+class RfCommandWord(_RfCommandFields):
+    """Two (electrode-1 id, electrode-2 id) sets, executed set1 then set2."""
+
+    __slots__ = ()
+    _replace = replace   # built again, and so checked, as the constructor builds it
+
+    def __new__(cls, id_e1_set1: int, id_e2_set1: int, id_e1_set2: int, id_e2_set2: int):
+        self = tuple.__new__(cls, (id_e1_set1, id_e2_set1, id_e1_set2, id_e2_set2))
+        for v in self:
             if not 0 <= v < 2 ** SEQUENCE_ID_BITS:
                 raise ProtocolError(f"sequence id {v} out of range")
+        return self
 
     def ids(self) -> tuple[int, int, int, int]:
-        return (self.id_e1_set1, self.id_e2_set1, self.id_e1_set2, self.id_e2_set2)
+        return tuple(self)
 
     def pairs(self) -> tuple[tuple[int, int], tuple[int, int]]:
         return ((self.id_e1_set1, self.id_e2_set1), (self.id_e1_set2, self.id_e2_set2))

@@ -9,7 +9,6 @@ closed forms.
 
 import random
 import time
-from dataclasses import replace
 
 import pytest
 
@@ -31,6 +30,7 @@ from cryoctrl import (
 )
 from cryoctrl.config import (
     TechnologyParams,
+    replace,
     scenario_14nm_sram_10mv,
     scenario_65nm_sram,
     scenario_65nm_sram_100mv,

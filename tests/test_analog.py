@@ -1,5 +1,3 @@
-from dataclasses import replace
-
 import pytest
 from hypothesis import given, strategies as st
 
@@ -16,7 +14,7 @@ from cryoctrl import (
     rf_gen_report,
     sh_area,
 )
-from cryoctrl.config import apply_node, Node
+from cryoctrl.config import apply_node, Node, replace
 
 TECH = TechnologyParams()
 

@@ -232,6 +232,38 @@ def test_only_the_budget_read_imports_importlib_resources(scenario_dir, src_env)
     assert proc.returncode == 0, proc.stderr
 
 
+_NO_DATACLASSES_CHECK = """
+import contextlib, io, sys
+
+def loaded():
+    return [name for name in ("dataclasses", "inspect") if name in sys.modules]
+
+scenario, stimulus = sys.argv[1:]
+import cryoctrl.cli
+assert not loaded(), loaded()
+for argv in (["bounds"], ["estimate"], ["capacity", "--budget", "1e-3"],
+             ["sweep", "--param", "v_dd", "--points", "1,0.1"],
+             ["simulate", "--stimulus", stimulus, "--until", "10us"]):
+    if argv[0] == "simulate":
+        import cryoctrl.sim
+        assert not loaded(), loaded()
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cryoctrl.cli.main([*argv, "--scenario", scenario]) == 0, argv
+    assert not loaded(), (argv, loaded())
+"""
+
+
+def test_no_subcommand_imports_dataclasses_or_inspect(scenario_dir, tmp_path, src_env):
+    # -S: no site module, whose .pth files may import either module first
+    stim = tmp_path / "stim.txt"
+    stim.write_text("0 write-bias 0 2048\n")
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", _NO_DATACLASSES_CHECK,
+         str(scenario_dir / "paper-defaults.json"), str(stim)],
+        capture_output=True, text=True, env=src_env, timeout=30)
+    assert proc.returncode == 0, proc.stderr
+
+
 def test_simulate_far_past_the_events_finishes_fast(scenario_dir, tmp_path, src_env):
     stim = tmp_path / "stim.txt"
     stim.write_text(_EARLY_STIMULUS)
@@ -310,6 +342,18 @@ def test_clock_floor(capsys, tmp_path):
     assert (code, err) == (0, "")
     assert out == run_cli(capsys, "estimate", "--format", "csv", "--scenario",
                           _scenario_file(tmp_path, {}))[1]
+
+
+@pytest.mark.parametrize("command", [
+    ("estimate",), ("capacity", "--budget", "1e-3"), ("sweep", "--param", "v_dd"),
+    ("sweep", "--unit", "dac")])
+def test_an_underflowing_capacitive_density_is_refused_when_loaded(capsys, tmp_path, command):
+    # rho_c * cap_density_scale underflows to 0 F/um^2, which the area models
+    # of the capacitive DAC and the hold capacitors divide by
+    path = _scenario_file(tmp_path, {"tech": {"cap_density_scale": 1e-320}})
+    code, out, err = run_cli(capsys, *command, "--scenario", path)
+    assert (code, out) == (1, "")
+    assert err == "error: tech.rho_c * cap_density_scale = 0 F/um^2 must be positive and finite\n"
 
 
 @pytest.mark.parametrize("data, command, code", [

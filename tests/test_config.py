@@ -1,7 +1,6 @@
 import json
 import math
 import re
-from dataclasses import fields, replace
 
 import pytest
 
@@ -19,6 +18,7 @@ from cryoctrl.config import (
     OperatingPoint,
     SystemSpec,
     TechnologyParams,
+    replace,
     scenario_to_dict,
 )
 
@@ -232,7 +232,7 @@ _PARTS = {"spec": SystemSpec, "tech": TechnologyParams, "op": OperatingPoint}
 
 @pytest.mark.parametrize("value", ["1", -1, math.nan])
 @pytest.mark.parametrize("section, name", [
-    (section, f.name) for section, part in _PARTS.items() for f in fields(part)])
+    (section, name) for section, part in _PARTS.items() for name in part._fields])
 def test_a_loaded_field_fails_with_its_part_message(section, name, value):
     with pytest.raises(ConfigError) as built:
         replace(getattr(Scenario(), section), **{name: value})
@@ -275,24 +275,24 @@ def test_the_hold_capacitor_check_comes_before_the_clocks(kwargs, message):
 def test_a_scenario_dict_lists_every_field_in_declaration_order():
     sc = Scenario(bias_dac_unit=2e-14)
     d = scenario_to_dict(sc)
-    assert list(d) == [f.name for f in fields(Scenario)]
+    assert list(d) == list(Scenario._fields)
     for section, part in _PARTS.items():
-        assert list(d[section]) == [f.name for f in fields(part)]
-        assert d[section] == {f.name: getattr(getattr(sc, section), f.name)
-                              for f in fields(part)}
+        assert list(d[section]) == list(part._fields)
+        assert d[section] == {name: getattr(getattr(sc, section), name)
+                              for name in part._fields}
     assert (d["memory_arch"], d["bias_dac_arch"], d["c_h"], d["bias_dac_unit"],
             d["rf_dac_unit"]) == ("ff", "cap", 307e-15, 2e-14, None)
     assert scenario_from_dict(d) == sc
 
 
 def test_every_requirement_and_process_symbol_has_one_field():
-    spec_fields = {f for f in SystemSpec.__dataclass_fields__}
+    spec_fields = set(SystemSpec._fields)
     assert spec_fields == {
         "n_bias_signals", "v_range_bias", "dv_bias", "n_bias",
         "n_rf_signals", "v_range_rf", "n_rf", "dv_rf",
         "f_sample_rf", "l_pulse", "n_pulses",
     }
-    tech_fields = set(TechnologyParams.__dataclass_fields__)
+    tech_fields = set(TechnologyParams._fields)
     expected = {
         "rho_r", "rho_c", "a_mos", "c_mos", "r_off", "r_min", "c_min",
         "v_dd", "c_ff_equiv", "a_ff", "c_sram_bit", "a_sram_cell",

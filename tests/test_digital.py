@@ -1,5 +1,3 @@
-from dataclasses import replace
-
 import pytest
 from hypothesis import given, strategies as st
 
@@ -13,7 +11,7 @@ from cryoctrl import (
     selector_transistors,
     switching_power,
 )
-from cryoctrl.config import Node, apply_node
+from cryoctrl.config import Node, apply_node, replace
 
 
 def _sram(sc):

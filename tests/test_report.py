@@ -1,7 +1,6 @@
 import csv
 import io
 import math
-from dataclasses import replace
 
 import pytest
 from hypothesis import given, strategies as st
@@ -20,6 +19,7 @@ from cryoctrl.config import (
     REFERENCE_SCENARIOS,
     ConfigError,
     DacArchitecture,
+    replace,
     scenario_14nm_sram_10mv,
     scenario_65nm_sram_100mv,
 )
@@ -331,7 +331,7 @@ def test_scaled_leakage_capacity_row():
 
 
 # ---------------------------------------------------------------------------
-# Sweep points and re-sized scenarios against dataclasses.replace
+# Sweep points and re-sized scenarios against config.replace
 
 def test_sweep_refuses_an_unknown_parameter_before_any_point(baseline, monkeypatch):
     import cryoctrl.report as report
@@ -363,7 +363,7 @@ def test_a_sweep_value_that_is_no_number_raises(baseline, param):
 
 
 def _replaced_point(sc, param, value):
-    """The sweep point of ``value`` built with dataclasses.replace: its report,
+    """The sweep point of ``value`` built with config.replace: its report,
     or the message it is refused with."""
     if param == "v_dd":
         section = "op"
@@ -410,7 +410,7 @@ def test_each_sweep_row_is_the_replaced_scenario_assembled(name, data):
 
 def _adjusted_with_replace(sc, t_el):
     """The re-sizing of temperature_adjust, each DAC designed and each bound
-    built with its text, as dataclasses.replace derives it."""
+    built with its text, as config.replace derives it."""
     from cryoctrl import max_unit_res, min_unit_cap
     from cryoctrl.analog import bias_dac_design, rf_dac_design
 

@@ -3,7 +3,6 @@ import hashlib
 import heapq
 import json
 import math
-from dataclasses import replace
 from types import SimpleNamespace
 
 import pytest
@@ -19,6 +18,7 @@ from cryoctrl import (
     min_hold_cap,
     temperature_adjust,
 )
+from cryoctrl.config import replace
 from cryoctrl.sim import (
     DataInputController,
     DataWord,
