@@ -40,42 +40,38 @@ def _check_number(name: str, value, default=0.0) -> None:
         raise ConfigError(f"{name} must be a number" + (" or null" if default is None else ""))
 
 
-def _check_positive(obj, names) -> None:
-    """Raise ConfigError unless each named field of ``obj`` is a number (see
-    :func:`_check_number`), positive and finite, i.e. at most the largest
-    float (an integer beyond it counts as infinite); a field left ``None``
-    where that is its default (derived or defaulted) is skipped."""
-    top = sys.float_info.max
-    for name in names:
-        v = getattr(obj, name)
-        if type(v) is not float and type(v) is not int:   # a float or int needs the range only
-            _check_number(name, v, obj._field_defaults[name])
-            if v is None:
-                continue
-        if not 0 < v <= top:
-            raise ConfigError(f"{name} must be {'positive' if v <= 0 else 'finite'}")
-
-
 class _Record:
     """A frozen record of keyword fields, read as a named tuple is read.
 
     A subclass maps each field, in order, to its default in
     ``_field_defaults``, its one schema, and takes its ``__slots__`` from it.
-    ``__init__`` takes the fields by keyword, fills in the defaults and runs
-    the subclass's ``_check``, which checks and converts them and raises
-    ConfigError naming the first bad one. Records compare and hash by type
+    A field's kind is the type of its default: a part, an enum member (or its
+    value), an integer, or a positive finite number (an int, float or None
+    default; None only where it is the default). ``__init__`` takes the fields
+    by keyword, fills in the defaults, checks and converts them by kind (parts,
+    enums, integers, numbers, each in field order; not ``_own_checks``), then
+    runs the subclass's ``_check`` for the rules no default states; the
+    ConfigError names the first bad field. Records compare and hash by type
     and field values; ``_fields`` names the fields and ``_asdict`` gives them,
     in order. Use :func:`replace` for a changed copy."""
 
     __slots__ = ()
     _field_defaults: dict = {}
+    _own_checks = ()
 
     def __init_subclass__(cls):
-        cls._fields = tuple(cls._field_defaults)
+        defaults = cls._field_defaults
+        cls._fields = tuple(defaults)
         cls._values = attrgetter(*cls._fields)
         # each slot's own setter, which a frozen record's __setattr__ refuses
         cls._setters = tuple((getattr(cls, name).__set__, name, default)
-                             for name, default in cls._field_defaults.items())
+                             for name, default in defaults.items())
+        kinds = [(name, type(default)) for name, default in defaults.items()
+                 if name not in cls._own_checks]
+        cls._parts = tuple((n, k) for n, k in kinds if issubclass(k, _Record))
+        cls._enums = tuple((n, k) for n, k in kinds if issubclass(k, Enum))
+        cls._integers = tuple(n for n, k in kinds if k is int)
+        cls._numbers = tuple((n, defaults[n]) for n, k in kinds if k in (int, float, type(None)))
 
     def __init__(self, **values):
         for set_field, name, default in self._setters:
@@ -83,6 +79,24 @@ class _Record:
         if values:
             raise TypeError(f"{type(self).__qualname__}.__init__() got an unexpected keyword "
                             f"argument '{next(iter(values))}'")
+        for name, part in self._parts:
+            if not isinstance(getattr(self, name), part):
+                raise ConfigError(f"{name} must be a {part.__name__}")
+        for name, enum in self._enums:
+            if type(getattr(self, name)) is not enum:
+                object.__setattr__(self, name, _choice(name, enum, getattr(self, name)))
+        for name in self._integers:
+            if type(getattr(self, name)) is not int:
+                raise ConfigError(f"{name} must be an integer")
+        top = sys.float_info.max
+        for name, default in self._numbers:
+            v = getattr(self, name)
+            if type(v) is not float and type(v) is not int:   # a float or int needs the range only
+                _check_number(name, v, default)
+                if v is None:
+                    continue
+            if not 0 < v <= top:   # an integer beyond the largest float is not finite
+                raise ConfigError(f"{name} must be {'positive' if v <= 0 else 'finite'}")
         self._check()
 
     def _asdict(self) -> dict:
@@ -188,10 +202,6 @@ class SystemSpec(_Record):
     __slots__ = tuple(_field_defaults)
 
     def _check(self):
-        for name in ("n_bias_signals", "n_bias", "n_rf_signals", "n_rf", "l_pulse", "n_pulses"):
-            if type(getattr(self, name)) is not int:
-                raise ConfigError(f"{name} must be an integer")
-        _check_positive(self, self._fields)
         lo, hi = RESOLUTION_RANGE
         for name in ("n_bias", "n_rf"):
             if not lo <= getattr(self, name) <= hi:
@@ -206,9 +216,9 @@ class TechnologyParams(_Record):
     """Process constants of the CMOS technology, 65 nm baseline.
 
     The first group are effective densities and typical device figures; the
-    second group are process limits and the nominal digital supply. The
-    calibration capacitances ``c_ff_equiv`` (equivalent switching capacitance
-    of one flip-flop incl. local clocking/logic) and ``c_sram_bit`` are fitted
+    second group are process limits. The calibration capacitances
+    ``c_ff_equiv`` (equivalent switching capacitance of one flip-flop incl.
+    local clocking/logic) and ``c_sram_bit`` are fitted
     against the reference memory power figures. The ``*_scale`` factors are
     1.0 at the 65 nm baseline and set by :func:`apply_node` for other nodes.
     """
@@ -221,7 +231,6 @@ class TechnologyParams(_Record):
         "r_off": 1e12,            # ohm, switch off-resistance
         "r_min": 15.0,            # ohm, minimum poly resistor
         "c_min": 10e-15,          # F, minimum MIM capacitor
-        "v_dd": 1.0,              # V, nominal digital supply
         "c_ff_equiv": 3.25e-15,   # F per flip-flop, calibration
         "a_ff": 10.0,             # um^2 per flip-flop
         "c_sram_bit": 1.25e-15,   # F per SRAM bit, calibration
@@ -238,7 +247,6 @@ class TechnologyParams(_Record):
         return self.r_off * self.r_off_multiplier
 
     def _check(self):
-        _check_positive(self, self._fields)
         # each product can underflow or overflow although its factors do not
         for product, value, unit in (
                 ("r_off * r_off_multiplier", self.r_off_effective(), "ohm"),
@@ -268,10 +276,11 @@ class OperatingPoint(_Record):
         "sigma_con": 0.5,
     }
     __slots__ = tuple(_field_defaults)
+    # activities, numbers in (0, 0.5] with their own message
+    _own_checks = ("sigma_biasmem", "sigma_rfmem", "sigma_con")
 
     def _check(self):
-        _check_positive(self, ("t_el", "v_dd", "f_clk_bias", "f_clk_rf", "b_bias", "b_rf"))
-        for name in ("sigma_biasmem", "sigma_rfmem", "sigma_con"):
+        for name in self._own_checks:
             s = getattr(self, name)
             _check_number(name, s)
             if not 0 < s <= 0.5:
@@ -299,16 +308,6 @@ class Scenario(_Record):
     __slots__ = (*_field_defaults, "clocks")
 
     def _check(self):
-        for name, part in (("spec", SystemSpec), ("tech", TechnologyParams),
-                           ("op", OperatingPoint)):
-            if not isinstance(getattr(self, name), part):
-                raise ConfigError(f"{name} must be a {part.__name__}")
-        for name, enum in (("memory_arch", MemoryArch), ("bias_dac_arch", DacArchitecture),
-                           ("rf_dac_arch", DacArchitecture)):
-            value = getattr(self, name)
-            if type(value) is not enum:
-                object.__setattr__(self, name, _choice(name, enum, value))
-        _check_positive(self, ("c_h", "bias_dac_unit", "rf_dac_unit"))
         self.validate()
 
     def validate(self) -> None:
@@ -458,10 +457,10 @@ def load_scenario(path: str | Path) -> Scenario:
 
 def scenario_to_dict(sc: Scenario) -> dict:
     """Serialize a Scenario to a plain dict (inverse of scenario_from_dict),
-    its fields in declaration order."""
-    return {**sc._asdict(), "spec": sc.spec._asdict(), "tech": sc.tech._asdict(),
-            "op": sc.op._asdict(), "memory_arch": sc.memory_arch.value,
-            "bias_dac_arch": sc.bias_dac_arch.value, "rf_dac_arch": sc.rf_dac_arch.value}
+    its fields in declaration order: a part as its dict, an enum as its value."""
+    return {name: (value._asdict() if isinstance(value, _Record)
+                   else value.value if isinstance(value, Enum) else value)
+            for name, value in sc._asdict().items()}
 
 
 def save_scenario(sc: Scenario, path: str | Path) -> None:

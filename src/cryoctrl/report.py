@@ -140,17 +140,17 @@ class SweepRow(NamedTuple):
     status: str  # "ok" or "invalid: <reason>"
 
 
-def _field_value(param: str, value):
-    """A sweep value as its field holds it: ``v_dd`` a float (an integer beyond
-    the float range counts as infinite), a resolution an integer."""
-    if param == "v_dd":
-        try:
-            return float(value)
-        except OverflowError:
-            return math.inf if value > 0 else -math.inf
-    if value % 1 != 0:   # NaN and inf too
-        raise ValueError(f"{param} must be an integer, got {value!r}")
-    return int(value)
+def _field_value(param: str, value, default):
+    """A sweep value as the field ``param`` with this ``default`` holds it: an integer
+    where the default is one, else a float (beyond the float range, infinite)."""
+    if type(default) is int:
+        if value % 1 != 0:   # NaN and inf too
+            raise ValueError(f"{param} must be an integer, got {value!r}")
+        return int(value)
+    try:
+        return float(value)
+    except OverflowError:
+        return math.inf if value > 0 else -math.inf
 
 
 def _nan_last(value):
@@ -169,15 +169,16 @@ def sweep(sc: Scenario, param: str, values) -> list[SweepRow]:
     :func:`config.replace` would build it."""
     if param not in SWEEP_PARAMS:
         raise ValueError(f"unknown sweep parameter '{param}' (one of {SWEEP_PARAMS})")
-    section = "op" if param == "v_dd" else "spec"
-    part = getattr(sc, section)
     # fields read once per sweep: one constructor call per changed object
     # costs less than replace, which reads them all again
-    sc_fields, part_fields = sc._asdict(), part._asdict()
+    sc_fields = sc._asdict()
+    section, part = next((name, value) for name, value in sc_fields.items()
+                         if param in getattr(value, "_fields", ()))   # the part with the field
+    part_fields, default = part._asdict(), part._field_defaults[param]
     rows = []
     for value in sorted(values, key=_nan_last):
         try:
-            changed = type(part)(**{**part_fields, param: _field_value(param, value)})
+            changed = type(part)(**{**part_fields, param: _field_value(param, value, default)})
             point = assemble(Scenario(**{**sc_fields, section: changed}))
             rows.append(SweepRow(param, value, point, "ok"))
         except ValueError as exc:

@@ -422,24 +422,32 @@ def test_overflowing_design_point_fails_with_a_message(tmp_path, src_env, data, 
     assert proc.stdout == ""
 
 
-@pytest.mark.parametrize("scenario, stimulus, bad", [
-    (b"[" * 200_000, b"0 write-bias 0 2048\n", "s.json"),
-    (b'{"c_h": 3e-13\xff}', b"0 write-bias 0 2048\n", "s.json"),
-    (b"{}", b"0 write-bias 0 2048 # \xff\n", "stim.txt"),
+@pytest.mark.parametrize("command, scenario, stimulus, bad", [
+    ("simulate", b"[" * 200_000, b"0 write-bias 0 2048\n", "s.json"),
+    ("simulate", b'{"c_h": 3e-13\xff}', b"0 write-bias 0 2048\n", "s.json"),
+    ("simulate", b"{}", b"0 write-bias 0 2048 # \xff\n", "stim.txt"),
     # beyond the interpreter's integer digit limit; without one, not finite
-    (b'{"c_h": ' + b"1" * 5000 + b"}", b"0 write-bias 0 2048\n", "s.json"),
+    ("simulate", b'{"c_h": ' + b"1" * 5000 + b"}", b"0 write-bias 0 2048\n", "s.json"),
+    # tech holds no supply (every model reads op.v_dd): setting one is refused,
+    # not silently ignored
+    ("estimate", b'{"tech": {"v_dd": 0.1}}', b"",
+     "error: unknown key 'tech.v_dd' in scenario file"),
 ], ids=["deeply-nested-scenario", "non-utf8-scenario", "non-utf8-stimulus",
-        "over-long-integer-scenario"])
-def test_hostile_input_file_fails_with_a_message(tmp_path, src_env, scenario, stimulus, bad):
+        "over-long-integer-scenario", "removed-tech-v_dd-scenario"])
+def test_hostile_input_file_fails_with_a_message(tmp_path, src_env, command, scenario, stimulus,
+                                                 bad):
     (tmp_path / "s.json").write_bytes(scenario)
     (tmp_path / "stim.txt").write_bytes(stimulus)
+    options = (["--until", "1us", "--stimulus", str(tmp_path / "stim.txt")]
+               if command == "simulate" else [])
     proc = subprocess.run(
-        [sys.executable, "-m", "cryoctrl.cli", "simulate", "--until", "1us",
-         "--scenario", str(tmp_path / "s.json"), "--stimulus", str(tmp_path / "stim.txt")],
+        [sys.executable, "-m", "cryoctrl.cli", command, *options,
+         "--scenario", str(tmp_path / "s.json")],
         capture_output=True, text=True, env=src_env, timeout=60)
     assert proc.returncode == 1
     assert "Traceback" not in proc.stderr
-    assert len(proc.stderr.splitlines()) == 1 and bad in proc.stderr
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ") and bad in lines[0]
     assert proc.stdout == ""
 
 
@@ -606,10 +614,10 @@ GOLDEN_CALLS = {
 }
 
 GOLDEN_SHA256 = {
-    "14nm-sram-10mv estimate-json": "1afcecaf9236348ee75865f712a0b228897a9339aefc235f1d2a77fae8efdc22",
+    "14nm-sram-10mv estimate-json": "009ab685ae2e42bd565e737e20de345522daa9984defd30a271ccf8a76916d3e",
     "14nm-sram-10mv estimate-csv": "fab375001d5bd726050664945f37010c50c47285d1a6da2671a35e5f80b61d7a",
     "14nm-sram-10mv estimate-text": "2477647d3485abb6e566f7a714a2d243096ca0b6587dc3ce126e6e73621b5ff7",
-    "14nm-sram-10mv estimate-data-input": "d89f13f22df73aa57fa0e401ab6d40fa573808e9c055c67825f7e7212a2dc9ac",
+    "14nm-sram-10mv estimate-data-input": "e457cc460c23145d81eb279f2bff8f9d913c2ad658d696a056e684ccf8073d56",
     "14nm-sram-10mv bounds-text": "5adbde190d4da22063325a494ae17f0612032fd959c93b1ea3d20e8b407d795c",
     "14nm-sram-10mv bounds-csv": "7f0fa62bd731b6a4ef7655c300bc375f1f28c40326371d6ccbe37b6391573ae8",
     "14nm-sram-10mv bounds-json": "15265d31cf21af8f36814d9dfc1e02df2d3dc99d63ec8e27d6d8d46a20621eab",
@@ -618,10 +626,10 @@ GOLDEN_SHA256 = {
     "14nm-sram-10mv sweep-dac-bias": "7081e5c2378db98c9d8f28ac6c33fff5dbdd224adfe7b813f14b42495f13315a",
     "14nm-sram-10mv sweep-dac-rf": "dbe2be6589facce1c6d9cd0aea6a0810d0f630df9338861f6c809cc24fbcdb79",
     "14nm-sram-10mv capacity-json": "9bd1f6ff4a4303f0b338ffbbfb96e0d6bb6197cb195b143a38070d3931fd60ba",
-    "65nm-ff-1v estimate-json": "3d1fd7a262ca60ec42a2015e1b28ca9132ce6053c76064d0532cc40492a6e976",
+    "65nm-ff-1v estimate-json": "86d6e7e7fc4b1f189dd848affcf4fc6987325fbf6ca8af0ba777ad5add62790e",
     "65nm-ff-1v estimate-csv": "fdb1a98e9029ac5c5170d3d83ece4ca4d84de40358ebc42b1611f4b3f400818d",
     "65nm-ff-1v estimate-text": "e0c383f6113c7f6e35592162ec56d3f689cfb17753c17548823a2fc1ae9f8200",
-    "65nm-ff-1v estimate-data-input": "5d07fb3de20496669cd98c35766ff9ec4ed9e4e98a4755b0a24f4521b72a8fc6",
+    "65nm-ff-1v estimate-data-input": "f37636f68fd5b564ad82252f0d33288146c0a05b115729799faf4c26663dc410",
     "65nm-ff-1v bounds-text": "5adbde190d4da22063325a494ae17f0612032fd959c93b1ea3d20e8b407d795c",
     "65nm-ff-1v bounds-csv": "7f0fa62bd731b6a4ef7655c300bc375f1f28c40326371d6ccbe37b6391573ae8",
     "65nm-ff-1v bounds-json": "15265d31cf21af8f36814d9dfc1e02df2d3dc99d63ec8e27d6d8d46a20621eab",
@@ -630,10 +638,10 @@ GOLDEN_SHA256 = {
     "65nm-ff-1v sweep-dac-bias": "06c3212e5c7883accae0aeee70c933fc06b1393dc8094839e52aab8b7890e38a",
     "65nm-ff-1v sweep-dac-rf": "91a763592e462fa4ccb7ef7ba2b965e27f53c19687deec48c39f29d09ed017bb",
     "65nm-ff-1v capacity-json": "d2121f54c5a78dc9111fe210188b460afe4f89bfb6e8cdd61621ab254734db2f",
-    "65nm-sram-100mv estimate-json": "8c2fab414916a23a6f5e53c2ca030dcb659134dabd896634d4f6879b31f0888a",
+    "65nm-sram-100mv estimate-json": "2a7d72527b2b87115693d5c659474b4f7a2c825eed03de590e18d8171440cb26",
     "65nm-sram-100mv estimate-csv": "dccfaff9d5d63561132f808b1ce1b88d2a70555baf19bc6b6bb8b26319e52c8c",
     "65nm-sram-100mv estimate-text": "41ac4323d4fade7e49b7efd9bc1c5c6eba450c45fb21bea0df8646d455e80989",
-    "65nm-sram-100mv estimate-data-input": "c60ea7e19f6967755fbbe0ef717a23e9165c7a422dafac3ea63b7548bc218360",
+    "65nm-sram-100mv estimate-data-input": "5700c846e704e59e66d1d79d306a601d5369ae2ed4905be4b4c971c00e90062f",
     "65nm-sram-100mv bounds-text": "5adbde190d4da22063325a494ae17f0612032fd959c93b1ea3d20e8b407d795c",
     "65nm-sram-100mv bounds-csv": "7f0fa62bd731b6a4ef7655c300bc375f1f28c40326371d6ccbe37b6391573ae8",
     "65nm-sram-100mv bounds-json": "15265d31cf21af8f36814d9dfc1e02df2d3dc99d63ec8e27d6d8d46a20621eab",
@@ -642,10 +650,10 @@ GOLDEN_SHA256 = {
     "65nm-sram-100mv sweep-dac-bias": "eab8ce4be308f65b6852e8fa64a7234302245ae092caf391e935e1e6dff880ef",
     "65nm-sram-100mv sweep-dac-rf": "10f0aff96688dda2b5b3a6a08af562a14198efc406029e65b6320e7403173911",
     "65nm-sram-100mv capacity-json": "abebfb8e27fbdf51c18bc9d41c9181927a5beb78d66bc18cc8b83f08922a48cb",
-    "65nm-sram-1v estimate-json": "3746f8a12288b21a1da7b15035663f513627436097f55ea025662434fe67917c",
+    "65nm-sram-1v estimate-json": "7c0e3ac2a8732b8be597405a1e5b39b6474b8fbe4ade3383c561e2badac8bfdb",
     "65nm-sram-1v estimate-csv": "e93a8824f83de638d31f6c8e684956001113e45861701c606ea97f6c8a53aeec",
     "65nm-sram-1v estimate-text": "cf44f6f87f3db0709c4956e41410f37b8aac050d52604f066a40d48c37888809",
-    "65nm-sram-1v estimate-data-input": "d9f7ec0f5df8709ca7d8b405bbbaad69f76e79372edb77746d52e6ff94818e1e",
+    "65nm-sram-1v estimate-data-input": "b55564035ffc1fcc2bda461a2ae8f5b28731d16db688a15b971a72ab2411c593",
     "65nm-sram-1v bounds-text": "5adbde190d4da22063325a494ae17f0612032fd959c93b1ea3d20e8b407d795c",
     "65nm-sram-1v bounds-csv": "7f0fa62bd731b6a4ef7655c300bc375f1f28c40326371d6ccbe37b6391573ae8",
     "65nm-sram-1v bounds-json": "15265d31cf21af8f36814d9dfc1e02df2d3dc99d63ec8e27d6d8d46a20621eab",
@@ -654,10 +662,10 @@ GOLDEN_SHA256 = {
     "65nm-sram-1v sweep-dac-bias": "06c3212e5c7883accae0aeee70c933fc06b1393dc8094839e52aab8b7890e38a",
     "65nm-sram-1v sweep-dac-rf": "91a763592e462fa4ccb7ef7ba2b965e27f53c19687deec48c39f29d09ed017bb",
     "65nm-sram-1v capacity-json": "994501809c34fb0a3b460ab052d4f3f70d185da17319f071475afe95dc7bd3e8",
-    "paper-defaults estimate-json": "3d1fd7a262ca60ec42a2015e1b28ca9132ce6053c76064d0532cc40492a6e976",
+    "paper-defaults estimate-json": "86d6e7e7fc4b1f189dd848affcf4fc6987325fbf6ca8af0ba777ad5add62790e",
     "paper-defaults estimate-csv": "fdb1a98e9029ac5c5170d3d83ece4ca4d84de40358ebc42b1611f4b3f400818d",
     "paper-defaults estimate-text": "e0c383f6113c7f6e35592162ec56d3f689cfb17753c17548823a2fc1ae9f8200",
-    "paper-defaults estimate-data-input": "5d07fb3de20496669cd98c35766ff9ec4ed9e4e98a4755b0a24f4521b72a8fc6",
+    "paper-defaults estimate-data-input": "f37636f68fd5b564ad82252f0d33288146c0a05b115729799faf4c26663dc410",
     "paper-defaults bounds-text": "5adbde190d4da22063325a494ae17f0612032fd959c93b1ea3d20e8b407d795c",
     "paper-defaults bounds-csv": "7f0fa62bd731b6a4ef7655c300bc375f1f28c40326371d6ccbe37b6391573ae8",
     "paper-defaults bounds-json": "15265d31cf21af8f36814d9dfc1e02df2d3dc99d63ec8e27d6d8d46a20621eab",

@@ -1,6 +1,8 @@
+import hashlib
 import json
 import math
 import re
+from pathlib import Path
 
 import pytest
 
@@ -221,6 +223,16 @@ def _scenario_with(section=None, **values):
     (None, {"bias_dac_arch": "x"}, "bias_dac_arch must be one of: kelvin, ladder, cap"),
     (None, {"spec": 5}, "spec must be a SystemSpec"),
     (None, {"tech": None}, "tech must be a TechnologyParams"),
+    # of two bad fields, the first checked: by kind (parts, enums, integers,
+    # numbers), each in field order, then the part's own rules
+    ("spec", {"v_range_bias": -1, "n_bias": 2.5}, "n_bias must be an integer"),
+    ("spec", {"n_rf_signals": 0, "v_range_bias": -1}, "v_range_bias must be positive"),
+    ("tech", {"r_min": -1, "rho_r": math.nan}, "rho_r must be finite"),
+    ("tech", {"a_ff": -1, "r_off": 1e-300, "r_off_multiplier": 1e-300}, "a_ff must be positive"),
+    ("op", {"sigma_biasmem": 0, "b_rf": -1}, "b_rf must be positive"),
+    ("op", {"sigma_con": "x", "sigma_biasmem": 0}, "sigma_biasmem must be in (0, 0.5]"),
+    (None, {"c_h": -1, "memory_arch": "x", "tech": None}, "tech must be a TechnologyParams"),
+    (None, {"c_h": -1, "rf_dac_arch": "x"}, "rf_dac_arch must be one of: kelvin, ladder, cap"),
 ])
 def test_a_scenario_is_checked_when_built(section, values, message):
     with pytest.raises(ConfigError, match=re.escape(message)):
@@ -229,16 +241,65 @@ def test_a_scenario_is_checked_when_built(section, values, message):
 
 _PARTS = {"spec": SystemSpec, "tech": TechnologyParams, "op": OperatingPoint}
 
+# every field of each part, then the scenario's own number fields (section "")
+_FIELDS = [(section, name) for section, part in _PARTS.items() for name in part._fields] + [
+    ("", name) for name in ("c_h", "bias_dac_unit", "rf_dac_unit")]
+_VALUES = ["1", -1, math.nan, 0, math.inf, 10 ** 400, True, None, 2.5, []]
 
-@pytest.mark.parametrize("value", ["1", -1, math.nan])
+
+def _value_id(value):
+    return "10**400" if value == 10 ** 400 else "[]" if value == [] else None
+
+
+def _refusal(build, *args, **kwargs):
+    """The message of the ConfigError ``build(*args, **kwargs)`` raises, or None."""
+    try:
+        build(*args, **kwargs)
+    except ConfigError as exc:
+        return str(exc)
+    return None
+
+
+def _part_refusal(section, name, value):
+    """How the part in ``section`` (the scenario for "") refuses ``name=value``."""
+    sc = Scenario()
+    return _refusal(replace, getattr(sc, section) if section else sc, **{name: value})
+
+
+@pytest.mark.parametrize("value", _VALUES, ids=_value_id)
 @pytest.mark.parametrize("section, name", [
-    (section, name) for section, part in _PARTS.items() for name in part._fields])
+    pytest.param(section, name, id=f"{section}-{name}" if section else name)
+    for section, name in _FIELDS])
 def test_a_loaded_field_fails_with_its_part_message(section, name, value):
-    with pytest.raises(ConfigError) as built:
-        replace(getattr(Scenario(), section), **{name: value})
-    with pytest.raises(ConfigError) as loaded:
-        scenario_from_dict(json.loads(json.dumps({section: {name: value}})))
-    assert str(loaded.value) == f"{section}.{built.value}"
+    built = _part_refusal(section, name, value)
+    loaded = _refusal(scenario_from_dict, json.loads(json.dumps(
+        {section: {name: value}} if section else {name: value})))
+    if built is None:   # the part takes it; the scenario may still refuse it
+        assert loaded == _refusal(_scenario_with, section or None, **{name: value})
+    else:
+        assert loaded == (f"{section}.{built}" if section else built)
+
+
+def test_every_one_field_refusal_message_is_pinned():
+    # one digest over each (section, field, value, message) line, so no
+    # message that names one field changes unnoticed
+    lines = "".join(f"{section}\t{name}\t{value!r}\t{_part_refusal(section, name, value)}\n"
+                    for section, name in _FIELDS for value in _VALUES)
+    assert hashlib.sha256(lines.encode()).hexdigest() == (
+        "7a71653eb79dd9eae378783ea39a0b64c6d9864eceb5368fbf0cde711fcbdc92")
+
+
+def test_no_field_name_is_in_two_parts():
+    names = [name for part in (SystemSpec, TechnologyParams, OperatingPoint, Scenario)
+             for name in part._fields]
+    assert len(names) == len(set(names))
+
+
+@pytest.mark.parametrize("section", _PARTS)
+def test_the_readme_row_of_a_part_names_its_fields(section):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    row = next(line for line in readme.splitlines() if line.startswith(f"| `{section}` |"))
+    assert re.findall(r"`([^`]+)`", row.split("|")[2]) == list(_PARTS[section]._fields)
 
 
 def test_a_built_scenario_derives_its_clocks_once(monkeypatch):
@@ -295,7 +356,7 @@ def test_every_requirement_and_process_symbol_has_one_field():
     tech_fields = set(TechnologyParams._fields)
     expected = {
         "rho_r", "rho_c", "a_mos", "c_mos", "r_off", "r_min", "c_min",
-        "v_dd", "c_ff_equiv", "a_ff", "c_sram_bit", "a_sram_cell",
+        "c_ff_equiv", "a_ff", "c_sram_bit", "a_sram_cell",
         "logic_area_scale", "sram_area_scale", "cap_density_scale",
         "digital_cap_scale", "r_off_multiplier",
     }

@@ -33,7 +33,7 @@ _SPEC = ("SystemSpec(n_bias_signals=8, v_range_bias=1.0, dv_bias=3e-06, n_bias=1
          "n_rf_signals=2, v_range_rf=0.004, n_rf=10, dv_rf=8e-06, f_sample_rf=300000000.0, "
          "l_pulse=16, n_pulses=16)")
 _TECH = ("TechnologyParams(rho_r=21.4, rho_c=1.75e-15, a_mos=0.375, c_mos=1.5e-16, "
-         "r_off=1000000000000.0, r_min=15.0, c_min=1e-14, v_dd=1.0, c_ff_equiv=3.25e-15, "
+         "r_off=1000000000000.0, r_min=15.0, c_min=1e-14, c_ff_equiv=3.25e-15, "
          "a_ff=10.0, c_sram_bit=1.25e-15, a_sram_cell=0.5, logic_area_scale=1.0, "
          "sram_area_scale=1.0, cap_density_scale=1.0, digital_cap_scale=1.0, "
          "r_off_multiplier=1.0)")
@@ -221,7 +221,7 @@ def test_a_scenario_dict_keeps_its_key_order():
                                "n_rf_signals", "v_range_rf", "n_rf", "dv_rf", "f_sample_rf",
                                "l_pulse", "n_pulses"]
     assert list(d["tech"]) == ["rho_r", "rho_c", "a_mos", "c_mos", "r_off", "r_min", "c_min",
-                               "v_dd", "c_ff_equiv", "a_ff", "c_sram_bit", "a_sram_cell",
+                               "c_ff_equiv", "a_ff", "c_sram_bit", "a_sram_cell",
                                "logic_area_scale", "sram_area_scale", "cap_density_scale",
                                "digital_cap_scale", "r_off_multiplier"]
     assert list(d["op"]) == ["t_el", "v_dd", "f_clk_bias", "f_clk_rf", "b_bias", "b_rf",
