@@ -50,10 +50,8 @@ from .analog import (
     sh_area,
 )
 from .digital import (
-    DigitalBudget,
     MemoryDesign,
     UnitReport,
-    load_budget,
     managing_report,
     memory_design,
     memory_report,

@@ -10,15 +10,13 @@ Selector model: a 2^k-way selector of ``width`` data bits is a
 pass-transistor tree with (2^(k+1)-2)*width transistors; non-power-of-two
 way counts round up.
 
-The managing component is summed from a per-subunit budget (flip-flop and
-logic-transistor counts) shipped as package data; counts there are
-calibration values, see the budget file.
+The managing component is summed from a per-subunit budget of flip-flop and
+logic-transistor counts, the table ``MANAGING_BUDGET`` below; its logic
+counts are calibration values.
 """
 
 from __future__ import annotations
 
-import functools
-import json
 import math
 from typing import NamedTuple
 
@@ -97,7 +95,7 @@ def _ff_periphery_transistors(d: MemoryDesign) -> int:
     return write + read
 
 
-def _sram_periphery_transistors(d: MemoryDesign, column_transistors: int) -> int:
+def _sram_periphery_transistors(d: MemoryDesign) -> int:
     # Word-line decoders (width 1 per port) plus column read/write circuitry.
     decoders = (
         selector_transistors(d.bias_registers, 1)
@@ -106,7 +104,7 @@ def _sram_periphery_transistors(d: MemoryDesign, column_transistors: int) -> int
         + d.rf_read_ports * selector_transistors(d.rf_registers, 1)
     )
     columns = d.bias_width + d.rf_read_ports * d.rf_width
-    return decoders + columns * column_transistors
+    return decoders + columns * SRAM_COLUMN_TRANSISTORS
 
 
 def memory_report(d: MemoryDesign, sc: Scenario) -> UnitReport:
@@ -118,7 +116,7 @@ def memory_report(d: MemoryDesign, sc: Scenario) -> UnitReport:
         c_bit = tech.c_ff_equiv
     else:
         cell_area = (d.bias_bits + d.rf_bits) * tech.a_sram_cell * tech.sram_area_scale
-        periph = _sram_periphery_transistors(d, load_budget().sram_column_transistors)
+        periph = _sram_periphery_transistors(d)
         c_bit = tech.c_sram_bit
     area = cell_area + periph * tech.a_mos * tech.logic_area_scale
 
@@ -133,59 +131,30 @@ def memory_report(d: MemoryDesign, sc: Scenario) -> UnitReport:
 # ---------------------------------------------------------------------------
 # Managing component
 
-class Subunit(NamedTuple):
-    name: str
-    flipflops: int
-    logic_transistors: int | dict
-    clock: str                    # "bias" or "rf"
-    operation_regime: bool = True
+# Gate-level budget of the managing component and the memory periphery.
+# Flip-flop counts follow the block structures (shift registers sized to the
+# word lengths, 5-bit reception counters, electrode/ramp counters); logic
+# transistor counts are a calibration allowance fitted once against the
+# reference area/power figures.
+#
+# subunit: (flip-flops, logic transistors with a flip-flop memory, with an
+#           SRAM, clock, runs in the operation regime)
+MANAGING_BUDGET = {
+    "data_input_control": (27, 3415, 3415, "rf", False),
+    "clock_control": (0, 12, 12, "rf", True),
+    "bias_control": (8, 100, 100, "bias", True),
+    "rf_control": (26, 100, 100, "rf", True),
+    "mux_demux_drivers": (0, 525, 0, "rf", True),
+}
+SRAM_COLUMN_TRANSISTORS = 44   # read/write circuitry per SRAM column
 
-    def logic_for(self, arch: MemoryArch) -> int:
-        if isinstance(self.logic_transistors, dict):
-            return int(self.logic_transistors[arch.value])
-        return int(self.logic_transistors)
-
-
-class DigitalBudget(NamedTuple):
-    subunits: tuple[Subunit, ...]
-    sram_column_transistors: int
-
-    def subunit(self, name: str) -> Subunit:
-        for u in self.subunits:
-            if u.name == name:
-                return u
-        raise KeyError(name)
-
-
-@functools.cache
-def load_budget() -> DigitalBudget:
-    """The managing-component budget shipped as package data, read once."""
-    from importlib import resources  # only here: its import costs more than the read
-
-    text = resources.files("cryoctrl.data").joinpath("managing_budget.json").read_text()
-    raw = json.loads(text)
-    subunits = tuple(
-        Subunit(
-            name=name,
-            flipflops=int(entry["flipflops"]),
-            logic_transistors=entry["logic_transistors"],
-            clock=entry["clock"],
-            operation_regime=bool(entry.get("operation_regime", True)),
-        )
-        for name, entry in raw["subunits"].items()
-    )
-    return DigitalBudget(
-        subunits=subunits,
-        sram_column_transistors=int(raw["memory_periphery"]["sram_column_transistors"]),
-    )
-
-
-@functools.cache
-def _managing_rows(arch: MemoryArch) -> tuple[tuple[int, int, str, bool], ...]:
-    """``(flip-flops, logic transistors, clock, in the operation regime)`` per
-    budget subunit, for ``arch``; built on first use."""
-    return tuple((u.flipflops, u.logic_for(arch), u.clock, u.operation_regime)
-                 for u in load_budget().subunits)
+# (flip-flops, logic transistors, clock, in the operation regime) per subunit
+_MANAGING_ROWS = {
+    MemoryArch.FLIP_FLOP: tuple((ff, logic, clock, op)
+                                for ff, logic, _, clock, op in MANAGING_BUDGET.values()),
+    MemoryArch.SRAM: tuple((ff, logic, clock, op)
+                           for ff, _, logic, clock, op in MANAGING_BUDGET.values()),
+}
 
 
 def managing_report(sc: Scenario, include_data_input: bool = False) -> UnitReport:
@@ -200,7 +169,7 @@ def managing_report(sc: Scenario, include_data_input: bool = False) -> UnitRepor
 
     area = 0.0
     power = 0.0
-    for flipflops, logic, clock, operation_regime in _managing_rows(sc.memory_arch):
+    for flipflops, logic, clock, operation_regime in _MANAGING_ROWS[sc.memory_arch]:
         area += (flipflops * tech.a_ff + logic * tech.a_mos) * tech.logic_area_scale
         if not operation_regime and not include_data_input:
             continue

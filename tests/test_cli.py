@@ -1,14 +1,20 @@
+import contextlib
 import csv
 import hashlib
 import io
 import json
+import re
 import subprocess
 import sys
 import time
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
-from cryoctrl import baseline_scenario, cli, load_scenario, run_simulation, sim
+from cryoctrl import (
+    DacArchitecture, MemoryArch, Node, Scenario, baseline_scenario, cli, load_scenario,
+    run_simulation, sim,
+)
 from cryoctrl.analog import derived_clocks
 from cryoctrl.cli import main
 from cryoctrl.report import qubit_capacity
@@ -210,23 +216,23 @@ def test_the_estimator_subcommands_do_not_import_the_simulator(scenario_dir, src
     assert proc.returncode == 0, proc.stderr
 
 
-_LAZY_RESOURCES_CHECK = """
+_NO_RESOURCES_CHECK = """
 import contextlib, io, sys
 import cryoctrl.cli
 assert "importlib.resources" not in sys.modules
-with contextlib.redirect_stdout(io.StringIO()):
-    assert cryoctrl.cli.main(["bounds", "--scenario", sys.argv[1]]) == 0
-assert "importlib.resources" not in sys.modules
-with contextlib.redirect_stdout(io.StringIO()):
-    assert cryoctrl.cli.main(["estimate", "--scenario", sys.argv[1]]) == 0
-assert "importlib.resources" in sys.modules   # the managing budget was read
+for argv in (["bounds"], ["estimate"], ["estimate", "--include-data-input"],
+             ["capacity", "--budget", "1e-3"],
+             ["sweep", "--param", "v_dd", "--points", "1,0.1"], ["sweep", "--unit", "dac"]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cryoctrl.cli.main([*argv, "--scenario", sys.argv[1]]) == 0, argv
+    assert "importlib.resources" not in sys.modules, argv
 """
 
 
-def test_only_the_budget_read_imports_importlib_resources(scenario_dir, src_env):
+def test_no_estimator_subcommand_imports_importlib_resources(scenario_dir, src_env):
     # -S: no site module, whose .pth files may import importlib.resources first
     proc = subprocess.run(
-        [sys.executable, "-S", "-c", _LAZY_RESOURCES_CHECK,
+        [sys.executable, "-S", "-c", _NO_RESOURCES_CHECK,
          str(scenario_dir / "paper-defaults.json")],
         capture_output=True, text=True, env=src_env, timeout=30)
     assert proc.returncode == 0, proc.stderr
@@ -560,6 +566,75 @@ def test_a_path_in_a_message_escapes_control_characters(
     code, out, err = run_cli(capsys, *argv(tmp_path, scenario_dir / "paper-defaults.json", stim))
     assert code == 1 and out == ""
     assert len(err.splitlines()) == 1 and err.startswith(shown.format(d=tmp_path))
+
+
+# The CLI's contract on any scenario file: each estimator command ends with
+# exit 0, 1 or 2 and lets no exception escape; a failed command prints nothing
+# on stdout and says why in one stderr line, and a finished one prints no inf
+# or NaN outside an invalid row.
+_EDGE_VALUES = (5e-324, 1e-320, 1e-300, 1.7e308, 2 ** 31, None, True, "1", [])
+_NON_FINITE = re.compile(r"(?i)\b(?:inf|infinity|nan)\b")
+_CONTRACT_CALLS = (
+    *(("bounds", "--format", f) for f in ("text", "csv", "json")),
+    *(("estimate", "--format", f) for f in ("json", "csv", "text")),
+    ("estimate", "--include-data-input"),
+    ("capacity", "--budget", "1e-3"),
+    ("sweep", "--param", "n_bias", "--points", "8,16"),
+    ("sweep", "--param", "n_rf", "--points", "6,10"),
+    ("sweep", "--param", "v_dd", "--points", "1,0.1"),
+    ("sweep", "--unit", "dac"),
+    ("sweep", "--unit", "dac", "--conditions", "rf"),
+)
+
+
+def _ordinary(default):
+    if default is None:
+        return (1e-14, 1e6, 1e9)
+    if isinstance(default, int):
+        return (max(default // 2, 1), default, default * 2)
+    return (default / 2, default, default * 2)
+
+
+@st.composite
+def _some_fields(draw, defaults):
+    names = draw(st.lists(st.sampled_from(list(defaults)), max_size=3, unique=True))
+    return {name: draw(st.sampled_from(_EDGE_VALUES) | st.sampled_from(_ordinary(defaults[name])))
+            for name in names}
+
+
+@st.composite
+def _scenario_data(draw):
+    defaults = Scenario._field_defaults
+    data = {section: draw(_some_fields(part._field_defaults))
+            for section, part in defaults.items() if hasattr(part, "_fields")}
+    data.update(draw(_some_fields({name: value for name, value in defaults.items()
+                                   if value is None or type(value) is float})))
+    for name, enum in (("memory_arch", MemoryArch), ("bias_dac_arch", DacArchitecture),
+                       ("rf_dac_arch", DacArchitecture), ("node", Node)):
+        value = draw(st.none() | st.sampled_from([member.value for member in enum]))
+        if value is not None:
+            data[name] = value
+    return data
+
+
+@settings(max_examples=80, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])   # one file, rewritten
+@given(data=_scenario_data())
+def test_any_scenario_file_keeps_the_cli_contract(tmp_path, data):
+    path = _scenario_file(tmp_path, data)
+    for call in _CONTRACT_CALLS:
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main([*call, "--scenario", path])
+        assert code in (0, 1, 2), (call, err.getvalue())
+        if code:
+            assert out.getvalue() == "", call
+            lines = err.getvalue().splitlines()
+            assert len(lines) == 1, (call, lines)
+            assert lines[0].startswith("error: " if code == 1 else "runtime error: "), call
+        else:
+            shown = [line for line in out.getvalue().splitlines() if "invalid:" not in line]
+            assert not _NON_FINITE.search("\n".join(shown)), call
 
 
 def test_output_file_holds_what_stdout_would(capsys, scenario_dir, tmp_path):

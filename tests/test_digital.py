@@ -4,7 +4,6 @@ from hypothesis import given, strategies as st
 from cryoctrl import (
     MemoryArch,
     MemoryDesign,
-    load_budget,
     managing_report,
     memory_design,
     memory_report,
@@ -12,6 +11,7 @@ from cryoctrl import (
     switching_power,
 )
 from cryoctrl.config import Node, apply_node, replace
+from cryoctrl.digital import MANAGING_BUDGET, SRAM_COLUMN_TRANSISTORS
 
 
 def _sram(sc):
@@ -132,12 +132,11 @@ def test_data_input_power_flag(baseline):
     assert incl.power_w - excl.power_w == pytest.approx(1.8e-4, rel=0.05)
 
 
-def test_budget_file_loads():
-    b = load_budget()
-    names = {u.name for u in b.subunits}
-    assert names == {
+def test_the_budget_table_names_each_subunit_once():
+    assert list(MANAGING_BUDGET) == [
         "data_input_control", "clock_control", "bias_control",
         "rf_control", "mux_demux_drivers",
-    }
-    assert not b.subunit("data_input_control").operation_regime
-    assert b.sram_column_transistors > 0
+    ]
+    assert [name for name, row in MANAGING_BUDGET.items() if not row[-1]] == [
+        "data_input_control"]
+    assert SRAM_COLUMN_TRANSISTORS > 0

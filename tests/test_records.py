@@ -21,13 +21,12 @@ from cryoctrl.config import (
     scenario_to_dict,
 )
 from cryoctrl.dac import ComponentCounts, DacDesign
-from cryoctrl.digital import DigitalBudget, MemoryDesign, Subunit, UnitReport
+from cryoctrl.digital import MemoryDesign, UnitReport
 from cryoctrl.noise import BoundKind, SizingBound
 from cryoctrl.report import CapacityResult, Report, SweepRow
 from cryoctrl.sim.engine import Command, HoldCap
 from cryoctrl.sim.protocol import DataWord, ProtocolError, RfCommandWord, WordType
 
-_SUBUNIT = Subunit(name="refresh", flipflops=12, logic_transistors={"ff": 40}, clock="bias")
 _GEN, _UNIT = GenReport(120.0, 1e-6, 2e-6), UnitReport(5.0, 2.5e-7)
 _SPEC = ("SystemSpec(n_bias_signals=8, v_range_bias=1.0, dv_bias=3e-06, n_bias=12, "
          "n_rf_signals=2, v_range_rf=0.004, n_rf=10, dv_rf=8e-06, f_sample_rf=300000000.0, "
@@ -58,15 +57,6 @@ RECORDS = {
         UnitReport(5.0, 2.5e-7),
         lambda: UnitReport(area_um2=5.0, power_w=2.5e-7),
         "UnitReport(area_um2=5.0, power_w=2.5e-07)"),
-    "Subunit": (
-        _SUBUNIT,
-        lambda: Subunit("refresh", 12, {"ff": 40}, "bias", True),
-        "Subunit(name='refresh', flipflops=12, logic_transistors={'ff': 40}, clock='bias', "
-        "operation_regime=True)"),
-    "DigitalBudget": (
-        DigitalBudget((_SUBUNIT,), 6),
-        lambda: DigitalBudget(subunits=(_SUBUNIT,), sram_column_transistors=6),
-        f"DigitalBudget(subunits=({_SUBUNIT!r},), sram_column_transistors=6)"),
     "ComponentCounts": (
         ComponentCounts(31.0, 16),
         lambda: ComponentCounts(units=31.0, switches=16),
@@ -143,10 +133,6 @@ def test_a_record_keeps_its_repr_equality_and_immutability(name):
 def test_a_record_keeps_its_properties_and_methods():
     assert GenReport(120.0, 1e-6, 2e-6).power_w == pytest.approx(3e-6)
     assert SizingBound(BoundKind.MIN_CAPACITANCE, 3.8e-14, "N={0}", (8,)).binding_spec == "N=8"
-    assert _SUBUNIT.logic_for(MemoryArch.FLIP_FLOP) == 40
-    assert DigitalBudget((_SUBUNIT,), 6).subunit("refresh") is _SUBUNIT
-    with pytest.raises(KeyError):
-        DigitalBudget((_SUBUNIT,), 6).subunit("nope")
     dac = DacDesign("cap", 8, 1e-14)
     assert dac.counts == ComponentCounts(31.0, 16) and dac.c_in == 31.0 * 1e-14
     with pytest.raises(AttributeError):
