@@ -36,9 +36,8 @@ def selector_transistors(ways: int, width: int) -> int:
     """Pass transistors of a ``ways``-to-1 selector, ``width`` bits wide."""
     if ways < 1 or width < 0:
         raise ValueError("ways must be >= 1 and width >= 0")
-    if ways == 1:
-        return 0
-    k = math.ceil(math.log2(ways))
+    # a tree of 2**k ways, k = ceil(log2(ways)) in exact integers
+    k = (math.ceil(ways) - 1).bit_length()
     return (2 ** (k + 1) - 2) * width
 
 

@@ -45,9 +45,18 @@ gives the trace of one edge per call:
 ``heapq.heappushpop``: the same push-then-pop on the same ``(time, priority,
 sequence)`` keys, so the event order is unchanged, as every handler makes
 its other pushes before it returns; an edge that ties with the horizon goes
-there too, so the bias domain still runs first at equal times. A play
-reaches ``command_received`` ``RF_COMMAND_BITS`` RF clocks after its time,
-once its frame is in.
+there too, so the bias domain still runs first at equal times.
+
+The stimulus is queued before the run, as one event per tick at which
+writes or ramp-mode commands are sent, which applies them in file order,
+and one per play reception: a play reaches ``command_received``
+``RF_COMMAND_BITS`` RF clocks after its time, once its frame is in, and
+nothing is queued at its send time. So every queued event acts at its own
+time and none ends a block only to queue another. The receptions are
+queued after all the stimulus ticks, so at a shared tick the commands sent
+then apply first; no other RF event can be queued at a reception's tick
+before its play is sent, as a clocked handler returns an edge less than 2
+RF clocks past its horizon.
 
 Analog behaviour is idealized: DACs convert straight-binary unipolar codes
 with zero settling time, and hold capacitors droop exponentially through
@@ -656,17 +665,19 @@ class Simulator:
         if len(self._frames) == 1:  # the line was free
             self._push(t, PRIORITY_RF, self._word_clock_event)
 
-    def _play_event(self, t: int, word: RfCommandWord):
-        # the command's serial frame is received before it is staged
-        self._push(t + RF_COMMAND_BITS * self.t_rf_ticks, PRIORITY_RF,
-                   self.rf_ctrl.command_received, word)
-
     def _ramp_mode_event(self, t: int, on: bool):
         self.bias_ctrl.ramp_mode = on
         self.trace.append(t, self.control_signals["ramp_mode"], int(on))
 
+    @staticmethod
+    def _tick_event(t: int, actions: list):
+        """Apply the writes and ramp-mode commands sent at ``t``, in file order."""
+        for fn, arg in actions:
+            fn(t, arg)
+
     def _event(self, cmd: Command):
-        """The handler of ``cmd`` and its checked argument."""
+        """The handler of ``cmd`` and its checked argument; a play's handler
+        is ``command_received``, run at its reception."""
         try:
             if cmd.op == "write-bias" or cmd.op == "write-rf":
                 kind = WordType.BIAS if cmd.op == "write-bias" else WordType.RF
@@ -681,7 +692,7 @@ class Simulator:
                 if max(word.ids()) >= self.n_pulses:
                     raise ProtocolError(f"sequence id {max(word.ids())} beyond the "
                                         f"{self.n_pulses} stored sequences")
-                return self._play_event, word
+                return self.rf_ctrl.command_received, word
         except ProtocolError as exc:
             raise StimulusError(f"stimulus line {cmd.line}: {exc}") from exc
         return self._ramp_mode_event, cmd.args[0]
@@ -699,9 +710,16 @@ class Simulator:
             raise ValueError(f"t_end_ns must be positive and finite, got {t_end_ns!r}")
         self._t_end = t_end = to_ticks(t_end_ns)
         ramp_ticks, ramp_since = 0, None   # ramp-mode time in [0, t_end]
+        sent: dict[int, list] = {}   # tick -> the writes and ramp-mode commands sent then
+        receptions = []
         for cmd in parse_stimulus(stimulus) if stimulus is not None else []:
             t = to_ticks(cmd.t_ns)
-            self._push(t, PRIORITY_RF, *self._event(cmd))
+            fn, arg = self._event(cmd)
+            if cmd.op == "play":
+                # the command's serial frame is received before it is staged
+                receptions.append((t + RF_COMMAND_BITS * self.t_rf_ticks, fn, arg))
+            else:
+                sent.setdefault(t, []).append((fn, arg))
             if cmd.op == "ramp-mode" and cmd.args[0] == (ramp_since is None):  # a switch
                 if ramp_since is None:
                     ramp_since = min(t, t_end)
@@ -713,6 +731,16 @@ class Simulator:
         if ramp_ticks > MAX_RAMP_STEPS * self.conversion_period_ticks:
             raise ValueError(f"the stimulus holds ramp mode on for over the limit of "
                              f"{MAX_RAMP_STEPS} ramp steps (bias conversions) per run")
+        for t, actions in sent.items():
+            self._push(t, PRIORITY_RF, self._tick_event, actions)
+        # The receptions take the sequence numbers after every stimulus tick's,
+        # so at a shared tick the commands sent then still apply first. Every
+        # other RF event is queued at run time, after them, and none can be
+        # queued at a reception's tick before its play was sent: a clocked
+        # handler returns an edge less than 2 RF clocks past its horizon, and a
+        # reception comes RF_COMMAND_BITS = 17 RF clocks after its send tick.
+        for t, fn, word in receptions:
+            self._push(t, PRIORITY_RF, fn, word)
 
         self.trace.emit(0, "clk_bias_hz", self.f_clk_bias)
         self.trace.emit(0, "clk_rf_hz", self.f_clk_rf)

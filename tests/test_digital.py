@@ -44,6 +44,9 @@ def test_selector_transistors():
     assert selector_transistors(256, 10) == 5100
     assert selector_transistors(1, 12) == 0
     assert selector_transistors(2, 1) == 2
+    # just above a power of two, where a float log2 rounds down to it
+    assert selector_transistors(2 ** 49 + 1, 1) == 2 ** 51 - 2 == 2251799813685246
+    assert selector_transistors(2 ** 53 + 1, 1) == 2 ** 55 - 2
 
 
 def test_memory_design_shape(baseline):

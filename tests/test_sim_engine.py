@@ -629,6 +629,40 @@ def test_bias_runs_first_on_a_tick_tie(baseline):
     assert [e.t_ns for e in trace.of("bias_e0")] == [(tie + 8 * period) / engine.TICKS_PER_NS]
 
 
+def _rows_at(trace, t):
+    return [(e.signal, e.value) for e in trace.events if e.t == t]
+
+
+def test_a_command_sent_at_a_reception_tick_applies_first(baseline):
+    # The play's frame is in exactly 17 RF clocks later, on the tick of the
+    # ramp-mode command: the command sent then applies before the reception
+    # latches the play.
+    sim = Simulator(baseline)
+    tie = engine.RF_COMMAND_BITS * sim.t_rf_ticks
+    assert engine.to_ticks(28.333333333339) == tie
+    trace = sim.run("0 play 0 0 0 0\n28.333333333339 ramp-mode on\n", 200.0)
+    assert _rows_at(trace, tie) == [("ramp_mode", 1.0), ("latch_transfer", 1.0)]
+
+
+def test_writes_around_a_ramp_mode_at_one_tick_land_in_file_order(baseline):
+    sim = Simulator(baseline)
+    t_rf, tick = sim.t_rf_ticks, 100 * sim.t_rf_ticks
+    t_ns = tick / engine.TICKS_PER_NS
+    trace = sim.run(f"{t_ns!r} write-bias 3 5\n{t_ns!r} ramp-mode on\n"
+                    f"{t_ns!r} write-rf 7 9\n{t_ns!r} ramp-mode off\n"
+                    f"{t_ns!r} write-bias 1 11\n", 1_000.0)
+    assert _rows_at(trace, tick) == [("ramp_mode", 1.0), ("ramp_mode", 0.0)]
+    assert [e.value for e in trace.of("write_select")] == [3.0, 7.0, 1.0]
+    # the words follow each other on the line, each from the clock after
+    # the previous word's feedback
+    ends = [tick + (10 + 2 * 12 - 1) * t_rf]
+    ends.append(ends[-1] + (10 + 2 * 10) * t_rf)
+    ends.append(ends[-1] + (10 + 2 * 12) * t_rf)
+    assert [e.t for e in trace.of("feedback")] == ends
+    assert (sim.memory.bias[3], sim.memory.rf[7], sim.memory.bias[1]) == (5, 9, 11)
+    assert not sim.bias_ctrl.ramp_mode
+
+
 def test_no_drift_a_million_periods_out(baseline):
     # Edges are whole multiples of a whole-tick period. A play whose frame
     # completes just before sample edge 10**6 starts the sample clock exactly
@@ -713,6 +747,58 @@ def test_returned_edges_match_push_then_pop(n_loaded, commands, t_end_ns):
     assert pushpops
     assert slow.to_csv() == fast.to_csv()
     assert slow.stats == fast.stats
+
+
+class _CutSimulator(Simulator):
+    """A simulator that also queues a no-op event at each of ``cuts`` up to
+    the end of the run: a horizon that ends every clocked block running
+    across it, and does nothing else."""
+
+    def __init__(self, scenario, cuts):
+        super().__init__(scenario)
+        self.cuts = cuts
+
+    def run(self, stimulus, t_end_ns):
+        t_end = engine.to_ticks(t_end_ns)
+        for i, (t, priority) in enumerate(self.cuts):
+            if t <= t_end:   # negative sequence numbers never tie with the run's
+                heapq.heappush(self._queue, (t, priority, -1 - i, lambda t, _: None, None))
+        return super().run(stimulus, t_end_ns)
+
+
+_GRID = Simulator(baseline_scenario())
+# Ticks on the RF clock's grid or the conversions', below 4096 ns, where a
+# time's repr parses back to its exact tick; within 2 us, so commands,
+# serial clocks, sample edges and receptions share ticks often.
+_grid_tick = (st.integers(0, 1_200).map(lambda k: k * _GRID.t_rf_ticks)
+              | st.integers(0, 2).map(lambda k: k * _GRID.conversion_period_ticks))
+
+
+@settings(max_examples=150, deadline=None)
+@given(n_loaded=st.integers(0, 2),
+       commands=st.lists(st.tuples(_grid_tick, _command), max_size=20),
+       cuts=st.lists(st.tuples(_grid_tick | st.integers(0, 2_200 * 10 ** 12),
+                               st.sampled_from([engine.PRIORITY_BIAS, engine.PRIORITY_RF])),
+                     max_size=12),
+       t_end=_grid_tick.filter(bool))
+# a play received on the tick of a ramp-mode and a write, cut there and
+# during the write's shift and the played sequence
+@example(n_loaded=1,
+         commands=[(0, ("play", 0, 0, 0, 0)), (17 * _GRID.t_rf_ticks, ("ramp-mode", "on")),
+                   (17 * _GRID.t_rf_ticks, ("write-bias", 0, 5))],
+         cuts=[(17 * _GRID.t_rf_ticks, engine.PRIORITY_RF), (40 * _GRID.t_rf_ticks, engine.PRIORITY_BIAS),
+               (1_000 * _GRID.t_rf_ticks, engine.PRIORITY_RF)],
+         t_end=1_200 * _GRID.t_rf_ticks)
+def test_the_trace_does_not_depend_on_where_blocks_are_cut(n_loaded, commands, cuts, t_end):
+    # Each clock runs its edges in blocks up to the next queued event, so an
+    # event that does nothing must leave every row and statistic unchanged.
+    loads = [(0.0, ("write-rf", a, (37 * a) % 1024)) for a in range(16 * n_loaded)]
+    stimulus = _stimulus_text(loads + [(t / engine.TICKS_PER_NS, c) for t, c in commands])
+    t_end_ns = t_end / engine.TICKS_PER_NS
+    plain = Simulator(baseline_scenario()).run(stimulus, t_end_ns)
+    cut = _CutSimulator(baseline_scenario(), cuts).run(stimulus, t_end_ns)
+    assert cut.to_csv() == plain.to_csv()
+    assert cut.stats == plain.stats
 
 
 def _one_edge_per_call(stimulus, t_end_ns):
