@@ -39,7 +39,6 @@ from .dac import (
 from .analog import (
     Clocks,
     GenReport,
-    SampleHoldDesign,
     bias_gen_report,
     bias_power_approx,
     bias_power_exact,

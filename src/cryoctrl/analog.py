@@ -60,21 +60,10 @@ def derived_clocks(sc: Scenario) -> Clocks:
     return Clocks(f_ref, f_clk_bias, f_clk_rf)
 
 
-class SampleHoldDesign(NamedTuple):
-    n_channels: int
-    c_h: float
-
-
-def sample_hold_from(sc: Scenario) -> SampleHoldDesign:
-    return SampleHoldDesign(n_channels=sc.spec.n_bias_signals, c_h=sc.c_h)
-
-
-def sh_area(design: SampleHoldDesign, tech: TechnologyParams) -> float:
+def sh_area(n_channels: int, c_h: float, tech: TechnologyParams) -> float:
     """Hold capacitors at the capacitive density plus one switch per channel."""
-    if design.n_channels == 0:
-        return 0.0
-    cap_area = design.n_channels * design.c_h / (tech.rho_c * tech.cap_density_scale)
-    return cap_area + design.n_channels * tech.a_mos * tech.logic_area_scale
+    cap_area = n_channels * c_h / (tech.rho_c * tech.cap_density_scale)
+    return cap_area + n_channels * tech.a_mos * tech.logic_area_scale
 
 
 def bias_power_exact(f_refresh, c_in_dac, v_range, c_sh_total, dv) -> float:
@@ -123,9 +112,8 @@ def bias_gen_report(sc: Scenario) -> GenReport:
     """Area and power of the bias generation unit (DAC + sample-and-hold)."""
     s, clocks = sc.spec, sc.clocks
     d = bias_dac_design(sc)
-    sh = sample_hold_from(sc)
 
-    area = dac_area(d, sc.tech) + sh_area(sh, sc.tech)
+    area = dac_area(d, sc.tech) + sh_area(s.n_bias_signals, sc.c_h, sc.tech)
 
     c_sh_total = s.n_bias_signals * sc.c_h
     if d.arch is DacArchitecture.CAP:
@@ -137,7 +125,7 @@ def bias_gen_report(sc: Scenario) -> GenReport:
             (clocks.f_refresh / 2.0) * c_sh_total * s.dv_bias ** 2
 
     p_dac_sw = dac_switch_power(d, sc.op.v_dd, clocks.f_clk_bias, sc.op.sigma_con, sc.tech)
-    c_sh_sw = sh.n_channels * sc.tech.c_mos * sc.tech.digital_cap_scale
+    c_sh_sw = s.n_bias_signals * sc.tech.c_mos * sc.tech.digital_cap_scale
     p_sh_sw = sc.op.sigma_con * clocks.f_clk_bias * sc.op.v_dd ** 2 * c_sh_sw
     return GenReport(area, p_analog, p_dac_sw + p_sh_sw)
 

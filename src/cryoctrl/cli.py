@@ -2,9 +2,9 @@
 
 Exit codes: 0 success, 1 validation/usage error, 2 runtime error. Each
 subcommand returns its text and :func:`main` writes it once, to the file
-named by ``--out`` (``--csv`` for ``sweep``) or else to stdout; errors go to
-stderr. All outputs are deterministic: repeated invocations are byte
-identical.
+named by ``--out`` (``--csv`` for ``sweep``, ``--trace`` for ``simulate``) or
+else to stdout; errors go to stderr. All outputs are deterministic: repeated
+invocations are byte identical.
 """
 
 from __future__ import annotations
@@ -86,7 +86,8 @@ def _build_parser() -> _Parser:
     add_scenario(sp)
     sp.add_argument("--stimulus", required=True, help="stimulus file")
     sp.add_argument("--until", required=True, help="simulated time, e.g. 200us")
-    sp.add_argument("--trace", help="write the trace CSV to this file")
+    sp.add_argument("--trace", dest="out", metavar="TRACE",
+                    help="write the trace CSV to this file")
     sp.add_argument("--vcd", help="write a value-change dump text file")
     return p
 
@@ -168,7 +169,7 @@ def _cmd_capacity(args) -> str:
 
 def _cmd_simulate(args) -> str:
     # deferred: only this subcommand runs the simulator
-    from .sim import SimulationConfigError, StimulusError, parse_duration_ns, run_simulation
+    from .sim import parse_duration_ns, run_simulation
 
     sc = _scenario(args)
     stim_path = Path(args.stimulus)
@@ -181,12 +182,7 @@ def _cmd_simulate(args) -> str:
         valid = False
     if not valid:
         raise UsageError(f"--until must be a positive, finite duration, got {args.until!r}")
-    try:
-        trace = run_simulation(sc, stim_path, t_end)
-    except (StimulusError, SimulationConfigError) as exc:
-        raise ConfigError(str(exc)) from exc
-    if args.trace:
-        Path(args.trace).write_text(trace.to_csv())
+    trace = run_simulation(sc, stim_path, t_end)
     if args.vcd:
         Path(args.vcd).write_text(trace.to_vcd_text())
     summary = {
@@ -196,13 +192,13 @@ def _cmd_simulate(args) -> str:
         "backpressure_count": trace.stats["backpressure_count"],
     }
     sys.stderr.write(json.dumps(summary, sort_keys=True) + "\n")
-    return "" if args.trace or args.vcd else trace.to_csv()
+    return trace.to_csv() if args.out or not args.vcd else ""
 
 
 def _check_output_dirs(args) -> None:
     """Refuse, before any work, an output file that is a directory or whose
     directory does not exist."""
-    for option in ("out", "trace", "vcd"):
+    for option in ("out", "vcd"):
         path = getattr(args, option, None)
         if path and Path(path).is_dir():
             raise OSError(f"cannot write {path!r}: it is a directory")

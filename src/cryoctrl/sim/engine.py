@@ -38,8 +38,10 @@ gives the trace of one edge per call:
   once, so a read mid-shift sees the partly shifted code. No checked word
   raises ``protocol_error``. It gives the rows and register values of the
   clocked model, ``protocol.DataInputController``.
-- ``RfController.sample_edge``: the sample clock runs while a pair is active
-  or latched; ``command_received`` starts it on the grid when neither is.
+- ``RfController.sample_edge``: the sample clock runs while a command word
+  is held, reading the playing set's pair from the head word of
+  ``RfController.words``; ``command_received`` starts it on the grid when
+  none is.
 
 ``Simulator.run`` hands a returned edge, with the next sequence number, to
 ``heapq.heappushpop``: the same push-then-pop on the same ``(time, priority,
@@ -96,7 +98,7 @@ from operator import attrgetter
 from pathlib import Path
 from typing import NamedTuple
 
-from ..config import Scenario, escape_controls
+from ..config import ConfigError, Scenario, escape_controls
 from ..digital import memory_design
 from .memory import MemoryBank
 from .protocol import (
@@ -131,11 +133,11 @@ MAX_RAMP_STEPS = 1_000_000
 MAX_CLOCK_QUANTISATION_REL = 1e-9
 
 
-class StimulusError(ValueError):
+class StimulusError(ConfigError):
     """Stimulus file failed to parse; message carries the line number."""
 
 
-class SimulationConfigError(ValueError):
+class SimulationConfigError(ConfigError):
     """Scenario not representable by the digital control system."""
 
 
@@ -420,38 +422,33 @@ class BiasController:
 class RfController:
     """Double-buffered pulse playback.
 
-    A received command word sits in staging flip-flops; when the previously
-    latched sets have finished (or the unit is idle) both of its sets move
-    to the latch array, freeing staging for the next command immediately.
-    Per sample, the two read addresses are built from the active pair of
-    sequence ids and the sample counter; the pair advances at the sequence
+    ``words`` holds at most two command words: the latched one, whose two
+    sets play in turn, then the staged one, which moves into the latch array
+    once both latched sets have played. A command received while two words
+    are held is refused. Per sample, the two read addresses are built from
+    the playing set's pair of sequence ids (set ``set_index`` of the head
+    word) and the sample counter; the next set follows at the sequence
     boundary without a gap.
     """
 
     def __init__(self, sim):
         self.sim = sim
-        self.staging: RfCommandWord | None = None
-        self.latched: list[tuple[int, int]] = []
-        self.active: tuple[int, int] | None = None
+        self.words: deque[RfCommandWord] = deque()
+        self.set_index = 0   # of the head word's set that is playing
         self.sample_counter = 0
 
     def command_received(self, t: int, cmd: RfCommandWord):
-        sim = self.sim
-        if self.staging is not None:
+        sim, words = self.sim, self.words
+        if len(words) == 2:
             sim.trace.append(t, sim.control_signals["rf_cmd_ignored"], 1)
             sim.backpressure_count += 1
             return
-        self.staging = cmd
-        if self.active is None and not self.latched:
+        words.append(cmd)
+        if len(words) == 1:
             # the sample clock is stopped: latch, and start it on the grid
-            self._latch_from_staging(t)
+            sim.trace.append(t, sim.control_signals["latch_transfer"], 1)
             period = sim.sample_period_ticks
             sim._push(-(-t // period) * period, PRIORITY_RF, self.sample_edge)
-
-    def _latch_from_staging(self, t: int):
-        self.latched.extend(self.staging.pairs())
-        self.staging = None
-        self.sim.trace.append(t, self.sim.control_signals["latch_transfer"], 1)
 
     def sample_edge(self, t: int, _) -> int | None:
         """Emit the samples from ``t`` up to the next queued event; return the
@@ -459,12 +456,10 @@ class RfController:
         sim = self.sim
         horizon = sim.horizon()
         period, l_pulse, rf = sim.sample_period_ticks, sim.l_pulse, sim.memory.rf
-        trace, pair = sim.trace, sim.rf_signals
+        trace, pair, words = sim.trace, sim.rf_signals, self.words
         while True:
-            if self.active is None:
-                self.active = self.latched.pop(0)
-                self.sample_counter = 0
-            id_a, id_b = self.active
+            word, i = words[0], 2 * self.set_index
+            id_a, id_b = word[i], word[i + 1]
             k = self.sample_counter
             # this edge and the sequence's later edges before the horizon
             stop = min(l_pulse, k + 1 + max(0, (horizon - t - 1) // period))
@@ -477,18 +472,20 @@ class RfController:
             trace.extend(ticks, pair * m, codes)
             t += m * period
             sim.rf_samples_emitted += m
-            self.sample_counter = stop
             if stop < l_pulse:
+                self.sample_counter = stop
                 return t
             last = t - period
             trace.append(last, sim.control_signals["end_sequ"], 1)
-            self.active = None
-            # the latch array holds one command word; staging transfers in
-            # only once both of its sets have been consumed
-            if not self.latched:
-                if self.staging is None:
+            self.sample_counter = 0
+            self.set_index ^= 1
+            if self.set_index == 0:
+                # both sets of the latched word have played: the staged word,
+                # if any, moves into the latch array
+                words.popleft()
+                if not words:
                     return None
-                self._latch_from_staging(last)
+                trace.append(last, sim.control_signals["latch_transfer"], 1)
             if t >= horizon:
                 return t
 
@@ -689,8 +686,8 @@ class Simulator:
                 return self._write_event, word
             if cmd.op == "play":
                 word = RfCommandWord(*cmd.args)
-                if max(word.ids()) >= self.n_pulses:
-                    raise ProtocolError(f"sequence id {max(word.ids())} beyond the "
+                if max(word) >= self.n_pulses:
+                    raise ProtocolError(f"sequence id {max(word)} beyond the "
                                         f"{self.n_pulses} stored sequences")
                 return self.rf_ctrl.command_received, word
         except ProtocolError as exc:

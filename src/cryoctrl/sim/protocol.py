@@ -94,9 +94,6 @@ class RfCommandWord(_RfCommandFields):
                 raise ProtocolError(f"sequence id {v} out of range")
         return self
 
-    def ids(self) -> tuple[int, int, int, int]:
-        return tuple(self)
-
     def pairs(self) -> tuple[tuple[int, int], tuple[int, int]]:
         return ((self.id_e1_set1, self.id_e2_set1), (self.id_e1_set2, self.id_e2_set2))
 
@@ -143,7 +140,7 @@ def decode_dataword(bits: str, n_bias: int, n_rf: int) -> DataWord:
 
 
 def encode_rf_command(cmd: RfCommandWord) -> str:
-    return "1" + "".join(_to_bits(v, SEQUENCE_ID_BITS) for v in cmd.ids())
+    return "1" + "".join(_to_bits(v, SEQUENCE_ID_BITS) for v in cmd)
 
 
 def decode_rf_command(bits: str) -> RfCommandWord:
@@ -270,24 +267,21 @@ class RfCommandReceiver:
     """
 
     def __init__(self):
-        self.bits: list[str] = []
-        self.receiving = False
+        self.bits: list[str] = []   # of the frame being received
 
     @property
     def busy(self) -> bool:
-        return self.receiving
+        return bool(self.bits)
 
     def step(self, bit: int) -> RfCommandWord | None:
         bit = 1 if bit else 0
-        if not self.receiving:
+        if not self.bits:
             if bit == 1:
-                self.receiving = True
                 self.bits = ["1"]
             return None
         self.bits.append(str(bit))
         if len(self.bits) == RF_COMMAND_BITS:
             cmd = decode_rf_command("".join(self.bits))
-            self.receiving = False
             self.bits = []
             return cmd
         return None

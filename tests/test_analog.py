@@ -3,7 +3,6 @@ from hypothesis import given, strategies as st
 
 from cryoctrl import (
     DacArchitecture,
-    SampleHoldDesign,
     TechnologyParams,
     bias_gen_report,
     bias_power_approx,
@@ -75,15 +74,13 @@ def test_rf_clock_tracks_sample_rate(baseline):
 
 
 def test_sh_area():
-    sh = SampleHoldDesign(8, 307e-15)
-    assert sh_area(sh, TECH) == pytest.approx(1406.43, rel=1e-4)  # 1403.4 + 3
-    assert sh_area(SampleHoldDesign(0, 307e-15), TECH) == 0.0
+    assert sh_area(8, 307e-15, TECH) == pytest.approx(1406.43, rel=1e-4)  # 1403.4 + 3
+    assert sh_area(0, 307e-15, TECH) == 0.0
 
 
 def test_sh_area_14nm():
     t14 = apply_node(TECH, Node.NODE_14NM)
-    sh = SampleHoldDesign(8, 307e-15)
-    assert sh_area(sh, t14) == pytest.approx(7.142, rel=1e-3)
+    assert sh_area(8, 307e-15, t14) == pytest.approx(7.142, rel=1e-3)
 
 
 def test_bias_power_exact_example():

@@ -637,6 +637,36 @@ def test_any_scenario_file_keeps_the_cli_contract(tmp_path, data):
             assert not _NON_FINITE.search("\n".join(shown)), call
 
 
+# One short stimulus: a bias and an RF write, a play and a ramp window.
+_CONTRACT_STIMULUS = ("0 write-bias 0 2048\n0 write-rf 0 5\n100 play 0 0 0 0\n"
+                      "200 ramp-mode on\n400 ramp-mode off\n")
+
+
+@settings(max_examples=80, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])   # one file, rewritten
+@given(data=_scenario_data(), until=st.sampled_from(["1us", "50us"]))
+def test_any_scenario_file_keeps_the_cli_contract_in_simulate(tmp_path, data, until):
+    # The same contract for the simulator: a scenario it refuses fails in one
+    # stderr line, and a run prints the whole trace CSV and one JSON summary.
+    stimulus = tmp_path / "stim.txt"
+    stimulus.write_text(_CONTRACT_STIMULUS)
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(["simulate", "--scenario", _scenario_file(tmp_path, data),
+                     "--stimulus", str(stimulus), "--until", until])
+    lines = err.getvalue().splitlines()
+    assert code in (0, 1, 2), lines
+    assert len(lines) == 1, lines
+    if code:
+        assert out.getvalue() == ""
+        assert lines[0].startswith("error: " if code == 1 else "runtime error: ")
+    else:
+        assert out.getvalue().startswith("t_ns,signal,value\n")
+        assert not _NON_FINITE.search(out.getvalue())
+        assert set(json.loads(lines[0])) == {"events", "max_refresh_deviation_v",
+                                             "rf_samples_emitted", "backpressure_count"}
+
+
 def test_output_file_holds_what_stdout_would(capsys, scenario_dir, tmp_path):
     scenario = ("--scenario", str(scenario_dir / "paper-defaults.json"))
     stim = tmp_path / "stim.txt"

@@ -9,7 +9,7 @@ import pickle
 import pytest
 
 from cryoctrl import MemoryArch, Scenario, assemble, cli
-from cryoctrl.analog import Clocks, GenReport, SampleHoldDesign
+from cryoctrl.analog import Clocks, GenReport
 from cryoctrl.config import (
     ConfigError,
     DacArchitecture,
@@ -45,10 +45,6 @@ RECORDS = {
         Clocks(1.5e6, 3e6, 6e8),
         lambda: Clocks(f_refresh=1.5e6, f_clk_bias=3e6, f_clk_rf=6e8),
         "Clocks(f_refresh=1500000.0, f_clk_bias=3000000.0, f_clk_rf=600000000.0)"),
-    "SampleHoldDesign": (
-        SampleHoldDesign(8, 3e-13),
-        lambda: SampleHoldDesign(n_channels=8, c_h=3e-13),
-        "SampleHoldDesign(n_channels=8, c_h=3e-13)"),
     "GenReport": (
         GenReport(120.0, 1e-6, 2e-6),
         lambda: GenReport(area_um2=120.0, p_analog_w=1e-6, p_digital_w=2e-6),

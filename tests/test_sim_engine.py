@@ -958,6 +958,68 @@ def test_clocks_run_only_while_busy(n_loaded, commands):
     assert [e.t for e in trace.of("feedback")] == feedback
 
 
+# Gaps between plays around one command word's 2 x 16 samples (~106.7 ns), so
+# that staging fills and frees, and plays share a tick or a sample period.
+_PLAY_GAPS_NS = (0.0, 1.0, 3.3, 20.0, 50.0, 106.0, 107.0, 110.0, 150.0, 300.0)
+
+
+@st.composite
+def _play_stream(draw):
+    n_loaded, rng = draw(st.integers(1, 4)), draw(st.randoms(use_true_random=False))
+    codes = [rng.randrange(1024) for _ in range(16 * n_loaded)]
+    t, plays = 20_000.0, []
+    for _ in range(draw(st.integers(1, 30))):
+        t += draw(st.sampled_from(_PLAY_GAPS_NS))
+        plays.append((t, tuple(rng.randrange(n_loaded) for _ in range(4))))
+    return codes, plays
+
+
+@settings(max_examples=150, deadline=None)
+@given(stream=_play_stream())
+def test_the_rf_player_matches_a_reference_of_its_queue(stream):
+    # Reference: a command word is held from its reception, 17 RF clocks
+    # after its play, through its last sample; a reception is refused exactly
+    # when two words are held. An accepted word is latched when the word
+    # before it has played, and its first sample is on the next sample edge
+    # at or after that.
+    codes, plays = stream
+    period, l_pulse, lsb = _GRID.sample_period_ticks, _GRID.l_pulse, _GRID.rf_lsb
+    loads = [(0.0, ("write-rf", addr, code)) for addr, code in enumerate(codes)]
+    stimulus = _stimulus_text(loads + [(t, ("play", *ids)) for t, ids in plays])
+    trace = run_simulation(baseline_scenario(), stimulus, plays[-1][0] + 1_000.0)
+
+    refused, latched, samples = [], [], {"rf_a": [], "rf_b": []}
+    ends, lasts = [], []   # the last sample tick of each accepted word
+    for t_ns, ids in plays:
+        received = engine.to_ticks(t_ns) + engine.RF_COMMAND_BITS * _GRID.t_rf_ticks
+        if sum(last >= received for last in lasts[-2:]) == 2:
+            refused.append(received)
+            continue
+        previous = lasts[-1] if lasts else -period
+        latched.append(max(received, previous))
+        start = max(-(-received // period) * period, previous + period)
+        for id_a, id_b in (ids[:2], ids[2:]):
+            for k in range(l_pulse):
+                tick = start + k * period
+                samples["rf_a"].append((tick, codes[id_a * l_pulse + k] * lsb))
+                samples["rf_b"].append((tick, codes[id_b * l_pulse + k] * lsb))
+            start += l_pulse * period
+            ends.append(start - period)
+        lasts.append(ends[-1])
+
+    rows = collections.defaultdict(list)   # signal -> its (tick, value) rows
+    for e in trace.events:
+        rows[e.signal].append((e.t, e.value))
+    assert [t for t, _ in rows["rf_cmd_ignored"]] == refused
+    for signal, expected in samples.items():
+        assert rows[signal] == expected
+        assert all(t % period == 0 for t, _ in rows[signal])
+    assert [t for t, _ in rows["latch_transfer"]] == latched
+    assert [t for t, _ in rows["end_sequ"]] == ends
+    assert trace.stats["rf_samples_emitted"] == 2 * l_pulse * len(lasts)
+    assert trace.stats["backpressure_count"] == len(refused)
+
+
 @settings(max_examples=100, deadline=None)
 @given(n_bias_signals=st.integers(1, 300),
        n_pulses=st.sampled_from([2 ** k for k in range(9)]),
