@@ -48,12 +48,13 @@ class _Record:
     A field's kind is the type of its default: a part, an enum member (or its
     value), an integer, or a positive finite number (an int, float or None
     default; None only where it is the default). ``__init__`` takes the fields
-    by keyword, fills in the defaults, checks and converts them by kind (parts,
-    enums, integers, numbers, each in field order; not ``_own_checks``), then
-    runs the subclass's ``_check`` for the rules no default states; the
-    ConfigError names the first bad field. Records compare and hash by type
-    and field values; ``_fields`` names the fields and ``_asdict`` gives them,
-    in order. Use :func:`replace` for a changed copy."""
+    by keyword, fills in the defaults, checks and converts them by kind with
+    ``_check_kinds`` (parts, enums, integers, numbers, each in field order;
+    not ``_own_checks``), then runs the subclass's ``_check`` for the rules no
+    default states; the ConfigError names the first bad field. Records compare
+    and hash by type and field values; ``_fields`` names the fields and
+    ``_asdict`` gives them, in order. Use :func:`replace` for a changed copy:
+    it runs ``_check_kinds`` on the changed fields only, then ``_check``."""
 
     __slots__ = ()
     _field_defaults: dict = {}
@@ -77,19 +78,31 @@ class _Record:
         for set_field, name, default in self._setters:
             set_field(self, values.pop(name, default))
         if values:
-            raise TypeError(f"{type(self).__qualname__}.__init__() got an unexpected keyword "
-                            f"argument '{next(iter(values))}'")
+            self._unexpected(next(iter(values)))
+        self._check_kinds(self._field_defaults)
+        self._check()
+
+    @classmethod
+    def _unexpected(cls, name):
+        raise TypeError(f"{cls.__qualname__}.__init__() got an unexpected keyword "
+                        f"argument '{name}'")
+
+    def _check_kinds(self, names) -> None:
+        """Check and convert the fields in ``names`` by kind: parts, enums,
+        integers, numbers, each in field order."""
         for name, part in self._parts:
-            if not isinstance(getattr(self, name), part):
+            if name in names and not isinstance(getattr(self, name), part):
                 raise ConfigError(f"{name} must be a {part.__name__}")
         for name, enum in self._enums:
-            if type(getattr(self, name)) is not enum:
+            if name in names and type(getattr(self, name)) is not enum:
                 object.__setattr__(self, name, _choice(name, enum, getattr(self, name)))
         for name in self._integers:
-            if type(getattr(self, name)) is not int:
+            if name in names and type(getattr(self, name)) is not int:
                 raise ConfigError(f"{name} must be an integer")
         top = sys.float_info.max
         for name, default in self._numbers:
+            if name not in names:
+                continue
             v = getattr(self, name)
             if type(v) is not float and type(v) is not int:   # a float or int needs the range only
                 _check_number(name, v, default)
@@ -97,7 +110,6 @@ class _Record:
                     continue
             if not 0 < v <= top:   # an integer beyond the largest float is not finite
                 raise ConfigError(f"{name} must be {'positive' if v <= 0 else 'finite'}")
-        self._check()
 
     def _asdict(self) -> dict:
         return dict(zip(self._fields, self._values(self)))
@@ -130,9 +142,24 @@ class _Record:
 
 def replace(record, /, **changes):
     """A copy of ``record``, a scenario, one of its parts or a named-tuple
-    record, with the fields in ``changes`` replaced; it is built, and so
-    checked, as its constructor builds it."""
-    return type(record)(**{**record._asdict(), **changes})
+    record, with the fields in ``changes`` replaced; it equals what its
+    constructor builds from the changed fields, and refuses what that refuses
+    with the same error. A named tuple is built again by its constructor. A
+    part or scenario copies its fields, checks only the changed ones by kind
+    (they were all checked when ``record`` was built), then runs its own
+    ``_check`` in full; a scenario derives its ``clocks`` again."""
+    if not isinstance(record, _Record):
+        return type(record)(**{**record._asdict(), **changes})
+    cls = type(record)
+    for name in changes:
+        if name not in cls._field_defaults:
+            cls._unexpected(name)
+    new = cls.__new__(cls)
+    for (set_field, name, _), value in zip(cls._setters, cls._values(record)):
+        set_field(new, changes.get(name, value))
+    new._check_kinds(changes)
+    new._check()
+    return new
 
 
 class MemoryArch(str, Enum):

@@ -15,6 +15,7 @@ of its units.
 from __future__ import annotations
 
 import math
+from functools import lru_cache
 from typing import NamedTuple
 
 from . import noise
@@ -102,6 +103,11 @@ class DacDesign(_DacFields):
         raise ValueError("r_in is defined for resistive DACs only")
 
 
+# Equal designs are built once; keyed by type too, so a design keeps the
+# types of its operands.
+_shared_design = lru_cache(maxsize=256, typed=True)(DacDesign)
+
+
 def design_dac(
     arch: DacArchitecture,
     n: int,
@@ -109,10 +115,11 @@ def design_dac(
     unit_value: float | None = None,
 ) -> DacDesign:
     """Build a DacDesign; defaults are clamped to process minimums, an
-    explicit ``unit_value`` is taken as given."""
+    explicit ``unit_value`` is taken as given. Equal designs are shared: one
+    is built once for every design point that uses it."""
     if unit_value is None:
         unit_value = default_unit_value(arch, tech)
-    return DacDesign(arch, n, unit_value)
+    return _shared_design(arch, n, unit_value)
 
 
 def dac_area(design: DacDesign, tech: TechnologyParams) -> float:

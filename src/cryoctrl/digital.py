@@ -8,7 +8,8 @@ word-line decoders plus per-column read/write circuitry.
 
 Selector model: a 2^k-way selector of ``width`` data bits is a
 pass-transistor tree with (2^(k+1)-2)*width transistors; non-power-of-two
-way counts round up.
+way counts round up. A memory design's periphery is counted once, however
+many design points share it.
 
 The managing component is summed from a per-subunit budget of flip-flop and
 logic-transistor counts, the table ``MANAGING_BUDGET`` below; its logic
@@ -18,6 +19,7 @@ counts are calibration values.
 from __future__ import annotations
 
 import math
+from functools import lru_cache
 from typing import NamedTuple
 
 from .config import MemoryArch, Scenario, replace
@@ -87,6 +89,7 @@ def memory_design(sc: Scenario) -> MemoryDesign:
     )
 
 
+@lru_cache(maxsize=256, typed=True)
 def _ff_periphery_transistors(d: MemoryDesign) -> int:
     write = selector_transistors(d.bias_registers, 1) + selector_transistors(d.rf_registers, 1)
     read = selector_transistors(d.bias_registers, d.bias_width) + \
@@ -94,6 +97,7 @@ def _ff_periphery_transistors(d: MemoryDesign) -> int:
     return write + read
 
 
+@lru_cache(maxsize=256, typed=True)
 def _sram_periphery_transistors(d: MemoryDesign) -> int:
     # Word-line decoders (width 1 per port) plus column read/write circuitry.
     decoders = (

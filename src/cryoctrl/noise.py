@@ -5,13 +5,15 @@ capacitors and Johnson-Nyquist noise of resistors within the circuit
 bandwidth. Each bound is returned as an exact value; rounding up to process
 minimums (``r_min``/``c_min``) is left to the DAC design layer. A bound that
 underflows to zero or overflows is refused with a ``ValueError`` that names
-its requirement.
+its requirement. Each bound is computed once per operands, types included, so
+its text keeps them: ``N=8`` and ``N=8.0`` are two bounds.
 """
 
 from __future__ import annotations
 
 import math
 from enum import Enum
+from functools import lru_cache
 from typing import NamedTuple
 
 from .config import DacArchitecture
@@ -75,6 +77,7 @@ _UNIT_RES_SPEC = "4kTRB <= ({2:g} V)^2 at {3:g} K, B={4:g} Hz, n={1}, {0.value}"
 _HOLD_CAP_SPEC = "kT/(N*C) <= ({1:g} V)^2 at {2:g} K, N={0}"
 
 
+@lru_cache(maxsize=256, typed=True)
 def min_unit_cap(n: int, dv: float, t: float) -> SizingBound:
     """Minimum DAC unit capacitor so that kT/C output noise stays below ``dv``.
 
@@ -86,6 +89,7 @@ def min_unit_cap(n: int, dv: float, t: float) -> SizingBound:
     return _bound(BoundKind.MIN_CAPACITANCE, value, _UNIT_CAP_SPEC, (n, dv, t))
 
 
+@lru_cache(maxsize=256, typed=True)
 def max_unit_res(
     arch: DacArchitecture, n: int, dv: float, t: float, b: float
 ) -> SizingBound:
@@ -104,6 +108,7 @@ def max_unit_res(
     return _bound(BoundKind.MAX_RESISTANCE, value, _UNIT_RES_SPEC, (arch, n, dv, t, b))
 
 
+@lru_cache(maxsize=256, typed=True)
 def min_hold_cap(n_channels: int, dv: float, t: float) -> SizingBound:
     """Minimum per-electrode hold capacitor of the sample-and-hold.
 

@@ -165,21 +165,19 @@ def _nan_last(value):
 def sweep(sc: Scenario, param: str, values) -> list[SweepRow]:
     """One report per value of ``param`` (one of ``SWEEP_PARAMS``), ordered by
     value with NaN last; a value that fails validation yields an invalid row
-    instead of aborting the sweep. Each point is ``sc`` with that value, as
-    :func:`config.replace` would build it."""
+    instead of aborting the sweep. Each point is ``sc`` with that value, built
+    by :func:`config.replace`, which checks only the changed field and the
+    part's and the scenario's own rules."""
     if param not in SWEEP_PARAMS:
         raise ValueError(f"unknown sweep parameter '{param}' (one of {SWEEP_PARAMS})")
-    # fields read once per sweep: one constructor call per changed object
-    # costs less than replace, which reads them all again
-    sc_fields = sc._asdict()
-    section, part = next((name, value) for name, value in sc_fields.items()
+    section, part = next((name, value) for name, value in sc._asdict().items()
                          if param in getattr(value, "_fields", ()))   # the part with the field
-    part_fields, default = part._asdict(), part._field_defaults[param]
+    default = part._field_defaults[param]
     rows = []
     for value in sorted(values, key=_nan_last):
         try:
-            changed = type(part)(**{**part_fields, param: _field_value(param, value, default)})
-            point = assemble(Scenario(**{**sc_fields, section: changed}))
+            changed = replace(part, **{param: _field_value(param, value, default)})
+            point = assemble(replace(sc, **{section: changed}))
             rows.append(SweepRow(param, value, point, "ok"))
         except ValueError as exc:
             rows.append(SweepRow(param, value, None, f"invalid: {exc}"))

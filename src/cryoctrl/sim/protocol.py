@@ -94,9 +94,6 @@ class RfCommandWord(_RfCommandFields):
                 raise ProtocolError(f"sequence id {v} out of range")
         return self
 
-    def pairs(self) -> tuple[tuple[int, int], tuple[int, int]]:
-        return ((self.id_e1_set1, self.id_e2_set1), (self.id_e1_set2, self.id_e2_set2))
-
 
 def check_payload_widths(n_bias: int, n_rf: int) -> None:
     """Refuse a bias or pulse resolution the reception counter cannot time."""

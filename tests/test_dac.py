@@ -50,6 +50,7 @@ def test_a_dac_design_counts_its_components_once(monkeypatch):
     calls = []
     count = dac.component_counts
     monkeypatch.setattr(dac, "component_counts", lambda a, n: calls.append(n) or count(a, n))
+    dac._shared_design.cache_clear()
     d = design_dac(DacArchitecture.CAP, 12, TECH)
     assert d.counts == count(DacArchitecture.CAP, 12)
     assert dac_area(d, TECH) > 0 and dac_switch_power(d, 1.0, 1e6, 0.5, TECH) > 0
@@ -74,6 +75,19 @@ def test_a_dac_design_takes_its_architecture_as_a_member_or_its_value():
     assert cap.c_in == cap.counts.units * 10e-15
     with pytest.raises(ValueError, match="is not a valid DacArchitecture"):
         DacDesign("sigma-delta", 8, 10e-15)
+
+
+def test_a_shared_design_keeps_its_architecture_a_member():
+    import cryoctrl.dac as dac
+
+    for first, then in ((DacArchitecture.CAP, "cap"), ("cap", DacArchitecture.CAP)):
+        dac._shared_design.cache_clear()
+        designs = [design_dac(arch, 8, TECH) for arch in (first, then, first)]
+        assert all(d.arch is DacArchitecture.CAP for d in designs)
+        assert designs[0] == designs[1] and designs[0] is designs[2]
+    for _ in range(2):   # a refused design is refused again
+        with pytest.raises(ValueError, match="is not a valid DacArchitecture"):
+            design_dac("sigma-delta", 8, TECH, unit_value=10e-15)
 
 
 @pytest.mark.parametrize("unit_value", [0.0, -1e-15, float("nan"), float("inf")])

@@ -132,6 +132,26 @@ def test_a_bound_value_is_its_bound_without_the_text(bound, args):
         b.binding_spec
 
 
+@pytest.mark.parametrize("order", [(8, 8.0), (8.0, 8)])
+def test_a_bound_keeps_the_types_of_its_operands(order):
+    min_hold_cap.cache_clear()
+    for n in order:
+        assert min_hold_cap(n, 3e-6, 0.2).binding_spec == \
+            f"kT/(N*C) <= (3e-06 V)^2 at 0.2 K, N={n!r}"
+
+
+@pytest.mark.parametrize("bound, args", [
+    (min_hold_cap, (8, 1e-200, 0.2)),
+    (min_unit_cap, (10, math.nan, 0.2)),
+    (max_unit_res, ("sigma-delta", 12, 3e-6, 0.2, 10e6)),
+    (max_unit_res, (DacArchitecture.CAP, 10, 8e-6, 0.2, 600e6)),
+])
+def test_a_refused_operand_is_refused_on_every_call(bound, args):
+    for _ in range(3):
+        with pytest.raises(ValueError):
+            bound(*args)
+
+
 def test_a_refused_bound_message_is_pinned():
     with pytest.raises(ValueError) as refused:
         min_hold_cap(8, 1e-200, 0.2)

@@ -4,13 +4,17 @@ through ``_asdict()`` where a report or the CLI writes it."""
 
 import copy
 import json
+import math
 import pickle
+from enum import Enum
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cryoctrl import MemoryArch, Scenario, assemble, cli
 from cryoctrl.analog import Clocks, GenReport
 from cryoctrl.config import (
+    REFERENCE_SCENARIOS,
     ConfigError,
     DacArchitecture,
     OperatingPoint,
@@ -134,7 +138,6 @@ def test_a_record_keeps_its_properties_and_methods():
     with pytest.raises(AttributeError):
         dac.counts = ComponentCounts(1.0, 1)
     assert MemoryDesign("ff", 9, 12, 256, 10).rf_bits == 2560
-    assert RfCommandWord(1, 2, 3, 4).pairs() == ((1, 2), (3, 4))
 
 
 def test_a_part_equals_only_a_part_of_its_own_type():
@@ -169,6 +172,58 @@ def test_replace_checks_the_copy_as_its_constructor_does():
         RfCommandWord(1, 2, 3, 4)._replace(id_e2_set2=16)
     changed = replace(sc, memory_arch="sram", op=replace(sc.op, v_dd=0.5))
     assert (changed.memory_arch, changed.op.v_dd, sc.op.v_dd) == (MemoryArch.SRAM, 0.5, 1.0)
+
+
+# Built records: the reference scenarios, their parts, and a few more.
+_SCENARIOS = [make() for make in REFERENCE_SCENARIOS.values()] + [
+    Scenario(bias_dac_arch="ladder", rf_dac_arch="kelvin", bias_dac_unit=200.0, c_h=1e-12),
+    Scenario(op=OperatingPoint(t_el=1.5, f_clk_bias=1e9, f_clk_rf=2e9), c_h=4e-12),
+]
+_BUILT = _SCENARIOS + [part for sc in _SCENARIOS for part in (sc.spec, sc.tech, sc.op)]
+# values of a wrong kind or out of range for some field
+_WRONG = st.sampled_from(["x", "", True, False, None, math.nan, math.inf, -math.inf, 0, 0.0,
+                          -1, -2.5e-3, 10 ** 400, -(10 ** 400), "sram", "ff", "cap", "ladder",
+                          "14nm", 1e-320, SystemSpec()])
+
+
+def _value(record, name):
+    """A value for the field ``name``: of its kind, or of a wrong one."""
+    default = record._field_defaults[name]
+    if isinstance(default, (SystemSpec, TechnologyParams, OperatingPoint)):
+        fitting = st.sampled_from([b for b in _BUILT if type(b) is type(default)])
+    elif isinstance(default, Enum):
+        members = list(type(default))
+        fitting = st.sampled_from(members + [m.value for m in members])
+    elif type(default) is int:
+        fitting = st.integers(-1, 40)
+    elif name in record._own_checks:
+        fitting = st.floats(0.0, 0.6)
+    else:
+        scale = default if default is not None else 1e9
+        fitting = st.floats(scale / 100, scale * 100)
+        if default is None:
+            fitting = st.none() | fitting
+    return st.one_of(fitting, fitting, _WRONG)
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_replace_gives_what_the_constructor_gives(data):
+    record = data.draw(st.sampled_from(_BUILT))
+    names = data.draw(st.lists(st.sampled_from([*record._fields, "bogus"]), min_size=1,
+                               max_size=3, unique=True))
+    changes = {name: (data.draw(_value(record, name)) if name != "bogus" else 1)
+               for name in names}
+
+    def outcome(build):
+        try:
+            built = build()
+        except Exception as exc:   # both paths must refuse alike, whatever they raise
+            return type(exc), str(exc)
+        return built, repr(built), getattr(built, "clocks", None)
+
+    assert outcome(lambda: replace(record, **changes)) == \
+        outcome(lambda: type(record)(**{**record._asdict(), **changes}))
 
 
 @pytest.mark.parametrize("part", [SystemSpec, TechnologyParams, OperatingPoint, Scenario])

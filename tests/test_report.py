@@ -207,11 +207,31 @@ def test_assemble_reuses_the_scenario_and_counts_each_dac_once(baseline, monkeyp
     for module, name in ((analog, "derived_clocks"), (dac, "component_counts"),
                          (analog, "design_dac"), (report, "design_dac")):
         _counting(monkeypatch, module, name, calls)
+    dac._shared_design.cache_clear()
     assemble(baseline)
     assert calls == {"design_dac": 2, "component_counts": 2}
     calls.clear()
+    dac._shared_design.cache_clear()
     dac_sweep(baseline)
     assert calls == {"design_dac": 45, "component_counts": 45}
+    calls.clear()
+    dac_sweep(baseline, "rf")   # the same 45 designs: none is built again
+    assert calls == {"design_dac": 45}
+
+
+def test_a_sweep_builds_each_shared_design_once(baseline, monkeypatch):
+    import cryoctrl.dac as dac
+    import cryoctrl.digital as digital
+
+    calls = {}
+    for module, name in ((dac, "component_counts"), (digital, "selector_transistors")):
+        _counting(monkeypatch, module, name, calls)
+    dac._shared_design.cache_clear()
+    digital._ff_periphery_transistors.cache_clear()
+    rows = sweep(baseline, "v_dd", [0.01 * k for k in range(3, 101)])
+    assert len(rows) == 98 and all(r.status == "ok" for r in rows)
+    # the bias and the pulse DAC, and one flip-flop periphery of four selectors
+    assert calls == {"component_counts": 2, "selector_transistors": 4}
 
 
 def test_sweep_rows_ordered_by_value(baseline):
