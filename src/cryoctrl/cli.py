@@ -3,7 +3,9 @@
 Exit codes: 0 success, 1 validation/usage error, 2 runtime error. Each
 subcommand returns its text and :func:`main` writes it once, to the file
 named by ``--out`` (``--csv`` for ``sweep``, ``--trace`` for ``simulate``) or
-else to stdout; errors go to stderr. All outputs are deterministic: repeated
+else to stdout; errors go to stderr. ``simulate`` also returns its side
+outputs, which :func:`main` writes only after the text: the ``--vcd`` file,
+then the JSON summary line on stderr. All outputs are deterministic: repeated
 invocations are byte identical.
 """
 
@@ -167,7 +169,7 @@ def _cmd_capacity(args) -> str:
     return _json(result._asdict()) if args.format == "json" else f"{result.n_qubits}\n"
 
 
-def _cmd_simulate(args) -> str:
+def _cmd_simulate(args) -> tuple[str, list]:
     # deferred: only this subcommand runs the simulator
     from .sim import parse_duration_ns, run_simulation
 
@@ -183,16 +185,16 @@ def _cmd_simulate(args) -> str:
     if not valid:
         raise UsageError(f"--until must be a positive, finite duration, got {args.until!r}")
     trace = run_simulation(sc, stim_path, t_end)
-    if args.vcd:
-        Path(args.vcd).write_text(trace.to_vcd_text())
+    # each side output as (write, text), written after the trace
+    side = [(Path(args.vcd).write_text, trace.to_vcd_text())] if args.vcd else []
     summary = {
         "events": len(trace),
         "max_refresh_deviation_v": max(trace.stats["max_refresh_deviation_v"]),
         "rf_samples_emitted": trace.stats["rf_samples_emitted"],
         "backpressure_count": trace.stats["backpressure_count"],
     }
-    sys.stderr.write(json.dumps(summary, sort_keys=True) + "\n")
-    return trace.to_csv() if args.out or not args.vcd else ""
+    side.append((sys.stderr.write, json.dumps(summary, sort_keys=True) + "\n"))
+    return trace.to_csv() if args.out or not args.vcd else "", side
 
 
 def _check_output_dirs(args) -> None:
@@ -216,11 +218,14 @@ def main(argv=None) -> int:
             return 1
         _check_output_dirs(args)
         text = args.handler(args)
+        text, side = text if isinstance(text, tuple) else (text, [])
         out = getattr(args, "out", None)
         if out:
             Path(out).write_text(text)
         else:
             sys.stdout.write(text)
+        for write, side_text in side:
+            write(side_text)
         return 0
     except UsageError as exc:
         sys.stderr.write(f"error: {exc}\n")

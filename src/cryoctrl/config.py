@@ -47,14 +47,14 @@ class _Record:
     ``_field_defaults``, its one schema, and takes its ``__slots__`` from it.
     A field's kind is the type of its default: a part, an enum member (or its
     value), an integer, or a positive finite number (an int, float or None
-    default; None only where it is the default). ``__init__`` takes the fields
-    by keyword, fills in the defaults, checks and converts them by kind with
-    ``_check_kinds`` (parts, enums, integers, numbers, each in field order;
-    not ``_own_checks``), then runs the subclass's ``_check`` for the rules no
-    default states; the ConfigError names the first bad field. Records compare
-    and hash by type and field values; ``_fields`` names the fields and
-    ``_asdict`` gives them, in order. Use :func:`replace` for a changed copy:
-    it runs ``_check_kinds`` on the changed fields only, then ``_check``."""
+    default; None only where it is the default). One routine, ``_build``,
+    builds a record over the defaults, or over a record's values in
+    :func:`replace`: it takes the fields by keyword, checks and converts the
+    given ones by kind with ``_check_kinds`` (parts, enums, integers, numbers,
+    each in field order; not ``_own_checks``; the defaults are valid), then
+    runs the subclass's ``_check`` for the rules no default states; the
+    ConfigError names the first bad field. Records compare and hash by type
+    and field values; ``_fields`` names the fields and ``_asdict`` gives them."""
 
     __slots__ = ()
     _field_defaults: dict = {}
@@ -65,8 +65,7 @@ class _Record:
         cls._fields = tuple(defaults)
         cls._values = attrgetter(*cls._fields)
         # each slot's own setter, which a frozen record's __setattr__ refuses
-        cls._setters = tuple((getattr(cls, name).__set__, name, default)
-                             for name, default in defaults.items())
+        cls._setters = tuple((getattr(cls, name).__set__, name) for name in defaults)
         kinds = [(name, type(default)) for name, default in defaults.items()
                  if name not in cls._own_checks]
         cls._parts = tuple((n, k) for n, k in kinds if issubclass(k, _Record))
@@ -75,17 +74,19 @@ class _Record:
         cls._numbers = tuple((n, defaults[n]) for n, k in kinds if k in (int, float, type(None)))
 
     def __init__(self, **values):
-        for set_field, name, default in self._setters:
-            set_field(self, values.pop(name, default))
-        if values:
-            self._unexpected(next(iter(values)))
-        self._check_kinds(self._field_defaults)
-        self._check()
+        self._build(self._field_defaults.values(), values)
 
-    @classmethod
-    def _unexpected(cls, name):
-        raise TypeError(f"{cls.__qualname__}.__init__() got an unexpected keyword "
-                        f"argument '{name}'")
+    def _build(self, base, values) -> None:
+        """Set each field to its keyword in ``values``, else to its value in
+        ``base`` (all fields, in order); check the given ones, then ``_check``."""
+        for name in values:
+            if name not in self._field_defaults:
+                raise TypeError(f"{type(self).__qualname__}.__init__() got an unexpected "
+                                f"keyword argument '{name}'")
+        for (set_field, name), value in zip(self._setters, base):
+            set_field(self, values.get(name, value))
+        self._check_kinds(values)
+        self._check()
 
     def _check_kinds(self, names) -> None:
         """Check and convert the fields in ``names`` by kind: parts, enums,
@@ -145,20 +146,14 @@ def replace(record, /, **changes):
     record, with the fields in ``changes`` replaced; it equals what its
     constructor builds from the changed fields, and refuses what that refuses
     with the same error. A named tuple is built again by its constructor. A
-    part or scenario copies its fields, checks only the changed ones by kind
-    (they were all checked when ``record`` was built), then runs its own
-    ``_check`` in full; a scenario derives its ``clocks`` again."""
+    part or scenario is built by the constructor's own routine over the
+    record's values instead of the defaults: it checks only the changed
+    fields by kind (the others were checked when ``record`` was built), then
+    runs its own ``_check`` in full; a scenario derives its ``clocks`` again."""
     if not isinstance(record, _Record):
         return type(record)(**{**record._asdict(), **changes})
-    cls = type(record)
-    for name in changes:
-        if name not in cls._field_defaults:
-            cls._unexpected(name)
-    new = cls.__new__(cls)
-    for (set_field, name, _), value in zip(cls._setters, cls._values(record)):
-        set_field(new, changes.get(name, value))
-    new._check_kinds(changes)
-    new._check()
+    new = object.__new__(type(record))
+    new._build(record._values(record), changes)
     return new
 
 
@@ -439,7 +434,8 @@ def _part(section: str, base, data):
 
 def scenario_from_dict(data: dict) -> Scenario:
     """Build a Scenario from a dict, filling defaults; every part checks and
-    converts its fields as it is built.
+    converts its fields as it is built, and the scenario is built once, over
+    the default parts, so it derives its clocks once.
 
     Recognized top-level keys: ``defaults`` (optional, must be ``"paper"``),
     ``node`` (optional shorthand that applies :func:`apply_node` before any
@@ -453,13 +449,13 @@ def scenario_from_dict(data: dict) -> Scenario:
     if defaults != "paper":
         raise ConfigError(f"unsupported defaults '{_excerpt(defaults)}' (only \"paper\")")
 
-    sc = Scenario()
+    base = Scenario._field_defaults
     node = data.pop("node", None)
-    tech = apply_node(sc.tech, node) if node is not None else sc.tech
+    tech = apply_node(base["tech"], node) if node is not None else base["tech"]
     _check_keys(Scenario, data)
-    parts = {section: _part(section, base, data.pop(section, {}))
-             for section, base in (("spec", sc.spec), ("tech", tech), ("op", sc.op))}
-    return replace(sc, **parts, **data)
+    parts = {section: _part(section, part, data.pop(section, {}))
+             for section, part in (("spec", base["spec"]), ("tech", tech), ("op", base["op"]))}
+    return Scenario(**parts, **data)
 
 
 def load_scenario(path: str | Path) -> Scenario:

@@ -50,15 +50,15 @@ its other pushes before it returns; an edge that ties with the horizon goes
 there too, so the bias domain still runs first at equal times.
 
 The stimulus is queued before the run, as one event per tick at which
-writes or ramp-mode commands are sent, which applies them in file order,
-and one per play reception: a play reaches ``command_received``
-``RF_COMMAND_BITS`` RF clocks after its time, once its frame is in, and
-nothing is queued at its send time. So every queued event acts at its own
-time and none ends a block only to queue another. The receptions are
-queued after all the stimulus ticks, so at a shared tick the commands sent
-then apply first; no other RF event can be queued at a reception's tick
-before its play is sent, as a clocked handler returns an edge less than 2
-RF clocks past its horizon.
+writes or ramp-mode commands are sent, which applies them in the order of
+their written times, then of their lines, and one per play reception: a
+play reaches ``command_received`` ``RF_COMMAND_BITS`` RF clocks after its
+time, once its frame is in, and nothing is queued at its send time. So
+every queued event acts at its own time and none ends a block only to
+queue another. The receptions are queued after all the stimulus ticks, so
+at a shared tick the commands sent then apply first; no other RF event can
+be queued at a reception's tick before its play is sent, as a clocked
+handler returns an edge less than 2 RF clocks past its horizon.
 
 Analog behaviour is idealized: DACs convert straight-binary unipolar codes
 with zero settling time, and hold capacitors droop exponentially through
@@ -668,31 +668,10 @@ class Simulator:
 
     @staticmethod
     def _tick_event(t: int, actions: list):
-        """Apply the writes and ramp-mode commands sent at ``t``, in file order."""
+        """Apply the writes and ramp-mode commands sent at ``t``, in the order
+        of their written times, then of their lines."""
         for fn, arg in actions:
             fn(t, arg)
-
-    def _event(self, cmd: Command):
-        """The handler of ``cmd`` and its checked argument; a play's handler
-        is ``command_received``, run at its reception."""
-        try:
-            if cmd.op == "write-bias" or cmd.op == "write-rf":
-                kind = WordType.BIAS if cmd.op == "write-bias" else WordType.RF
-                word = DataWord(kind, *cmd.args,
-                                self.n_bias if kind is WordType.BIAS else self.n_rf)
-                if not self.memory.holds(kind, word.address):
-                    raise ProtocolError(f"{kind.value} register {word.address} does not "
-                                        f"exist in the scenario's memory")
-                return self._write_event, word
-            if cmd.op == "play":
-                word = RfCommandWord(*cmd.args)
-                if max(word) >= self.n_pulses:
-                    raise ProtocolError(f"sequence id {max(word)} beyond the "
-                                        f"{self.n_pulses} stored sequences")
-                return self.rf_ctrl.command_received, word
-        except ProtocolError as exc:
-            raise StimulusError(f"stimulus line {cmd.line}: {exc}") from exc
-        return self._ramp_mode_event, cmd.args[0]
 
     # run ---------------------------------------------------------------------
 
@@ -709,20 +688,34 @@ class Simulator:
         ramp_ticks, ramp_since = 0, None   # ramp-mode time in [0, t_end]
         sent: dict[int, list] = {}   # tick -> the writes and ramp-mode commands sent then
         receptions = []
-        for cmd in parse_stimulus(stimulus) if stimulus is not None else []:
-            t = to_ticks(cmd.t_ns)
-            fn, arg = self._event(cmd)
-            if cmd.op == "play":
-                # the command's serial frame is received before it is staged
-                receptions.append((t + RF_COMMAND_BITS * self.t_rf_ticks, fn, arg))
-            else:
-                sent.setdefault(t, []).append((fn, arg))
-            if cmd.op == "ramp-mode" and cmd.args[0] == (ramp_since is None):  # a switch
-                if ramp_since is None:
-                    ramp_since = min(t, t_end)
-                else:
-                    ramp_ticks += min(t, t_end) - ramp_since
-                    ramp_since = None
+        for t_ns, op, args, line in parse_stimulus(stimulus) if stimulus is not None else []:
+            t = to_ticks(t_ns)
+            try:
+                if op == "play":
+                    word = RfCommandWord(*args)
+                    if max(word) >= self.n_pulses:
+                        raise ProtocolError(f"sequence id {max(word)} beyond the "
+                                            f"{self.n_pulses} stored sequences")
+                    # the command's serial frame is received before it is staged
+                    receptions.append((t + RF_COMMAND_BITS * self.t_rf_ticks, word))
+                elif op == "ramp-mode":
+                    sent.setdefault(t, []).append((self._ramp_mode_event, args[0]))
+                    if args[0] == (ramp_since is None):  # a switch
+                        if ramp_since is None:
+                            ramp_since = min(t, t_end)
+                        else:
+                            ramp_ticks += min(t, t_end) - ramp_since
+                            ramp_since = None
+                else:   # write-bias or write-rf
+                    kind, width = ((WordType.BIAS, self.n_bias) if op == "write-bias"
+                                   else (WordType.RF, self.n_rf))
+                    word = DataWord(kind, *args, width)
+                    if not self.memory.holds(kind, word.address):
+                        raise ProtocolError(f"{kind.value} register {word.address} does "
+                                            f"not exist in the scenario's memory")
+                    sent.setdefault(t, []).append((self._write_event, word))
+            except ProtocolError as exc:
+                raise StimulusError(f"stimulus line {line}: {exc}") from exc
         if ramp_since is not None:
             ramp_ticks += t_end - ramp_since
         if ramp_ticks > MAX_RAMP_STEPS * self.conversion_period_ticks:
@@ -736,8 +729,8 @@ class Simulator:
         # queued at a reception's tick before its play was sent: a clocked
         # handler returns an edge less than 2 RF clocks past its horizon, and a
         # reception comes RF_COMMAND_BITS = 17 RF clocks after its send tick.
-        for t, fn, word in receptions:
-            self._push(t, PRIORITY_RF, fn, word)
+        for t, word in receptions:
+            self._push(t, PRIORITY_RF, self.rf_ctrl.command_received, word)
 
         self.trace.emit(0, "clk_bias_hz", self.f_clk_bias)
         self.trace.emit(0, "clk_rf_hz", self.f_clk_rf)

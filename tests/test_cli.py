@@ -7,6 +7,7 @@ import re
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
@@ -691,6 +692,29 @@ def test_output_file_holds_what_stdout_would(capsys, scenario_dir, tmp_path):
     with pytest.raises(SystemExit):
         main(["sweep", "--help"])
     assert "--csv CSV" in capsys.readouterr().out
+
+
+def test_a_trace_that_cannot_be_written_leaves_no_side_output(
+        capsys, monkeypatch, scenario_dir, tmp_path):
+    # The --vcd file and the summary line are written only after the trace,
+    # so a refused trace write leaves the one error line and nothing else.
+    trace, vcd = tmp_path / "trace.csv", tmp_path / "dump.vcd"
+    write_text = Path.write_text
+
+    def refusing(path, text, *args, **kwargs):
+        if path == trace:
+            raise PermissionError(f"[Errno 13] Permission denied: '{path}'")
+        return write_text(path, text, *args, **kwargs)
+
+    monkeypatch.setattr(Path, "write_text", refusing)
+    stim = tmp_path / "stim.txt"
+    write_text(stim, "0 write-bias 0 2048\n")
+    code, out, err = run_cli(capsys, "simulate", "--scenario",
+                             str(scenario_dir / "paper-defaults.json"), "--stimulus", str(stim),
+                             "--until", "10us", "--trace", str(trace), "--vcd", str(vcd))
+    assert code == 2 and out == ""
+    assert err.splitlines() == [f"runtime error: [Errno 13] Permission denied: '{trace}'"]
+    assert not vcd.exists() and not trace.exists()
 
 
 def test_outputs_deterministic(capsys, scenario_dir):

@@ -42,6 +42,23 @@ def test_negative_vdd_rejected(tmp_path):
             load_scenario(p)
 
 
+def test_a_loaded_file_derives_its_clocks_once(tmp_path, scenario_dir, monkeypatch):
+    # The scenario is built once, over the default parts, so it is validated
+    # and derives its clocks once per file, with or without a node.
+    from cryoctrl import analog
+
+    calls = []
+    derive = analog.derived_clocks
+    monkeypatch.setattr(analog, "derived_clocks", lambda sc: calls.append(sc) or derive(sc))
+    p = tmp_path / "s.json"
+    p.write_text('{"node": "14nm", "memory_arch": "sram", "op": {"v_dd": 0.01}}')
+    for path in [p, *sorted(scenario_dir.glob("*.json"))]:
+        calls.clear()
+        sc = load_scenario(path)
+        assert calls == [sc], path.name
+        assert sc.clocks == derive(sc)
+
+
 def test_idempotent_override(tmp_path):
     p = tmp_path / "s.json"
     p.write_text('{"spec": {"n_bias": 12}}')

@@ -20,6 +20,7 @@ from cryoctrl.config import (
     OperatingPoint,
     SystemSpec,
     TechnologyParams,
+    _Record,
     replace,
     scenario_14nm_sram_10mv,
     scenario_to_dict,
@@ -224,6 +225,19 @@ def test_replace_gives_what_the_constructor_gives(data):
 
     assert outcome(lambda: replace(record, **changes)) == \
         outcome(lambda: type(record)(**{**record._asdict(), **changes}))
+
+
+def test_the_defaults_build_the_default_record():
+    # The constructor checks by kind only the fields it is given, so the
+    # defaults are valid only if each record built from all of them, every
+    # field checked, equals the one built from none.
+    records = _Record.__subclasses__()
+    assert set(records) == {SystemSpec, TechnologyParams, OperatingPoint, Scenario}
+    for cls in records:
+        given, default = cls(**cls._field_defaults), cls()
+        assert given == default and repr(given) == repr(default)
+        assert getattr(given, "clocks", None) == getattr(default, "clocks", None)
+    assert Scenario().clocks is not None
 
 
 @pytest.mark.parametrize("part", [SystemSpec, TechnologyParams, OperatingPoint, Scenario])

@@ -301,6 +301,22 @@ def test_stimulus_value_range_checks(baseline):
         run_simulation(baseline, "0 play 16 0 0 0\n", 1_000.0)
 
 
+@pytest.mark.parametrize("bad, n_pulses, message", [
+    ("0 write-bias 0 4096", 16, "payload 4096 does not fit in 12 bits"),
+    ("0 write-rf 0 -1", 16, "payload -1 does not fit in 10 bits"),
+    ("0 write-rf 256 5", 16, "address 256 out of range for the 8-bit address field"),
+    ("0 write-bias 9 1", 16, "bias register 9 does not exist in the scenario's memory"),
+    ("0 play 16 0 0 0", 16, "sequence id 16 out of range"),
+    ("0 play 0 5 0 4", 4, "sequence id 5 beyond the 4 stored sequences"),
+], ids=["bias-payload", "rf-payload", "address", "bias-register", "sequence-id",
+        "stored-sequences"])
+def test_a_refused_command_names_its_line_and_its_fault(baseline, bad, n_pulses, message):
+    sim = Simulator(replace(baseline, spec=replace(baseline.spec, n_pulses=n_pulses)))
+    with pytest.raises(StimulusError) as refused:
+        sim.run(f"0 write-bias 0 1\n{bad}\n", 1_000.0)
+    assert str(refused.value) == f"stimulus line 2: {message}"
+
+
 @pytest.mark.parametrize("bad", ["5000 write-bias 0 4096", "5000 write-rf 0 1024",
                                  "5000 play 0 0 0 16", "5000 write-rf 200 5",
                                  "5000 play 15 15 0 0", "5000 write-bias 9 1"])
@@ -661,6 +677,17 @@ def test_writes_around_a_ramp_mode_at_one_tick_land_in_file_order(baseline):
     assert [e.t for e in trace.of("feedback")] == ends
     assert (sim.memory.bias[3], sim.memory.rf[7], sim.memory.bias[1]) == (5, 9, 11)
     assert not sim.bias_ctrl.ramp_mode
+
+
+def test_commands_at_one_tick_apply_by_written_time_then_line(baseline):
+    # 1e-13 ns rounds to tick 0, as 0 does; the commands sent at tick 0 go
+    # out in the order of their written times, then of their lines, so the
+    # word of line 2 goes first, then line 3's and, last, line 1's
+    assert engine.to_ticks(1e-13) == 0
+    sim = Simulator(baseline)
+    trace = sim.run("1e-13 write-bias 0 5\n0 write-bias 0 7\n0 write-bias 1 3\n", 1_000.0)
+    assert [e.value for e in trace.of("write_select")] == [0.0, 1.0, 0.0]
+    assert sim.memory.bias[:2] == [5, 3]
 
 
 def test_no_drift_a_million_periods_out(baseline):
