@@ -26,10 +26,11 @@ def refresh_rate(v_range, r_off, n_bias, dv, c_out) -> float:
     """Required refresh rate [Hz]: worst-case leakage current of ``n_bias``
     channels over the charge that may be lost from the pooled hold
     capacitance ``c_out`` without exceeding ``dv``."""
-    for name, v in (("v_range", v_range), ("r_off", r_off), ("n_bias", n_bias),
-                    ("dv", dv), ("c_out", c_out)):
-        if not v > 0:  # NaN fails too
-            raise ValueError(f"{name} must be positive")
+    if not (v_range > 0 and r_off > 0 and n_bias > 0 and dv > 0 and c_out > 0):
+        for name, v in (("v_range", v_range), ("r_off", r_off), ("n_bias", n_bias),
+                        ("dv", dv), ("c_out", c_out)):
+            if not v > 0:  # NaN fails too
+                raise ValueError(f"{name} must be positive")
     return (v_range / r_off * n_bias) / (dv * c_out)
 
 

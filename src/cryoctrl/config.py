@@ -49,12 +49,13 @@ class _Record:
     value), an integer, or a positive finite number (an int, float or None
     default; None only where it is the default). One routine, ``_build``,
     builds a record over the defaults, or over a record's values in
-    :func:`replace`: it takes the fields by keyword, checks and converts the
-    given ones by kind with ``_check_kinds`` (parts, enums, integers, numbers,
-    each in field order; not ``_own_checks``; the defaults are valid), then
-    runs the subclass's ``_check`` for the rules no default states; the
-    ConfigError names the first bad field. Records compare and hash by type
-    and field values; ``_fields`` names the fields and ``_asdict`` gives them."""
+    :func:`replace`: it copies every field from that base, sets the fields
+    given by keyword over it, checks and converts the given ones by kind with
+    ``_check_kinds`` (parts, enums, integers, numbers, each in field order;
+    not ``_own_checks``; the defaults are valid), then runs the subclass's
+    ``_check`` for the rules no default states; the ConfigError names the
+    first bad field. Records compare and hash by type and field values;
+    ``_fields`` names the fields and ``_asdict`` gives them."""
 
     __slots__ = ()
     _field_defaults: dict = {}
@@ -65,7 +66,8 @@ class _Record:
         cls._fields = tuple(defaults)
         cls._values = attrgetter(*cls._fields)
         # each slot's own setter, which a frozen record's __setattr__ refuses
-        cls._setters = tuple((getattr(cls, name).__set__, name) for name in defaults)
+        cls._setters = tuple(getattr(cls, name).__set__ for name in defaults)
+        cls._setter_of = dict(zip(defaults, cls._setters))
         kinds = [(name, type(default)) for name, default in defaults.items()
                  if name not in cls._own_checks]
         cls._parts = tuple((n, k) for n, k in kinds if issubclass(k, _Record))
@@ -77,15 +79,18 @@ class _Record:
         self._build(self._field_defaults.values(), values)
 
     def _build(self, base, values) -> None:
-        """Set each field to its keyword in ``values``, else to its value in
-        ``base`` (all fields, in order); check the given ones, then ``_check``."""
-        for name in values:
-            if name not in self._field_defaults:
+        """Set each field to its value in ``base`` (all fields, in order), then
+        to its keyword in ``values``; check the given ones, then ``_check``."""
+        for set_field, value in zip(self._setters, base):
+            set_field(self, value)
+        setter_of = self._setter_of
+        for name, value in values.items():
+            if name not in setter_of:
                 raise TypeError(f"{type(self).__qualname__}.__init__() got an unexpected "
                                 f"keyword argument '{name}'")
-        for (set_field, name), value in zip(self._setters, base):
-            set_field(self, values.get(name, value))
-        self._check_kinds(values)
+            setter_of[name](self, value)
+        if values:
+            self._check_kinds(values)
         self._check()
 
     def _check_kinds(self, names) -> None:
@@ -304,7 +309,8 @@ class OperatingPoint(_Record):
     def _check(self):
         for name in self._own_checks:
             s = getattr(self, name)
-            _check_number(name, s)
+            if type(s) is not float:   # a float needs the range only
+                _check_number(name, s)
             if not 0 < s <= 0.5:
                 raise ConfigError(f"{name} must be in (0, 0.5]")
 
@@ -330,40 +336,43 @@ class Scenario(_Record):
     __slots__ = (*_field_defaults, "clocks")
 
     def _check(self):
+        object.__setattr__(self, "clocks", None)   # derived by validate
         self.validate()
 
     def validate(self) -> None:
         """The rules across parts, run when the scenario is built: the hold
         capacitor against its thermal-noise floor, positive and finite derived
         clocks, and no explicit clock below the conversions it drives. The
-        first run, as the scenario is built, derives its ``clocks``."""
-        from . import analog, noise  # deferred: both import this module
-
+        first run, as the scenario is built, derives its ``clocks``. The
+        ``analog`` and ``noise`` models are bound once, when this module is
+        loaded, and called as its attributes."""
+        spec, op = self.spec, self.op
         try:
-            hold_min = noise.min_hold_cap(
-                self.spec.n_bias_signals, self.spec.dv_bias, self.op.t_el).value
+            hold_min = noise.min_hold_cap(spec.n_bias_signals, spec.dv_bias, op.t_el).value
         except ValueError as exc:   # the bound underflows or overflows
             raise ConfigError(f"spec.dv_bias, spec.n_bias_signals and op.t_el give no "
                               f"hold-capacitor minimum: {exc}") from None
         if self.c_h < hold_min:
             raise ConfigError(
                 f"c_h={self.c_h:.3e} F is below the thermal-noise minimum "
-                f"{hold_min:.3e} F at t_el={self.op.t_el} K"
+                f"{hold_min:.3e} F at t_el={op.t_el} K"
             )
         # the clocks divide by the hold capacitance, so they come after its check
-        clocks = getattr(self, "clocks", None)
+        clocks = self.clocks
         if clocks is None:
             clocks = analog.derived_clocks(self)
             object.__setattr__(self, "clocks", clocks)
-        for name in ("f_refresh", "f_clk_bias", "f_clk_rf"):
-            if not 0 < getattr(clocks, name) < math.inf:
+        for name, value in zip(clocks._fields, clocks):
+            if not 0 < value < math.inf:
                 raise ConfigError(f"the derived {name} must be positive and finite; check "
                                   f"the tech and spec values it is derived from")
+        if op.f_clk_bias is None and op.f_clk_rf is None:
+            return
         # an explicit clock may not be slower than the conversions it drives
         for name, floor, what in (
                 ("f_clk_bias", 2.0 * clocks.f_refresh, "the derived refresh rate"),
-                ("f_clk_rf", 2.0 * self.spec.f_sample_rf, "spec.f_sample_rf")):
-            value = getattr(self.op, name)
+                ("f_clk_rf", 2.0 * spec.f_sample_rf, "spec.f_sample_rf")):
+            value = getattr(op, name)
             if value is not None and value < floor:
                 raise ConfigError(f"op.{name}={value:.6g} Hz is below {floor:.6g} Hz, "
                                   f"twice {what}")
@@ -481,9 +490,12 @@ def load_scenario(path: str | Path) -> Scenario:
 def scenario_to_dict(sc: Scenario) -> dict:
     """Serialize a Scenario to a plain dict (inverse of scenario_from_dict),
     its fields in declaration order: a part as its dict, an enum as its value."""
-    return {name: (value._asdict() if isinstance(value, _Record)
-                   else value.value if isinstance(value, Enum) else value)
-            for name, value in sc._asdict().items()}
+    d = sc._asdict()
+    for name, _ in sc._parts:
+        d[name] = d[name]._asdict()
+    for name, _ in sc._enums:
+        d[name] = d[name].value
+    return d
 
 
 def save_scenario(sc: Scenario, path: str | Path) -> None:
@@ -523,3 +535,9 @@ REFERENCE_SCENARIOS = {
     "65nm-sram-100mv": scenario_65nm_sram_100mv,
     "14nm-sram-10mv": scenario_14nm_sram_10mv,
 }
+
+
+# The models that Scenario.validate calls. Both import this module, so they
+# are bound here, once it is complete; validate reads them as module
+# attributes.
+from . import analog, noise  # noqa: E402

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import math
-from operator import attrgetter
+from operator import attrgetter, itemgetter
 from typing import NamedTuple
 
 from . import noise
@@ -25,9 +25,7 @@ UNITS = ("bias_gen", "rf_gen", "memory", "managing")
 _unit_reports = attrgetter(*UNITS)
 
 
-class Report(NamedTuple):
-    """Per-unit area/power breakdown plus totals for one scenario."""
-
+class _ReportFields(NamedTuple):
     scenario: Scenario
     bias_gen: GenReport
     rf_gen: GenReport
@@ -36,36 +34,64 @@ class Report(NamedTuple):
     include_data_input: bool
     notes: tuple[str, ...] = ()
 
+
+class Report(_ReportFields):
+    """Per-unit area/power breakdown plus totals for one scenario. Its rows and
+    totals are summed once, when it is built, as a ``DacDesign`` computes its
+    counts; ``_make``, ``_replace``, ``copy`` and ``pickle`` build it again."""
+
+    _replace = replace   # built again, and so summed again, by the constructor
+
+    def __new__(cls, scenario: Scenario, bias_gen: GenReport, rf_gen: GenReport,
+                memory: UnitReport, managing: UnitReport, include_data_input: bool,
+                notes: tuple[str, ...] = ()):
+        self = tuple.__new__(cls, (scenario, bias_gen, rf_gen, memory, managing,
+                                   include_data_input, notes))
+        rows = [(name, u.area_um2, u.power_w)
+                for name, u in zip(UNITS, (bias_gen, rf_gen, memory, managing))]
+        area = power = 0.0
+        for _, a, p in rows:
+            area += a
+            power += p
+        rows.append(("total", area, power))
+        self.__dict__["_rows"] = tuple(rows)
+        return self
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field '{name}'")
+
+    def __reduce__(self):
+        return type(self), tuple(self)
+
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)
+
     def units(self) -> tuple[tuple[str, GenReport | UnitReport], ...]:
         """``(name, unit report)`` for each unit, in report order."""
         return tuple(zip(UNITS, _unit_reports(self)))
 
     def rows(self) -> tuple[tuple[str, float, float], ...]:
         """``(unit, area_um2, power_w)`` for each unit, then the ``total`` row."""
-        rows = [(name, u.area_um2, u.power_w) for name, u in self.units()]
-        area = power = 0.0
-        for _, a, p in rows:
-            area += a
-            power += p
-        rows.append(("total", area, power))
-        return tuple(rows)
+        return self._rows
 
     @property
     def total_area_um2(self) -> float:
-        return self.rows()[-1][1]
+        return self._rows[-1][1]
 
     @property
     def total_power_w(self) -> float:
-        return self.rows()[-1][2]
+        return self._rows[-1][2]
 
     def unit_powers(self) -> dict:
-        return {name: u.power_w for name, u in self.units()}
+        return {name: power for name, _, power in self._rows[:-1]}
 
     def to_dict(self) -> dict:
         """Each unit's fields plus its power, the totals, the scenario's clocks
         and the inputs."""
-        d = {name: {**u._asdict(), "power_w": u.power_w} for name, u in self.units()}
-        _, area, power = self.rows()[-1]
+        d = {name: {**u._asdict(), "power_w": power}
+             for (name, _, power), u in zip(self._rows, _unit_reports(self))}
+        _, area, power = self._rows[-1]
         d["totals"] = {"area_um2": area, "power_w": power}
         d["clocks_hz"] = self.scenario.clocks._asdict()
         d["include_data_input"] = self.include_data_input
@@ -74,34 +100,40 @@ class Report(NamedTuple):
         return d
 
 
+# The notes of a report, with and without the data-input power.
+_NOTES_WITH_DATA_INPUT = ("digital unit figures use calibrated gate budgets",)
+_NOTES = ("operation regime: data input control excluded from power", *_NOTES_WITH_DATA_INPUT)
+
+
 def assemble(sc: Scenario, include_data_input: bool = False) -> Report:
     """Evaluate all four unit models for one scenario.
 
     Per-unit digital figures rest on calibrated gate budgets; the analog
     terms are closed forms. By default the power refers to the operation
     regime, i.e. the data-input subunit contributes area but no power.
-    A design point whose area or power overflows raises ``ValueError``.
-    ``sc`` was checked when it was built.
+    A design point whose area or power overflows raises ``ValueError``,
+    naming the first unit, or else the total, that is not finite; the report
+    sums its rows once, when it is built. ``sc`` was checked when it was built.
     """
-    notes = []
-    if not include_data_input:
-        notes.append("operation regime: data input control excluded from power")
-    notes.append("digital unit figures use calibrated gate budgets")
     try:
         report = Report(
-            scenario=sc,
-            bias_gen=bias_gen_report(sc),
-            rf_gen=rf_gen_report(sc),
-            memory=memory_report(memory_design(sc), sc),
-            managing=managing_report(sc, include_data_input=include_data_input),
-            include_data_input=include_data_input,
-            notes=tuple(notes),
+            sc,
+            bias_gen_report(sc),
+            rf_gen_report(sc),
+            memory_report(memory_design(sc), sc),
+            managing_report(sc, include_data_input=include_data_input),
+            include_data_input,
+            _NOTES_WITH_DATA_INPUT if include_data_input else _NOTES,
         )
     except OverflowError as exc:  # an integer count or a power beyond the float range
         raise ValueError(f"area or power is not finite: {exc}") from None
-    for unit, area, power in report.rows():
-        if not (math.isfinite(area) and math.isfinite(power)):
-            raise ValueError(f"{unit} area or power is not finite: {area!r} um^2, {power!r} W")
+    rows = report.rows()
+    _, area, power = rows[-1]
+    if not (math.isfinite(area) and math.isfinite(power)):   # else every unit is finite
+        for unit, area, power in rows:
+            if not (math.isfinite(area) and math.isfinite(power)):
+                raise ValueError(f"{unit} area or power is not finite: {area!r} um^2, "
+                                 f"{power!r} W")
     return report
 
 
@@ -128,7 +160,9 @@ def csv_table(header: str, rows) -> str:
     asks (quoted, inner quotes doubled, where it holds a comma, a quote or a
     line break), any other cell as its ``repr``."""
     lines = [header]
-    lines += [",".join([_csv_text(c) if isinstance(c, str) else repr(c) for c in row])
+    # a float, the most common cell, takes one type test on its way to its repr
+    lines += [",".join([repr(c) if type(c) is float else _csv_text(c) if isinstance(c, str)
+                        else repr(c) for c in row])
               for row in rows]
     return "\n".join(lines) + "\n"
 
@@ -185,12 +219,12 @@ def sweep(sc: Scenario, param: str, values) -> list[SweepRow]:
 
 
 def sweep_csv(rows: list[SweepRow]) -> str:
-    empty = [""] * (2 * (len(UNITS) + 1))  # area and power per unit and total
-    table = []
-    for row in rows:
-        cells = [x for _, a, p in row.report.rows() for x in (a, p)] if row.report else empty
-        table.append((row.param, row.value, *cells, row.status))
-    return csv_table(SWEEP_CSV_HEADER, table)
+    empty = ("",) * (2 * (len(UNITS) + 1))  # area and power per unit and total
+    return csv_table(SWEEP_CSV_HEADER, (
+        (row.param, row.value,
+         *([x for _, a, p in row.report.rows() for x in (a, p)] if row.report else empty),
+         row.status)
+        for row in rows))
 
 
 DAC_SWEEP_CSV_HEADER = "arch,n,area_um2,p_analog_w,p_switch_w,noise_vrms"
@@ -237,7 +271,7 @@ def dac_sweep(sc: Scenario, condition: str = "bias") -> list[dict]:
 
 
 def dac_sweep_csv(rows: list[dict]) -> str:
-    return csv_table(DAC_SWEEP_CSV_HEADER, ([r[c] for c in _DAC_SWEEP_COLUMNS] for r in rows))
+    return csv_table(DAC_SWEEP_CSV_HEADER, map(itemgetter(*_DAC_SWEEP_COLUMNS), rows))
 
 
 # ---------------------------------------------------------------------------
@@ -249,8 +283,20 @@ class CapacityResult(NamedTuple):
     n_qubits: int
 
 
+def _check_figures(name: str, sig, none: str = "") -> None:
+    """Refuse a count of significant figures ``sig``, the argument ``name``,
+    that is a bool, not an integer, or below 1; ``none`` is ``"None or "``
+    where the argument may also be None."""
+    if isinstance(sig, bool) or not isinstance(sig, int):
+        raise ValueError(f"{name} must be {none}an integer, got {sig!r}")
+    if sig < 1:
+        raise ValueError(f"{name} must be {none}at least 1, got {sig!r}")
+
+
 def round_sig(x: float, sig: int) -> float:
-    """Round to ``sig`` significant figures; ValueError where that overflows."""
+    """Round to ``sig`` significant figures, an integer of at least 1;
+    ValueError where ``sig`` is not one, or where the rounding overflows."""
+    _check_figures("sig", sig)
     if x == 0:
         return 0.0
     try:
@@ -266,10 +312,11 @@ def qubit_capacity(report, budget_w: float, sig_figs: int | None = 2) -> Capacit
     dissipation is quantized to ``sig_figs`` significant figures first
     (default 2, the presentation precision of the reference tables, making
     the published capacities reproducible); pass ``sig_figs=None`` for exact
-    division.
+    division. Any other ``sig_figs`` must be an integer of at least 1, not a
+    bool.
     """
-    if sig_figs is not None and not sig_figs >= 1:
-        raise ValueError(f"sig_figs must be None or at least 1, got {sig_figs!r}")
+    if sig_figs is not None:
+        _check_figures("sig_figs", sig_figs, "None or ")
     per_qubit = report.total_power_w if isinstance(report, Report) else float(report)
     if not 0 < per_qubit < math.inf:
         raise ValueError(f"per-qubit power must be positive and finite, got {per_qubit!r} W")

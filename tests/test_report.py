@@ -1,9 +1,12 @@
+import builtins
+import copy
 import csv
 import io
 import math
+import pickle
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from cryoctrl import (
     assemble,
@@ -23,7 +26,8 @@ from cryoctrl.config import (
     scenario_14nm_sram_10mv,
     scenario_65nm_sram_100mv,
 )
-from cryoctrl.report import SWEEP_CSV_HEADER, SWEEP_PARAMS, csv_table
+from cryoctrl.digital import UnitReport
+from cryoctrl.report import SWEEP_CSV_HEADER, SWEEP_PARAMS, UNITS, csv_table
 
 
 def _parse_csv(text):
@@ -257,6 +261,16 @@ def test_round_sig():
     with pytest.raises(ValueError, match="rounded to 2 significant figures overflows"):
         round_sig(1.7899999999999998e+308, 2)
     assert round_sig(1.7899999999999998e+308, 3) == 1.79e308
+    # a count of figures is an integer of at least 1, not a bool; 0 rounded 1.234e-4 to 0.0
+    for sig, message in ((0, "sig must be at least 1, got 0"),
+                         (-1, "sig must be at least 1, got -1"),
+                         (True, "sig must be an integer, got True"),
+                         (2.0, "sig must be an integer, got 2.0"),
+                         (2.5, "sig must be an integer, got 2.5")):
+        for x in (1.234e-4, 0.0):
+            with pytest.raises(ValueError) as refused:
+                round_sig(x, sig)
+            assert str(refused.value) == message
 
 
 def test_qubit_capacity_reference_arithmetic():
@@ -281,6 +295,19 @@ def test_qubit_capacity_needs_a_significant_figure(sig_figs):
     # 1.9e-4 W rounded to no significant figure would be 0 W
     with pytest.raises(ValueError, match="sig_figs must be None or at least 1"):
         qubit_capacity(1.9e-4, 1e-3, sig_figs=sig_figs)
+
+
+@pytest.mark.parametrize("sig_figs", [True, False, 2.0, 2.5, math.nan, "2"])
+def test_qubit_capacity_needs_an_integer_count_of_figures(sig_figs):
+    with pytest.raises(ValueError) as refused:
+        qubit_capacity(1.9e-4, 1e-3, sig_figs=sig_figs)
+    assert str(refused.value) == f"sig_figs must be None or an integer, got {sig_figs!r}"
+
+
+def test_the_cli_counts_of_figures_are_kept(baseline):
+    rep = assemble(baseline)
+    assert qubit_capacity(rep, 1e-3, sig_figs=2) == qubit_capacity(rep, 1e-3)
+    assert qubit_capacity(rep, 1e-3, sig_figs=None).per_qubit_w == rep.total_power_w
 
 
 @pytest.mark.parametrize("per_qubit", [math.inf, math.nan, -1e-6])
@@ -465,3 +492,66 @@ def test_temperature_adjust_is_the_scenario_replace_builds(name, bias_arch, rf_a
     expected = _outcome(_adjusted_with_replace, sc, t_el)
     assert got == expected
     assert repr(got) == repr(expected)
+
+
+_VALID_SWEEP_VALUES = {"v_dd": st.floats(1e-3, 2.0), "n_bias": st.integers(2, 24),
+                       "n_rf": st.integers(2, 24)}
+
+
+def _rows_summed_afresh(rep):
+    """The unit rows of ``rep``, then the total row, summed in report order."""
+    rows = [(name, getattr(rep, name).area_um2, getattr(rep, name).power_w) for name in UNITS]
+    area = power = 0.0
+    for _, a, p in rows:
+        area += a
+        power += p
+    return (*rows, ("total", area, power))
+
+
+@settings(max_examples=150, deadline=None)
+@given(name=_SCENARIO_NAMES, bias_arch=st.sampled_from(DacArchitecture),
+       rf_arch=st.sampled_from(DacArchitecture), include_data_input=st.booleans(),
+       data=st.data())
+def test_a_report_keeps_the_rows_its_units_sum_to(name, bias_arch, rf_arch,
+                                                  include_data_input, data):
+    sc = replace(REFERENCE_SCENARIOS[name](), bias_dac_arch=bias_arch, rf_dac_arch=rf_arch)
+    param = data.draw(st.sampled_from(SWEEP_PARAMS))
+    value = data.draw(_VALID_SWEEP_VALUES[param] | _SWEEP_VALUES[param])
+    point = sweep(sc, param, [value])[0].report
+    assume(point is not None)
+    rep = assemble(point.scenario, include_data_input=include_data_input)
+    rows = _rows_summed_afresh(rep)
+    # bit for bit: the reprs tell -0.0 from 0.0 and every last digit apart
+    assert rep.rows() == rows and repr(rep.rows()) == repr(rows)
+    assert (rep.total_area_um2, rep.total_power_w) == rows[-1][1:]
+    for again in (rep._replace(), type(rep)._make(rep), copy.copy(rep), copy.deepcopy(rep),
+                  pickle.loads(pickle.dumps(rep))):
+        assert type(again) is type(rep) and again == rep and repr(again) == repr(rep)
+        assert repr(again.rows()) == repr(rows)
+        assert (again.total_area_um2, again.total_power_w) == rows[-1][1:]
+    # a changed copy sums its own units
+    changed = rep._replace(memory=UnitReport(rep.memory.area_um2 * 2, rep.memory.power_w / 3))
+    assert repr(changed.rows()) == repr(_rows_summed_afresh(changed))
+    assert changed.to_dict()["totals"] == {"area_um2": changed.total_area_um2,
+                                           "power_w": changed.total_power_w}
+
+
+def test_the_design_point_path_imports_nothing(monkeypatch):
+    # every module the path needs is bound when the package is loaded; an
+    # import inside a function would run again on every scenario built
+    sc = REFERENCE_SCENARIOS["65nm-sram-1v"]()
+    imports = []
+    real_import = builtins.__import__
+
+    def counting(*args, **kwargs):
+        imports.append(args[0])
+        return real_import(*args, **kwargs)
+
+    monkeypatch.setattr(builtins, "__import__", counting)
+    rows = sweep(sc, "v_dd", [0.0, -0.5] + [0.0125 * k for k in range(1, 97)])
+    dacs = [dac_sweep(sc, condition) for condition in ("bias", "rf")]
+    reports = [assemble(temperature_adjust(sc, 0.05 * k)) for k in range(1, 25)]
+    monkeypatch.undo()
+    assert imports == []
+    assert len(rows) == 98 and sum(r.report is not None for r in rows) == 96
+    assert [len(d) for d in dacs] == [45, 45] and len(reports) == 24
