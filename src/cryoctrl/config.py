@@ -162,6 +162,13 @@ def replace(record, /, **changes):
     return new
 
 
+@classmethod
+def make(cls, iterable):
+    """The ``_make`` of a checked named tuple: the record its constructor
+    builds from the fields in ``iterable``, checked and converted alike."""
+    return cls(*iterable)
+
+
 class MemoryArch(str, Enum):
     FLIP_FLOP = "ff"
     SRAM = "sram"

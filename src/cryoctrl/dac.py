@@ -24,6 +24,7 @@ from .config import (
     RESOLUTION_RANGE,
     DacArchitecture,
     TechnologyParams,
+    make,
     replace,
 )
 from .digital import switching_power
@@ -72,6 +73,7 @@ class DacDesign(_DacFields):
     component value. Its component counts are computed once, when it is built."""
 
     _replace = replace   # built again, and so checked, as the constructor builds it
+    _make = make
 
     def __new__(cls, arch: DacArchitecture, n: int, unit_value: float):
         if type(arch) is not DacArchitecture:

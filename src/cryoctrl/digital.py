@@ -22,7 +22,7 @@ import math
 from functools import lru_cache
 from typing import NamedTuple
 
-from .config import MemoryArch, Scenario, replace
+from .config import MemoryArch, Scenario, make, replace
 
 
 def switching_power(c_gate: float, f: float, v_dd: float, sigma: float) -> float:
@@ -60,6 +60,7 @@ class MemoryDesign(_MemoryFields):
     __slots__ = ()
     rf_read_ports = 2  # the pulse memory's two read ports (a constant, not a field)
     _replace = replace   # built again, and so checked, as the constructor builds it
+    _make = make
 
     def __new__(cls, arch: MemoryArch, bias_registers: int, bias_width: int,
                 rf_registers: int, rf_width: int):

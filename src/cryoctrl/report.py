@@ -8,7 +8,7 @@ from typing import NamedTuple
 
 from . import noise
 from .analog import GenReport, bias_gen_report, rf_gen_report
-from .config import DacArchitecture, Scenario, replace, scenario_to_dict
+from .config import DacArchitecture, Scenario, make, replace, scenario_to_dict
 from .dac import (
     dac_analog_power,
     dac_area,
@@ -41,6 +41,7 @@ class Report(_ReportFields):
     counts; ``_make``, ``_replace``, ``copy`` and ``pickle`` build it again."""
 
     _replace = replace   # built again, and so summed again, by the constructor
+    _make = make
 
     def __new__(cls, scenario: Scenario, bias_gen: GenReport, rf_gen: GenReport,
                 memory: UnitReport, managing: UnitReport, include_data_input: bool,
@@ -62,10 +63,6 @@ class Report(_ReportFields):
 
     def __reduce__(self):
         return type(self), tuple(self)
-
-    @classmethod
-    def _make(cls, iterable):
-        return cls(*iterable)
 
     def units(self) -> tuple[tuple[str, GenReport | UnitReport], ...]:
         """``(name, unit report)`` for each unit, in report order."""

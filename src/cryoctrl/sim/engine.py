@@ -26,9 +26,12 @@ gives the trace of one edge per call:
   stops. In refresh mode, once a full round has run since the last bias
   write clock or ramp-mode command, the rounds up to the next event repeat
   it and are skipped in closed form (``BiasController.skip_quiet_rounds``).
+  A skip is tried only where a whole round fits before the next event.
   In ramp mode the target and the mode hold up to the next event, so the
   steps before it run as one block: ``refresh_electrode`` for the first,
-  which alone can recharge, then the code up by one a step.
+  which alone can recharge, then the code up by one a step, each a row:
+  their ticks and codes are built as whole ranges, and the code held at
+  the block's end is decoded once.
 - ``Simulator._word_clock_event``, the serial data line: one RF clock per
   frame bit of the data word in flight, then one per payload bit shifted
   into its register, then the next queued word. One closed form advances
@@ -84,7 +87,10 @@ format cannot address: more than ``2**ADDRESS_BITS`` bias registers
 (``n_bias_signals > 255``) or pulse registers, more than
 ``2**SEQUENCE_ID_BITS`` stored sequences, ``n_rf_signals`` other than the
 two outputs the pulse memory's read ports drive, and a resolution beyond
-the reception counter's payload limit. It also refuses a clock whose period,
+the reception counter's payload limit. It refuses a bias range whose code
+step, ``v_range_bias / 2**n_bias``, is below 2**-1074, the smallest float:
+two consecutive codes could then decode to one value, and a ramp step would
+emit no row. It also refuses a clock whose period,
 rounded to whole ticks, is off by more than ``MAX_CLOCK_QUANTISATION_REL``
 of itself; every clock of 2 THz or slower is within it.
 """
@@ -94,6 +100,8 @@ from __future__ import annotations
 import heapq
 import math
 from collections import deque
+from collections.abc import Iterable
+from itertools import repeat
 from operator import attrgetter
 from pathlib import Path
 from typing import NamedTuple
@@ -121,11 +129,11 @@ TICKS_PER_S = 10**21
 
 # The one run limit. Quiet refresh rounds are skipped in closed form, so a
 # run's host time follows its stimulus events and its ramp steps, not its
-# simulated time. Ramp mode steps on every conversion, in blocks up to the
-# next queued event: ~0.45 us of host time a step, ~1.5 us and ~0.22 kB of
-# peak memory with the trace CSV (10^5 steps, 2-core Xeon, Python 3.11).
-# 10^6 steps are ~0.92 s simulated at the defaults, or ~244 full 12-bit
-# staircases.
+# simulated time. Ramp mode steps on every conversion, in closed-form blocks
+# up to the next queued event: ~0.2-0.3 us of host time and ~0.1 kB of peak
+# memory a step, ~0.8-1.5 us and ~0.22 kB with the trace CSV (10^5 steps,
+# best of 3-5 runs, 2-core Xeon, Python 3.11). 10^6 steps are ~0.92 s
+# simulated at the defaults, or ~244 full 12-bit staircases.
 MAX_RAMP_STEPS = 1_000_000
 
 # The largest relative error of a clock period rounded to whole ticks. A
@@ -200,7 +208,7 @@ class Trace:
         self.signal_ids.append(signal)
         self.codes.append(code)
 
-    def extend(self, ticks: list[int], signals: list[int], codes: list[int]):
+    def extend(self, ticks: Iterable[int], signals: Iterable[int], codes: Iterable[int]):
         self.ticks += ticks
         self.signal_ids += signals
         self.codes += codes
@@ -355,31 +363,33 @@ class BiasController:
         if self.ramp_mode:
             # The mode and the target register hold up to the horizon, and
             # each step raises the code by one, so only the first step can
-            # recharge its electrode: the later steps before the horizon run
-            # as one block, each emitting on change.
+            # recharge its electrode. The later steps before the horizon run
+            # as one block, one row each: the simulator refuses a code step
+            # below 2**-1074, so consecutive codes decode to different values.
             target, code, size = bias[n] % n, self.ramp_counter, 1 << sim.n_bias
             sim.refresh_electrode(t, target, code)
-            cap, bias_value = sim.caps[target], sim.bias_value
-            steps = range(t + period, horizon, period)
-            v, ticks, codes = cap.v, [], []
-            for t in steps:
-                code = (code + 1) % size
-                v_step = bias_value(code)
-                if v_step != v:
-                    ticks.append(t)
-                    codes.append(code)
-                v = v_step
-            sim.trace.extend(ticks, [sim.bias_signals[target]] * len(ticks), codes)
-            cap.v, cap.t_set, cap.code = v, t, code
+            ticks = range(t + period, horizon, period)
+            steps = len(ticks)
+            if steps:
+                codes = range(code + 1, code + steps + 1)
+                if codes[-1] >= size:   # the counter wraps
+                    codes = [c % size for c in codes]
+                sim.trace.extend(ticks, repeat(sim.bias_signals[target], steps), codes)
+                code, cap = codes[-1], sim.caps[target]
+                cap.v, cap.t_set, cap.code = sim.bias_value(code), ticks[-1], code
             self.ramp_counter = (code + 1) % size
-            self.index += 1 + len(steps)
+            self.index += 1 + steps
             return self.index * period
+        # a whole round fits in the conversions index .. horizon // period
+        # while index <= round_fits; a skip is tried only then
+        round_fits = horizon // period + 1 - n
         while True:
             target = self.electrode_counter
             self.electrode_counter = (target + 1) % n
             sim.refresh_electrode(t, target, bias[target])
             self.index += 1
-            self.skip_quiet_rounds(horizon)
+            if self.index <= round_fits:
+                self.skip_quiet_rounds(horizon)
             t = self.index * period
             if t >= horizon:
                 return t
@@ -396,7 +406,7 @@ class BiasController:
         codes after the same droop: it emits nothing and measures the
         deviation measured here once. The hold capacitors and the conversion
         edge move on by the skipped rounds; the electrode counter is back
-        where it was.
+        where it was. ``conversion`` tries it only where a whole round fits.
         """
         sim = self.sim
         n, period = sim.n_electrodes, sim.conversion_period_ticks
@@ -411,8 +421,11 @@ class BiasController:
                 return
         round_ticks = n * period
         worst = sim.max_refresh_deviation
-        for e, cap in enumerate(sim.caps):
-            dev = abs(cap.v - cap.voltage(cap.t_set + round_ticks, sim.tau_s))
+        # every cap droops by the same factor over a round: HoldCap.voltage
+        # one round after its recharge, computed once
+        decay = HoldCap(1.0).voltage(round_ticks, sim.tau_s)
+        for e, cap in enumerate(caps):
+            dev = abs(cap.v - cap.v * decay)
             if dev > worst[e]:
                 worst[e] = dev
             cap.t_set += rounds * round_ticks
@@ -551,6 +564,13 @@ class Simulator:
             check_payload_widths(d.bias_width, d.rf_width)
         except ProtocolError as exc:
             raise SimulationConfigError(str(exc)) from exc
+        # Below a code step of 2**-1074, the smallest float, two codes can
+        # decode to one value; a ramp block emits one row a step.
+        if s.v_range_bias < math.ldexp(1.0, s.n_bias - 1074):
+            raise SimulationConfigError(
+                f"spec.v_range_bias={s.v_range_bias!r} V over the 2**{s.n_bias} codes of "
+                f"spec.n_bias={s.n_bias} gives a code step below the smallest float, "
+                f"2**-1074 V, so consecutive bias codes cannot be told apart")
         self.bias_ctrl = BiasController(self)
         self.rf_ctrl = RfController(self)
         self.caps = [HoldCap() for _ in range(self.n_electrodes)]
@@ -581,9 +601,13 @@ class Simulator:
         self._queue: list = []
         self._seq = 0
         self._t_end: int | None = None  # ticks, set when the run starts
-        # the queued data words, the one in flight first, at clock _frame_pos
+        # the queued data words, the one in flight first, at clock _frame_pos;
+        # the signals of the serial line's rows, and the bank each word writes
         self._frames: deque[DataWord] = deque()
         self._frame_pos = 0
+        self._line_signals = tuple(self.control_signals[name] for name in
+                                   ("write_select", "write_enable", "feedback"))
+        self._banks = {WordType.BIAS: self.memory.bias, WordType.RF: self.memory.rf}
 
     # event queue -----------------------------------------------------------
 
@@ -619,9 +643,8 @@ class Simulator:
         """Clock the serial line from ``t`` up to the next queued event; return
         the next clock, or ``None`` once no word is left."""
         horizon = self.horizon()
-        period, frames, append = self.t_rf_ticks, self._frames, self.trace.append
-        select, enable, feedback = (self.control_signals[name] for name in
-                                    ("write_select", "write_enable", "feedback"))
+        period, frames, extend = self.t_rf_ticks, self._frames, self.trace.extend
+        select, enable, feedback = self._line_signals
         while True:
             word = frames[0]
             pos, w = self._frame_pos, word.width
@@ -631,21 +654,20 @@ class Simulator:
             # this clock and the word's later clocks before the horizon
             stop = min(rx + w, pos + max(0, (horizon - t - 1) // period))
             if pos <= rx <= stop:
-                append(t + (rx - pos) * period, select, word.address)
-                append(t + (rx - pos) * period, enable, 1)
+                t_rx = t + (rx - pos) * period
+                extend((t_rx, t_rx), (select, enable), (word.address, 1))
             # write clocks run before this block, and by its end
             done, now = max(0, pos - rx - 1), max(0, stop - rx)
             if now > done:
                 k = now - done
-                bank = self.memory.bias if word.kind is WordType.BIAS else self.memory.rf
+                bank = self._banks[word.kind]
                 bits = (word.payload >> (w - now)) & ((1 << k) - 1)
                 bank[word.address] = (bank[word.address] << k | bits) & ((1 << w) - 1)
             t += (stop - pos) * period
             if stop < rx + w:
                 self._frame_pos = stop + 1
                 return t + period
-            append(t, enable, 0)
-            append(t, feedback, 1)
+            extend((t, t), (enable, feedback), (0, 1))
             # feedback issued; the next queued word may start on the next clock
             frames.popleft()
             self._frame_pos = 0
@@ -688,8 +710,10 @@ class Simulator:
         ramp_ticks, ramp_since = 0, None   # ramp-mode time in [0, t_end]
         sent: dict[int, list] = {}   # tick -> the writes and ramp-mode commands sent then
         receptions = []
+        last_ns = None   # the commands come sorted by time: each distinct time once
         for t_ns, op, args, line in parse_stimulus(stimulus) if stimulus is not None else []:
-            t = to_ticks(t_ns)
+            if t_ns != last_ns:
+                last_ns, t = t_ns, to_ticks(t_ns)
             try:
                 if op == "play":
                     word = RfCommandWord(*args)

@@ -22,7 +22,7 @@ from __future__ import annotations
 from enum import Enum
 from typing import NamedTuple
 
-from ..config import replace
+from ..config import make, replace
 
 BIAS_TYPE_BIT = 0
 RF_TYPE_BIT = 1
@@ -54,6 +54,7 @@ class _DataWordFields(NamedTuple):
 class DataWord(_DataWordFields):
     __slots__ = ()
     _replace = replace   # built again, and so checked, as the constructor builds it
+    _make = make
 
     def __new__(cls, kind: WordType, address: int, payload: int, width: int):
         if type(kind) is not WordType:
@@ -86,6 +87,7 @@ class RfCommandWord(_RfCommandFields):
 
     __slots__ = ()
     _replace = replace   # built again, and so checked, as the constructor builds it
+    _make = make
 
     def __new__(cls, id_e1_set1: int, id_e2_set1: int, id_e1_set2: int, id_e2_set2: int):
         self = tuple.__new__(cls, (id_e1_set1, id_e2_set1, id_e1_set2, id_e2_set2))

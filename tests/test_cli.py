@@ -402,6 +402,9 @@ def test_an_underflowing_capacitive_density_is_refused_when_loaded(capsys, tmp_p
     ({"tech": {"rho_r": 1e-320}}, ("sweep", "--unit", "dac"), 2),
     ({"spec": {"v_range_bias": 1e-300}, "tech": {"r_off": 1e300}},
      ("simulate", "--until", "1us"), 1),
+    # one bias code step, 1e-320 V / 2**12, is below the smallest float
+    ({"spec": {"v_range_bias": 1e-320}, "tech": {"r_off": 1e-10}, "op": {"f_clk_bias": 2e6}},
+     ("simulate", "--until", "10us"), 1),
     # a resolution the DAC models cannot size
     ({"spec": {"n_rf": 1}}, ("estimate",), 1),
     ({"spec": {"n_rf": 1}}, ("capacity", "--budget", "1e-3"), 1),
@@ -412,7 +415,7 @@ def test_an_underflowing_capacitive_density_is_refused_when_loaded(capsys, tmp_p
         "huge-dv_bias-bounds", "tiny-dv_rf-bounds", "rounded-power-capacity",
         "huge-f_sample_rf-simulate", "huge-f_clk_bias-simulate", "huge-c_h-simulate",
         "huge-c_h-sweep-dac", "tiny-rho_c-sweep-dac", "tiny-rho_r-sweep-dac",
-        "zero-refresh-simulate", "1-bit-n_rf-estimate",
+        "zero-refresh-simulate", "sub-float-bias-step-simulate", "1-bit-n_rf-estimate",
         "1-bit-n_rf-capacity"])
 def test_overflowing_design_point_fails_with_a_message(tmp_path, src_env, data, command, code):
     if command[0] == "simulate":

@@ -141,6 +141,29 @@ def test_a_record_keeps_its_properties_and_methods():
     assert MemoryDesign("ff", 9, 12, 256, 10).rf_bits == 2560
 
 
+# a checked named tuple: (a tuple its constructor builds, one it refuses)
+_CHECKED_TUPLES = {
+    DacDesign: (("cap", 8, 1e-14), ("cap", 8, 0.0)),
+    MemoryDesign: (("sram", 9, 12, 256, 10), ("dram", 9, 12, 256, 10)),
+    DataWord: (("bias", 3, 5, 12), ("bias", 3, 99999, 12)),
+    RfCommandWord: ((1, 2, 3, 4), (1, 2, 3, 16)),
+}
+
+
+@pytest.mark.parametrize("cls", _CHECKED_TUPLES, ids=lambda cls: cls.__name__)
+def test_make_builds_what_the_constructor_builds(cls):
+    valid, refused = _CHECKED_TUPLES[cls]
+    made, built = cls._make(valid), cls(*valid)
+    assert type(made) is cls and made == built and repr(made) == repr(built)
+    assert [type(v) for v in made] == [type(v) for v in built]
+    assert getattr(made, "counts", None) == getattr(built, "counts", None)
+    with pytest.raises(Exception) as by_constructor:
+        cls(*refused)
+    with pytest.raises(type(by_constructor.value)) as by_make:
+        cls._make(refused)
+    assert str(by_make.value) == str(by_constructor.value)
+
+
 def test_a_part_equals_only_a_part_of_its_own_type():
     class Spec(SystemSpec):
         __slots__ = ()

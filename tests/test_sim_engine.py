@@ -294,6 +294,28 @@ def test_config_guard_payload_width():
         Simulator(sc)
 
 
+def _bias_range_scenario(v_range_bias, n_bias=12):
+    # a 0.1 nohm switch keeps a subnormal range's refresh rate above 0 Hz, and
+    # a 2 MHz bias clock makes the conversion period 1 us, exact in ns
+    sc = baseline_scenario()
+    return replace(sc, spec=replace(sc.spec, v_range_bias=v_range_bias, n_bias=n_bias),
+                   tech=replace(sc.tech, r_off=1e-10), op=replace(sc.op, f_clk_bias=2e6))
+
+
+@pytest.mark.parametrize("n_bias", [2, 12, 21])
+def test_config_guard_bias_code_step(n_bias):
+    # A code step, v_range_bias / 2**n_bias, of the smallest float 2**-1074
+    # is simulated; a range one float below it is refused, in one line that
+    # names both fields
+    smallest = math.ldexp(1.0, n_bias - 1074)
+    Simulator(_bias_range_scenario(smallest, n_bias))
+    with pytest.raises(SimulationConfigError) as refused:
+        Simulator(_bias_range_scenario(math.nextafter(smallest, 0), n_bias))
+    message = str(refused.value)
+    assert "spec.v_range_bias=" in message and f"spec.n_bias={n_bias}" in message
+    assert "\n" not in message
+
+
 def test_stimulus_value_range_checks(baseline):
     with pytest.raises(StimulusError, match="line 1"):
         run_simulation(baseline, "0 write-bias 0 4096\n", 1_000.0)
@@ -1259,6 +1281,52 @@ def test_quiet_rounds_cost_nothing():
     assert fast_refreshes < 100
     assert fast.to_csv() == slow.to_csv()
     assert fast.stats == slow.stats
+
+
+def test_a_stimulus_that_is_never_quiet_tries_no_skip(baseline):
+    # A bias write every 0.7 refresh rounds, up to the end of the run: no
+    # whole round fits before the next event, so no conversion tries a skip
+    sim = Simulator(baseline)
+    every = 0.7 * sim.n_electrodes * sim.conversion_period_ticks / engine.TICKS_PER_NS
+    writes = 200
+    stimulus = "".join(f"{k * every!r} write-bias {k % 8} {797 * k % 4096}\n"
+                       for k in range(writes))
+    counts = collections.Counter()
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(engine.BiasController, "skip_quiet_rounds",
+                   _counting(counts, "skip", engine.BiasController.skip_quiet_rounds))
+        fast = run_simulation(baseline, stimulus, writes * every)
+    slow, _ = _per_conversion(baseline, stimulus, writes * every)
+    assert counts["skip"] == 0
+    assert fast.to_csv() == slow.to_csv()
+    assert fast.stats == slow.stats
+
+
+@settings(max_examples=60, deadline=None)
+@given(n_bias=st.integers(2, 21), scale=st.floats(0, 80), target=st.integers(0, 3),
+       start=st.integers(0, 20), steps=st.integers(1, 40))
+@example(n_bias=12, scale=0.0, target=1, start=3, steps=19)
+def test_a_ramp_step_is_one_row_from_the_smallest_range(n_bias, scale, target, start,
+                                                        steps):
+    # From the smallest bias range the simulator takes, consecutive codes
+    # decode to different values: each ramp step after the first is one row
+    # of its target, as one refresh per step gives
+    scenario = _bias_range_scenario(math.ldexp(1.0, n_bias - 1074) * 2.0 ** scale, n_bias)
+    period = Simulator(scenario).conversion_period_ticks
+    t_on, t_off = start * period, (start + steps) * period
+    stimulus = (f"0 write-bias 8 {target}\n{t_on / engine.TICKS_PER_NS!r} ramp-mode on\n"
+                f"{t_off / engine.TICKS_PER_NS!r} ramp-mode off\n")
+    t_end_ns = (start + steps + 5) * period / engine.TICKS_PER_NS
+    fast = run_simulation(scenario, stimulus, t_end_ns)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(engine.BiasController, "conversion",
+                   _one_ramp_step_per_call(engine.BiasController.conversion))
+        slow = run_simulation(scenario, stimulus, t_end_ns)
+    assert fast.to_csv() == slow.to_csv()
+    assert fast.stats == slow.stats
+    # bias runs first at a tick: the steps are the conversions t_on + period .. t_off
+    rows = [e.t for e in fast.of(f"bias_e{target}") if t_on + period < e.t <= t_off]
+    assert len(rows) == steps - 1
 
 
 @settings(max_examples=60, deadline=None)
