@@ -12,6 +12,7 @@ invocations are byte identical.
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import math
 import sys
@@ -94,11 +95,17 @@ def _build_parser() -> _Parser:
     return p
 
 
-def _scenario(args) -> Scenario:
-    path = Path(args.scenario)
+def _input_file(path: str, kind: str) -> Path:
+    """``path`` as a Path, refused unless it names a regular file."""
+    path = Path(path)
     if not path.is_file():
-        raise ConfigError(f"scenario file not found: {escape_controls(path)}")
-    return load_scenario(path)
+        problem = "path is not a regular file" if path.exists() else "file not found"
+        raise ConfigError(f"{kind} {problem}: {escape_controls(path)}")
+    return path
+
+
+def _scenario(args) -> Scenario:
+    return load_scenario(_input_file(args.scenario, "scenario"))
 
 
 def _json(data) -> str:
@@ -149,6 +156,8 @@ def _cmd_estimate(args) -> str:
 def _cmd_sweep(args) -> str:
     sc = _scenario(args)
     if args.unit == "dac":
+        if args.param is not None or args.points is not None:
+            raise UsageError("sweep --unit dac takes no --param or --points")
         return dac_sweep_csv(dac_sweep(sc, condition=args.conditions))
     if not args.param or not args.points:
         raise UsageError("sweep requires --param and --points (or --unit dac)")
@@ -174,9 +183,7 @@ def _cmd_simulate(args) -> tuple[str, list]:
     from .sim import parse_duration_ns, run_simulation
 
     sc = _scenario(args)
-    stim_path = Path(args.stimulus)
-    if not stim_path.is_file():
-        raise ConfigError(f"stimulus file not found: {escape_controls(stim_path)}")
+    stim_path = _input_file(args.stimulus, "stimulus")
     try:
         t_end = parse_duration_ns(args.until)
         valid = 0 < t_end < math.inf
@@ -240,6 +247,9 @@ def main(argv=None) -> int:
 
 
 def run() -> None:
+    # the import-time objects live until exit: frozen, no later collection,
+    # the interpreter's own at shutdown included, walks them again
+    gc.freeze()
     sys.exit(main())
 
 

@@ -1,8 +1,10 @@
 import contextlib
 import csv
+import gc
 import hashlib
 import io
 import json
+import os
 import re
 import subprocess
 import sys
@@ -44,6 +46,24 @@ def test_missing_scenario_file(capsys):
     code, _, err = run_cli(capsys, "estimate", "--scenario", "/nonexistent.json")
     assert code == 1
     assert "not found" in err
+
+
+@pytest.mark.parametrize("kind", ["directory", "fifo"])
+@pytest.mark.parametrize("option", ["--scenario", "--stimulus"])
+def test_an_input_path_that_is_no_regular_file_is_named_so(
+        capsys, scenario_dir, tmp_path, option, kind):
+    if kind == "fifo" and not hasattr(os, "mkfifo"):
+        pytest.skip("no named pipes here")
+    given = tmp_path / "in\nput"
+    if kind == "fifo":
+        os.mkfifo(given)
+    else:
+        given.mkdir()
+    argv = {"--scenario": ("estimate", "--scenario", str(given)),
+            "--stimulus": _simulate(scenario_dir / "paper-defaults.json", given)}[option]
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (1, "")
+    assert err == f"error: {option[2:]} path is not a regular file: {tmp_path}/in\\nput\n"
 
 
 def test_schema_violation_exit_code(capsys, tmp_path):
@@ -146,6 +166,17 @@ def test_sweep_requires_param_or_unit(capsys, scenario_dir):
     code, _, err = run_cli(capsys, "sweep", "--scenario",
                            str(scenario_dir / "paper-defaults.json"))
     assert code == 1
+
+
+@pytest.mark.parametrize("extra", [("--param", "v_dd", "--points", "1"),
+                                   ("--param", "v_dd"), ("--points", "1"), ("--points", "")])
+def test_sweep_dac_unit_refuses_param_and_points(capsys, scenario_dir, extra):
+    code, out, err = run_cli(capsys, "sweep", "--scenario",
+                             str(scenario_dir / "paper-defaults.json"), "--unit", "dac", *extra)
+    assert (code, out) == (1, "")
+    lines = err.splitlines()
+    assert lines[0] == "error: sweep --unit dac takes no --param or --points"
+    assert lines[1].startswith("usage: ") and len(lines) == 2
 
 
 def test_simulate_writes_trace(capsys, scenario_dir, tmp_path):
@@ -817,3 +848,55 @@ def test_estimator_output_golden(capsys, scenario_dir, key):
                            str(scenario_dir / f"{scenario}.json"), *options)
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN_SHA256[key]
+
+
+# The process entry point, cli.run, freezes the import-time heap so that no
+# collection walks it again; main, which tests and library callers run in
+# their own process, leaves the collector as it finds it.
+_PROCESS_CALLS = {
+    "bounds": ("bounds",),
+    "estimate": ("estimate",),
+    "capacity": ("capacity", "--budget", "1e-3"),
+    "sweep": ("sweep", "--param", "v_dd", "--points", "1,0.5,0.1,0.01"),
+}
+
+
+def test_main_in_process_freezes_nothing(capsys, scenario_dir):
+    frozen = gc.get_freeze_count()
+    for call in _PROCESS_CALLS.values():
+        code, _, _ = run_cli(capsys, *call, "--scenario", str(scenario_dir / "paper-defaults.json"))
+        assert code == 0, call
+    assert gc.get_freeze_count() == frozen
+
+
+_FROZEN_AT_EXIT = """
+import atexit, gc, runpy, sys
+atexit.register(lambda: sys.stderr.write(f"frozen {gc.get_freeze_count()}\\n"))
+if sys.argv.pop(1) == "-m":
+    runpy.run_module("cryoctrl.cli", run_name="__main__", alter_sys=True)
+from cryoctrl import cli
+assert gc.get_freeze_count() == 0   # importing freezes nothing
+cli.run()
+"""
+
+
+@pytest.mark.parametrize("entry", ["run", "-m"])
+def test_the_process_entry_point_freezes_the_import_time_heap(scenario_dir, src_env, entry):
+    # "-m" runs the module as python -m does; "run" is the console script's call
+    proc = subprocess.run(
+        [sys.executable, "-c", _FROZEN_AT_EXIT, entry, "capacity", "--scenario",
+         str(scenario_dir / "paper-defaults.json"), "--budget", "1e-3"],
+        capture_output=True, text=True, env=src_env, timeout=30)
+    assert (proc.returncode, proc.stdout) == (0, "5\n"), proc.stderr
+    assert proc.stderr.startswith("frozen ") and int(proc.stderr.split()[1]) > 1000
+
+
+@pytest.mark.parametrize("command", sorted(_PROCESS_CALLS))
+def test_a_cryoctrl_process_prints_what_main_does(capsys, scenario_dir, src_env, command):
+    for scenario in sorted(scenario_dir.glob("*.json")):
+        argv = [*_PROCESS_CALLS[command], "--scenario", str(scenario)]
+        child = subprocess.run([sys.executable, "-m", "cryoctrl.cli", *argv],
+                               capture_output=True, text=True, env=src_env, timeout=30)
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 0, argv
+        assert (child.returncode, child.stdout) == (code, out), argv
