@@ -1,12 +1,14 @@
 """Command-line interface: bounds, estimate, sweep, capacity, simulate.
 
 Exit codes: 0 success, 1 validation/usage error, 2 runtime error. Each
-subcommand returns its text and :func:`main` writes it once, to the file
-named by ``--out`` (``--csv`` for ``sweep``, ``--trace`` for ``simulate``) or
-else to stdout; errors go to stderr. ``simulate`` also returns its side
-outputs, which :func:`main` writes only after the text: the ``--vcd`` file,
-then the JSON summary line on stderr. All outputs are deterministic: repeated
-invocations are byte identical.
+subcommand returns its text, a string or an iterable of string pieces, and
+:func:`main` writes it through one output path, to the file named by ``--out``
+(``--csv`` for ``sweep``, ``--trace`` for ``simulate``) or else to stdout;
+errors go to stderr. ``simulate`` returns its trace as pieces of
+``TEXT_CHUNK_ROWS`` rows each, so the whole text is never held at once, and
+also its side outputs, which :func:`main` writes the same way, only after the
+text: the ``--vcd`` file, then the JSON summary line on stderr. All outputs
+are deterministic: repeated invocations are byte identical.
 """
 
 from __future__ import annotations
@@ -16,6 +18,7 @@ import gc
 import json
 import math
 import sys
+from collections.abc import Iterable
 from pathlib import Path
 
 from . import noise
@@ -71,8 +74,8 @@ def _build_parser() -> _Parser:
     sp.add_argument("--points", help="comma-separated values, e.g. 1,0.5,0.1,0.01")
     sp.add_argument("--unit", choices=("dac",),
                     help="sweep a single unit instead of the whole system")
-    sp.add_argument("--conditions", choices=("bias", "rf"), default="bias",
-                    help="operating conditions for --unit dac")
+    sp.add_argument("--conditions", choices=("bias", "rf"),
+                    help="operating conditions for --unit dac (default: bias)")
     sp.add_argument("--csv", dest="out", metavar="CSV",
                     help="write CSV to this file instead of stdout")
 
@@ -158,7 +161,9 @@ def _cmd_sweep(args) -> str:
     if args.unit == "dac":
         if args.param is not None or args.points is not None:
             raise UsageError("sweep --unit dac takes no --param or --points")
-        return dac_sweep_csv(dac_sweep(sc, condition=args.conditions))
+        return dac_sweep_csv(dac_sweep(sc, condition=args.conditions or "bias"))
+    if args.conditions is not None:
+        raise UsageError("sweep takes --conditions only with --unit dac")
     if not args.param or not args.points:
         raise UsageError("sweep requires --param and --points (or --unit dac)")
     try:
@@ -178,7 +183,7 @@ def _cmd_capacity(args) -> str:
     return _json(result._asdict()) if args.format == "json" else f"{result.n_qubits}\n"
 
 
-def _cmd_simulate(args) -> tuple[str, list]:
+def _cmd_simulate(args) -> tuple[Iterable[str], list]:
     # deferred: only this subcommand runs the simulator
     from .sim import parse_duration_ns, run_simulation
 
@@ -192,16 +197,16 @@ def _cmd_simulate(args) -> tuple[str, list]:
     if not valid:
         raise UsageError(f"--until must be a positive, finite duration, got {args.until!r}")
     trace = run_simulation(sc, stim_path, t_end)
-    # each side output as (write, text), written after the trace
-    side = [(Path(args.vcd).write_text, trace.to_vcd_text())] if args.vcd else []
+    # each side output as (file or stream, text), written after the trace
+    side = [(args.vcd, trace.vcd_chunks())] if args.vcd else []
     summary = {
         "events": len(trace),
         "max_refresh_deviation_v": max(trace.stats["max_refresh_deviation_v"]),
         "rf_samples_emitted": trace.stats["rf_samples_emitted"],
         "backpressure_count": trace.stats["backpressure_count"],
     }
-    side.append((sys.stderr.write, json.dumps(summary, sort_keys=True) + "\n"))
-    return trace.to_csv() if args.out or not args.vcd else "", side
+    side.append((sys.stderr, json.dumps(summary, sort_keys=True) + "\n"))
+    return trace.csv_chunks() if args.out or not args.vcd else "", side
 
 
 def _check_output_dirs(args) -> None:
@@ -216,6 +221,17 @@ def _check_output_dirs(args) -> None:
                           "is not a directory")
 
 
+def _write(target, text: str | Iterable[str]) -> None:
+    """Write ``text``, a string or its pieces in turn, to the file named
+    ``target`` or to the text stream ``target``."""
+    pieces = [text] if isinstance(text, str) else text
+    if isinstance(target, str):
+        with Path(target).open("w") as file:
+            file.writelines(pieces)
+    else:
+        target.writelines(pieces)
+
+
 def main(argv=None) -> int:
     parser = _build_parser()
     try:
@@ -226,13 +242,9 @@ def main(argv=None) -> int:
         _check_output_dirs(args)
         text = args.handler(args)
         text, side = text if isinstance(text, tuple) else (text, [])
-        out = getattr(args, "out", None)
-        if out:
-            Path(out).write_text(text)
-        else:
-            sys.stdout.write(text)
-        for write, side_text in side:
-            write(side_text)
+        _write(getattr(args, "out", None) or sys.stdout, text)
+        for target, side_text in side:
+            _write(target, side_text)
         return 0
     except UsageError as exc:
         sys.stderr.write(f"error: {exc}\n")

@@ -15,6 +15,13 @@ error. Trace events keep their tick; nanoseconds are derived only where a
 trace is read or written (``TraceEvent.t_ns``, the CSV and VCD text), as
 ``ticks / TICKS_PER_NS`` correctly rounded.
 
+The trace text is written from pieces shared across the rows
+(``Trace._text``): one per run of rows at a tick, ``prefix + repr(t_ns)``, and
+one per distinct ``(signal, code)``, ``sep + signal + sep + repr(value)`` and
+a newline. Each row's two pieces go to one list, joined once: ``to_csv``
+joins all rows at once, and ``csv_chunks``/``vcd_chunks`` join
+``TEXT_CHUNK_ROWS`` rows at a time, the pieces ``simulate`` writes.
+
 Each clocked unit is one queue handler. It reads ``Simulator.horizon()``,
 the time of the next queued event, once, handles its edges strictly before
 it and returns its first edge at or after it, or ``None`` once its clock
@@ -100,9 +107,9 @@ from __future__ import annotations
 import heapq
 import math
 from collections import deque
-from collections.abc import Iterable
-from itertools import repeat
-from operator import attrgetter
+from collections.abc import Iterable, Iterator
+from itertools import islice, repeat
+from operator import itemgetter
 from pathlib import Path
 from typing import NamedTuple
 
@@ -130,15 +137,22 @@ TICKS_PER_S = 10**21
 # The one run limit. Quiet refresh rounds are skipped in closed form, so a
 # run's host time follows its stimulus events and its ramp steps, not its
 # simulated time. Ramp mode steps on every conversion, in closed-form blocks
-# up to the next queued event: ~0.2-0.3 us of host time and ~0.1 kB of peak
-# memory a step, ~0.8-1.5 us and ~0.22 kB with the trace CSV (10^5 steps,
-# best of 3-5 runs, 2-core Xeon, Python 3.11). 10^6 steps are ~0.92 s
-# simulated at the defaults, or ~244 full 12-bit staircases.
+# up to the next queued event: ~0.18-0.25 us of host time and ~0.11 kB of
+# peak memory a step, ~0.7-0.9 us with the trace CSV, which adds ~0.11 kB a
+# step when built whole (``Trace.to_csv``) and next to nothing when streamed
+# (``Trace.csv_chunks``, as ``simulate`` writes it) (3 fresh-process runs
+# of 10^5 steps and one of 10^6, 2-core Xeon, Python 3.11). 10^6 steps are
+# ~0.92 s simulated at the defaults, or ~244 full 12-bit staircases.
 MAX_RAMP_STEPS = 1_000_000
 
 # The largest relative error of a clock period rounded to whole ticks. A
 # clock of 2 THz or slower, 5e8 ticks a period or more, is always within it.
 MAX_CLOCK_QUANTISATION_REL = 1e-9
+
+# The rows in each piece of a streamed trace text (``Trace.csv_chunks``): ~2.4
+# MB of text at a playback row's ~37 bytes, small beside the ~45 bytes a row
+# of the run's own columns, so a streamed run peaks near the run alone.
+TEXT_CHUNK_ROWS = 65_536
 
 
 class StimulusError(ConfigError):
@@ -233,30 +247,54 @@ class Trace:
     def of(self, signal: str) -> list[TraceEvent]:
         return [e for e in self.events if e.signal == signal]
 
-    def _text_rows(self, prefix: str, sep: str) -> list[str]:
-        """Each row as ``prefix + repr(t_ns) + sep + signal + sep + repr(value)``. A
-        time is formatted once for the run of rows at its tick, and a signal
-        and value once for each distinct ``(signal, code)``."""
-        names, decoders = self._names, self._decoders
-        texts = [{} for _ in names]   # by signal, then code: signal + sep + value
-        rows = []
-        append = rows.append
-        last = t_text = None
-        for t, s, c in zip(self.ticks, self.signal_ids, self.codes):
-            if t != last:
-                last, t_text = t, f"{prefix}{t / TICKS_PER_NS!r}{sep}"
-            text = texts[s].get(c)
-            if text is None:
-                text = texts[s][c] = f"{names[s]}{sep}{decoders[s](c)!r}"
-            append(t_text + text)
-        return rows
-
     def to_csv(self) -> str:
-        return "\n".join(["t_ns,signal,value", *self._text_rows("", ",")]) + "\n"
+        return next(self._text("", ",", "t_ns,signal,value\n", None))
 
     def to_vcd_text(self) -> str:
         """Minimal value-change dump: one '#<t_ns> <signal> <value>' per event."""
-        return "\n".join(self._text_rows("#", " ")) + "\n"
+        return next(self._text("#", " ", "", None))
+
+    def csv_chunks(self) -> Iterator[str]:
+        """``to_csv()`` in pieces of up to ``TEXT_CHUNK_ROWS`` rows each, the
+        first with the header; the pieces concatenate to exactly ``to_csv()``."""
+        return self._text("", ",", "t_ns,signal,value\n", TEXT_CHUNK_ROWS)
+
+    def vcd_chunks(self) -> Iterator[str]:
+        """``to_vcd_text()`` in pieces of up to ``TEXT_CHUNK_ROWS`` rows each."""
+        return self._text("#", " ", "", TEXT_CHUNK_ROWS)
+
+    def _text(self, prefix: str, sep: str, head: str, size: int | None) -> Iterator[str]:
+        """The text of the rows, ``head`` then one ``prefix + repr(t_ns) + sep +
+        signal + sep + repr(value) + "\n"`` a row, in pieces of up to ``size``
+        rows each (all of them for ``None``). Each row's text is two pieces
+        shared across the rows: a time's, formatted once for each run of rows
+        at its tick, and a signal and value's, once for each distinct
+        ``(signal, code)``. A piece appends its rows' pieces to one list and
+        joins it once. An empty text is one newline."""
+        names = [sep + name + sep for name in self._names]
+        decoders = self._decoders
+        texts = [{} for _ in names]   # by signal, then code
+        rows = zip(self.ticks, self.signal_ids, self.codes)
+        last = t_text = None
+        pieces = [head]
+        while True:
+            append = pieces.append
+            # the whole text reads the rows directly: an islice costs it ~1%
+            for t, s, c in rows if size is None else islice(rows, size):
+                if t != last:
+                    last, t_text = t, prefix + repr(t / TICKS_PER_NS)
+                append(t_text)
+                text = texts[s].get(c)
+                if text is None:
+                    text = texts[s][c] = names[s] + repr(decoders[s](c)) + "\n"
+                append(text)
+            chunk = "".join(pieces)
+            if not chunk and last is not None:   # the rows are all written
+                return
+            yield chunk or "\n"
+            if last is None:   # an empty trace is one piece
+                return
+            pieces = []
 
 
 # ---------------------------------------------------------------------------
@@ -267,6 +305,10 @@ class Command(NamedTuple):
     op: str
     args: tuple
     line: int
+
+
+def _fail(lineno: int, raw: str, msg: str):
+    raise StimulusError(f"stimulus line {lineno}: {msg}: '{raw.strip()}'")
 
 
 def parse_stimulus(source: Path | str) -> list[Command]:
@@ -281,40 +323,37 @@ def parse_stimulus(source: Path | str) -> list[Command]:
         if not line:
             continue
         parts = line.split()
-
-        def fail(msg):
-            raise StimulusError(f"stimulus line {lineno}: {msg}: '{raw.strip()}'")
-
         try:
             t_ns = float(parts[0])
         except ValueError:
-            fail("expected a time in ns")
+            _fail(lineno, raw, "expected a time in ns")
         if not 0 <= t_ns < math.inf:  # a NaN time would break the queue's order
-            fail("time must be non-negative and finite")
+            _fail(lineno, raw, "time must be non-negative and finite")
         op, args = parts[1] if len(parts) > 1 else "", parts[2:]
         if op == "write-bias" or op == "write-rf":
             if len(args) != 2:
-                fail(f"{op} takes <addr> <code>")
+                _fail(lineno, raw, f"{op} takes <addr> <code>")
             try:
                 addr, code = int(args[0]), int(args[1], 0)
             except ValueError:
-                fail("address and code must be integers")
+                _fail(lineno, raw, "address and code must be integers")
             commands.append(Command(t_ns, op, (addr, code), lineno))
         elif op == "play":
             if len(args) != 4:
-                fail("play takes four sequence ids")
+                _fail(lineno, raw, "play takes four sequence ids")
             try:
                 ids = tuple(int(a) for a in args)
             except ValueError:
-                fail("sequence ids must be integers")
+                _fail(lineno, raw, "sequence ids must be integers")
             commands.append(Command(t_ns, op, ids, lineno))
         elif op == "ramp-mode":
             if len(args) != 1 or args[0] not in ("on", "off"):
-                fail("ramp-mode takes on|off")
+                _fail(lineno, raw, "ramp-mode takes on|off")
             commands.append(Command(t_ns, op, (args[0] == "on",), lineno))
         else:
-            fail(f"unknown command '{op}'")
-    commands.sort(key=attrgetter("t_ns", "line"))
+            _fail(lineno, raw, f"unknown command '{op}'")
+    # by time, then line: the commands are in line order, and the sort is stable
+    commands.sort(key=itemgetter(0))
     return commands
 
 
@@ -711,6 +750,7 @@ class Simulator:
         sent: dict[int, list] = {}   # tick -> the writes and ramp-mode commands sent then
         receptions = []
         last_ns = None   # the commands come sorted by time: each distinct time once
+        kinds = {"write-bias": (WordType.BIAS, self.n_bias), "write-rf": (WordType.RF, self.n_rf)}
         for t_ns, op, args, line in parse_stimulus(stimulus) if stimulus is not None else []:
             if t_ns != last_ns:
                 last_ns, t = t_ns, to_ticks(t_ns)
@@ -731,8 +771,7 @@ class Simulator:
                             ramp_ticks += min(t, t_end) - ramp_since
                             ramp_since = None
                 else:   # write-bias or write-rf
-                    kind, width = ((WordType.BIAS, self.n_bias) if op == "write-bias"
-                                   else (WordType.RF, self.n_rf))
+                    kind, width = kinds[op]
                     word = DataWord(kind, *args, width)
                     if not self.memory.holds(kind, word.address):
                         raise ProtocolError(f"{kind.value} register {word.address} does "

@@ -179,6 +179,20 @@ def test_sweep_dac_unit_refuses_param_and_points(capsys, scenario_dir, extra):
     assert lines[1].startswith("usage: ") and len(lines) == 2
 
 
+@pytest.mark.parametrize("conditions", ["rf", "bias"])
+def test_sweep_refuses_conditions_outside_dac_unit(capsys, scenario_dir, conditions):
+    scenario = ("--scenario", str(scenario_dir / "paper-defaults.json"))
+    code, out, err = run_cli(capsys, "sweep", *scenario, "--param", "v_dd", "--points", "1",
+                             "--conditions", conditions)
+    assert (code, out) == (1, "")
+    lines = err.splitlines()
+    assert lines[0] == "error: sweep takes --conditions only with --unit dac"
+    assert lines[1].startswith("usage: ") and len(lines) == 2
+    # the DAC sweep's conditions default to bias
+    assert run_cli(capsys, "sweep", *scenario, "--unit", "dac") == run_cli(
+        capsys, "sweep", *scenario, "--unit", "dac", "--conditions", "bias")
+
+
 def test_simulate_writes_trace(capsys, scenario_dir, tmp_path):
     stim = tmp_path / "stim.txt"
     stim.write_text("0 write-bias 0 2048\n50000 play 0 0 0 0\n")
@@ -732,23 +746,44 @@ def test_a_trace_that_cannot_be_written_leaves_no_side_output(
         capsys, monkeypatch, scenario_dir, tmp_path):
     # The --vcd file and the summary line are written only after the trace,
     # so a refused trace write leaves the one error line and nothing else.
+    # The refusal comes from Path.open, which Path.write_text goes through too.
     trace, vcd = tmp_path / "trace.csv", tmp_path / "dump.vcd"
-    write_text = Path.write_text
+    open_path = Path.open
 
-    def refusing(path, text, *args, **kwargs):
+    def refusing(path, *args, **kwargs):
         if path == trace:
             raise PermissionError(f"[Errno 13] Permission denied: '{path}'")
-        return write_text(path, text, *args, **kwargs)
+        return open_path(path, *args, **kwargs)
 
-    monkeypatch.setattr(Path, "write_text", refusing)
+    monkeypatch.setattr(Path, "open", refusing)
     stim = tmp_path / "stim.txt"
-    write_text(stim, "0 write-bias 0 2048\n")
+    stim.write_text("0 write-bias 0 2048\n")
     code, out, err = run_cli(capsys, "simulate", "--scenario",
                              str(scenario_dir / "paper-defaults.json"), "--stimulus", str(stim),
                              "--until", "10us", "--trace", str(trace), "--vcd", str(vcd))
     assert code == 2 and out == ""
     assert err.splitlines() == [f"runtime error: [Errno 13] Permission denied: '{trace}'"]
     assert not vcd.exists() and not trace.exists()
+
+
+def test_simulate_streams_the_bytes_of_the_whole_trace_text(capsys, scenario_dir, tmp_path):
+    # over TEXT_CHUNK_ROWS rows, so each destination gets several pieces
+    scenario = scenario_dir / "paper-defaults.json"
+    stim = tmp_path / "stim.txt"
+    stim.write_text("0 write-bias 0 2048\n0 write-rf 0 5\n0 write-rf 17 9\n" + "".join(
+        f"{20_000 + 110 * k} play 0 1 1 0\n" for k in range(1_100)))
+    trace = run_simulation(load_scenario(scenario), stim, 200e3)
+    assert len(trace) > sim.engine.TEXT_CHUNK_ROWS
+    csv_text, vcd_text = trace.to_csv(), trace.to_vcd_text()
+    simulate = ("simulate", "--scenario", str(scenario), "--stimulus", str(stim),
+                "--until", "200us")
+    code, out, err = run_cli(capsys, *simulate)
+    assert (code, out) == (0, csv_text)
+    files = tmp_path / "trace.csv", tmp_path / "dump.vcd"
+    assert run_cli(capsys, *simulate, "--trace", str(files[0]), "--vcd", str(files[1])) == (
+        0, "", err)
+    assert files[0].read_bytes() == csv_text.encode()
+    assert files[1].read_bytes() == vcd_text.encode()
 
 
 def test_outputs_deterministic(capsys, scenario_dir):

@@ -4,6 +4,7 @@ import heapq
 import json
 import math
 from types import SimpleNamespace
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -64,6 +65,22 @@ def test_stimulus_comments_and_sorting():
     cmds = parse_stimulus("# header\n500 play 0 0 0 0\n0 write-bias 1 2 # inline\n")
     assert [c.op for c in cmds] == ["write-bias", "play"]
     assert cmds[0].args == (1, 2)
+
+
+_STIMULUS_TIMES = st.sampled_from(["0", "-0.0", "0.0", "1", "1.0", "1e0", "2.5", "10", "1e-300"])
+_STIMULUS_COMMANDS = st.sampled_from(["write-bias 0 1", "write-rf 3 0x1f", "play 0 1 0 1",
+                                      "ramp-mode on", "ramp-mode off"])
+
+
+@settings(max_examples=150, deadline=None)
+@given(lines=st.lists(st.one_of(st.tuples(_STIMULUS_TIMES, _STIMULUS_COMMANDS).map(" ".join),
+                                st.sampled_from(["", "# note"])), max_size=12))
+def test_parsed_stimulus_is_in_time_then_line_order(lines):
+    # repeated times, 0 beside -0.0 included, keep the order of their lines
+    commands = parse_stimulus("\n".join(lines))
+    assert [c.line for c in commands] == sorted(
+        (c.line for c in commands), key=lambda n: (float(lines[n - 1].split()[0]), n))
+    assert len(commands) == sum(1 for line in lines if line and not line.startswith("#"))
 
 
 def test_long_single_line_stimulus_is_text():
@@ -432,6 +449,71 @@ def test_trace_text_formats_an_int_apart_from_an_equal_float():
         trace.emit(tick, signal, value)
     assert [line.split(",")[2] for line in trace.to_csv().splitlines()[1:]] == [
         "3000000", "3000000.0", "3000000.0", "3000000"]
+
+
+# Trace text against a formatter of one row at a time, the text's definition.
+_TEXT_TICKS = st.one_of(
+    st.sampled_from([0, 1, 3 * engine.TICKS_PER_NS // 2, 2 ** 63 - 1, 2 ** 63, 2 ** 63 + 1]),
+    st.integers(0, 2 ** 70))
+_TEXT_VALUES = st.one_of(
+    st.sampled_from([0.0, -0.0, 1e-310, -1e-310, 0.1, 3e6, 3_000_000]),
+    st.floats(), st.integers(-2 ** 70, 2 ** 70))
+
+
+@st.composite
+def _built_traces(draw):
+    """A trace built with ``signal``, ``append``, ``extend`` and ``emit``, and
+    its rows as ``(tick, signal name, value)``."""
+    trace, rows = Trace(), []
+    names = st.text("abxy_0", min_size=1, max_size=3)
+    signals = []   # (index, name, values by code)
+    for _ in range(draw(st.integers(0, 3))):
+        name, table = draw(names), draw(st.lists(_TEXT_VALUES, min_size=1, max_size=3))
+        signals.append((trace.signal(name, table.__getitem__), name, table))
+    for _ in range(draw(st.integers(0, 6))):
+        t, count = draw(_TEXT_TICKS), draw(st.integers(1, 4))   # a run of rows at one tick
+        op = draw(st.sampled_from(["emit", "append", "extend"] if signals else ["emit"]))
+        if op == "emit":
+            for _ in range(count):
+                name, value = draw(names), draw(_TEXT_VALUES)
+                trace.emit(t, name, value)
+                rows.append((t, name, value))
+            continue
+        picks = [(s, draw(st.integers(0, len(signals[s][2]) - 1)))
+                 for s in draw(st.lists(st.integers(0, len(signals) - 1),
+                                        min_size=count, max_size=count))]
+        if op == "append":
+            for s, c in picks:
+                trace.append(t, signals[s][0], c)
+        else:
+            trace.extend([t] * count, [signals[s][0] for s, _ in picks], [c for _, c in picks])
+        rows += [(t, signals[s][1], signals[s][2][c]) for s, c in picks]
+    return trace, rows
+
+
+@settings(max_examples=200, deadline=None)
+@example(built=(Trace(), []))
+@given(built=_built_traces())
+def test_trace_text_equals_a_row_by_row_reference(built):
+    trace, rows = built
+
+    def text_rows(prefix, sep):
+        return [f"{prefix}{t / engine.TICKS_PER_NS!r}{sep}{name}{sep}{value!r}"
+                for t, name, value in rows]
+
+    assert trace.to_csv() == "\n".join(["t_ns,signal,value", *text_rows("", ",")]) + "\n"
+    assert trace.to_vcd_text() == "\n".join(text_rows("#", " ")) + "\n"
+    for size in (1, 2, 3, engine.TEXT_CHUNK_ROWS):
+        with mock.patch.object(engine, "TEXT_CHUNK_ROWS", size):
+            streamed = ((list(trace.csv_chunks()), 1, trace.to_csv()),
+                        (list(trace.vcd_chunks()), 0, trace.to_vcd_text()))
+        for chunks, head, whole in streamed:
+            assert "".join(chunks) == whole
+            # every piece but the last holds exactly ``size`` rows
+            lines = [chunk.count("\n") for chunk in chunks]
+            lines[0] -= head
+            assert all(n == size for n in lines[:-1]) and lines[-1] <= size
+            assert len(chunks) == max(1, -(-len(rows) // size))
 
 
 def test_trace_event_is_a_named_tuple():
