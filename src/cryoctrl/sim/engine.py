@@ -33,7 +33,9 @@ gives the trace of one edge per call:
   stops. In refresh mode, once a full round has run since the last bias
   write clock or ramp-mode command, the rounds up to the next event repeat
   it and are skipped in closed form (``BiasController.skip_quiet_rounds``).
-  A skip is tried only where a whole round fits before the next event.
+  A skip is tried only where a whole round fits before the next event, and
+  a try that fails names the conversion after the last unsettled electrode's
+  recharge, the first at which one can succeed, so a block tries at most two.
   In ramp mode the target and the mode hold up to the next event, so the
   steps before it run as one block: ``refresh_electrode`` for the first,
   which alone can recharge, then the code up by one a step, each a row:
@@ -58,6 +60,11 @@ gives the trace of one edge per call:
 sequence)`` keys, so the event order is unchanged, as every handler makes
 its other pushes before it returns; an edge that ties with the horizon goes
 there too, so the bias domain still runs first at equal times.
+
+The controllers hold the simulator only while it runs: ``run`` hands it to
+them before the first event and takes it back, and empties the queue, on
+every way out. So a simulator and its trace hold no reference cycle, and are
+freed with their last reference, not by the cyclic garbage collector.
 
 The stimulus is queued before the run, as one event per tick at which
 writes or ramp-mode commands are sent, which applies them in the order of
@@ -386,12 +393,13 @@ class BiasController:
     extra bias register (which never drives an electrode in refresh mode).
     """
 
-    def __init__(self, sim):
-        self.sim = sim
+    def __init__(self):
+        self.sim: Simulator | None = None   # the running simulator, set by its run
         self.ramp_mode = False
         self.electrode_counter = 0
         self.ramp_counter = 0
         self.index = 0   # of the next conversion, at index * conversion_period_ticks
+        self.skip_from = 0   # no skip can succeed before this conversion in a block
 
     def conversion(self, t: int, _) -> int:
         """Run the conversions from ``t`` up to the next queued event; return
@@ -420,14 +428,16 @@ class BiasController:
             self.index += 1 + steps
             return self.index * period
         # a whole round fits in the conversions index .. horizon // period
-        # while index <= round_fits; a skip is tried only then
+        # while index <= round_fits; a skip is tried only then, and not before
+        # the conversion that a failed try names
         round_fits = horizon // period + 1 - n
+        self.skip_from = 0
         while True:
             target = self.electrode_counter
             self.electrode_counter = (target + 1) % n
             sim.refresh_electrode(t, target, bias[target])
             self.index += 1
-            if self.index <= round_fits:
+            if self.skip_from <= self.index <= round_fits:
                 self.skip_quiet_rounds(horizon)
             t = self.index * period
             if t >= horizon:
@@ -446,17 +456,24 @@ class BiasController:
         deviation measured here once. The hold capacitors and the conversion
         edge move on by the skipped rounds; the electrode counter is back
         where it was. ``conversion`` tries it only where a whole round fits.
+
+        A round that is not quiet sets ``skip_from`` to the conversion after
+        the recharge of its last unsettled electrode. Up to the next event,
+        that recharge settles it, the electrodes after it stay settled and
+        those before it are recharged first, so no skip succeeds before then
+        and one succeeds there.
         """
         sim = self.sim
-        n, period = sim.n_electrodes, sim.conversion_period_ticks
+        n, period, index = sim.n_electrodes, sim.conversion_period_ticks, self.index
         last = horizon // period   # the last conversion at or before the next event
-        rounds = (last - self.index + 1) // n   # whole rounds in conversions index .. last
+        rounds = (last - index + 1) // n   # whole rounds in conversions index .. last
         if rounds <= 0:
             return
         bias, caps, counter = sim.memory.bias, sim.caps, self.electrode_counter
-        for k in range(n):
+        for k in range(n - 1, -1, -1):   # the last unsettled electrode first
             e = (counter + k) % n   # recharged by conversion index + k
-            if caps[e].code != bias[e] or caps[e].t_set != (self.index + k - n) * period:
+            if caps[e].code != bias[e] or caps[e].t_set != (index + k - n) * period:
+                self.skip_from = index + k + 1
                 return
         round_ticks = n * period
         worst = sim.max_refresh_deviation
@@ -468,7 +485,7 @@ class BiasController:
             if dev > worst[e]:
                 worst[e] = dev
             cap.t_set += rounds * round_ticks
-        self.index += rounds * n
+        self.index = index + rounds * n
 
 
 class RfController:
@@ -483,8 +500,8 @@ class RfController:
     boundary without a gap.
     """
 
-    def __init__(self, sim):
-        self.sim = sim
+    def __init__(self):
+        self.sim: Simulator | None = None   # the running simulator, set by its run
         self.words: deque[RfCommandWord] = deque()
         self.set_index = 0   # of the head word's set that is playing
         self.sample_counter = 0
@@ -610,8 +627,8 @@ class Simulator:
                 f"spec.v_range_bias={s.v_range_bias!r} V over the 2**{s.n_bias} codes of "
                 f"spec.n_bias={s.n_bias} gives a code step below the smallest float, "
                 f"2**-1074 V, so consecutive bias codes cannot be told apart")
-        self.bias_ctrl = BiasController(self)
-        self.rf_ctrl = RfController(self)
+        self.bias_ctrl = BiasController()
+        self.rf_ctrl = RfController()
         self.caps = [HoldCap() for _ in range(self.n_electrodes)]
 
         # each signal and its exact decoder; an electrode's voltage is computed
@@ -784,34 +801,42 @@ class Simulator:
         if ramp_ticks > MAX_RAMP_STEPS * self.conversion_period_ticks:
             raise ValueError(f"the stimulus holds ramp mode on for over the limit of "
                              f"{MAX_RAMP_STEPS} ramp steps (bias conversions) per run")
-        for t, actions in sent.items():
-            self._push(t, PRIORITY_RF, self._tick_event, actions)
-        # The receptions take the sequence numbers after every stimulus tick's,
-        # so at a shared tick the commands sent then still apply first. Every
-        # other RF event is queued at run time, after them, and none can be
-        # queued at a reception's tick before its play was sent: a clocked
-        # handler returns an edge less than 2 RF clocks past its horizon, and a
-        # reception comes RF_COMMAND_BITS = 17 RF clocks after its send tick.
-        for t, word in receptions:
-            self._push(t, PRIORITY_RF, self.rf_ctrl.command_received, word)
+        # the controllers hold the simulator, and queued events refer to it,
+        # only while it runs: no reference cycle outlives the run
+        self.bias_ctrl.sim = self.rf_ctrl.sim = self
+        try:
+            for t, actions in sent.items():
+                self._push(t, PRIORITY_RF, self._tick_event, actions)
+            # The receptions take the sequence numbers after every stimulus
+            # tick's, so at a shared tick the commands sent then still apply
+            # first. Every other RF event is queued at run time, after them, and
+            # none can be queued at a reception's tick before its play was sent:
+            # a clocked handler returns an edge less than 2 RF clocks past its
+            # horizon, and a reception comes RF_COMMAND_BITS = 17 RF clocks after
+            # its send tick.
+            for t, word in receptions:
+                self._push(t, PRIORITY_RF, self.rf_ctrl.command_received, word)
 
-        self.trace.emit(0, "clk_bias_hz", self.f_clk_bias)
-        self.trace.emit(0, "clk_rf_hz", self.f_clk_rf)
-        self._push(0, PRIORITY_BIAS, self.bias_ctrl.conversion)
+            self.trace.emit(0, "clk_bias_hz", self.f_clk_bias)
+            self.trace.emit(0, "clk_rf_hz", self.f_clk_rf)
+            self._push(0, PRIORITY_BIAS, self.bias_ctrl.conversion)
 
-        queue = self._queue
-        pop, pushpop = heapq.heappop, heapq.heappushpop
-        event = pop(queue)
-        while True:
-            t, prio, _seq, fn, arg = event
-            t_next = fn(t, arg)
-            if t_next is not None and t_next <= t_end:
-                self._seq += 1
-                event = pushpop(queue, (t_next, prio, self._seq, fn, arg))
-            elif queue:
-                event = pop(queue)
-            else:
-                break
+            queue = self._queue
+            pop, pushpop = heapq.heappop, heapq.heappushpop
+            event = pop(queue)
+            while True:
+                t, prio, _seq, fn, arg = event
+                t_next = fn(t, arg)
+                if t_next is not None and t_next <= t_end:
+                    self._seq += 1
+                    event = pushpop(queue, (t_next, prio, self._seq, fn, arg))
+                elif queue:
+                    event = pop(queue)
+                else:
+                    break
+        finally:
+            self.bias_ctrl.sim = self.rf_ctrl.sim = None
+            self._queue.clear()
 
         self.trace.stats = {
             "t_end_ns": t_end / TICKS_PER_NS,

@@ -1,8 +1,10 @@
 import collections
+import gc
 import hashlib
 import heapq
 import json
 import math
+import weakref
 from types import SimpleNamespace
 from unittest import mock
 
@@ -15,8 +17,12 @@ from cryoctrl import (
     Node,
     Scenario,
     apply_node,
+    assemble,
     baseline_scenario,
+    dac_sweep,
+    load_scenario,
     min_hold_cap,
+    sweep,
     temperature_adjust,
 )
 from cryoctrl.config import replace
@@ -400,13 +406,112 @@ def test_simulator_runs_once(baseline):
     with pytest.raises(RuntimeError, match="already run"):
         sim.run("0 write-bias 1 1024", 10e3)
     assert trace.events == rows
-    # a run refused by the stimulus check has started too: its queue holds
-    # the commands before the bad line
+    # a run refused by the stimulus check has started too
     sim = Simulator(baseline)
     with pytest.raises(StimulusError, match="line 2"):
         sim.run("0 write-bias 0 1\n0 write-bias 0 4096\n", 1_000.0)
     with pytest.raises(RuntimeError, match="already run"):
         sim.run("0 write-bias 0 1\n", 1_000.0)
+
+
+@pytest.fixture
+def no_collector():
+    """The cyclic garbage collector off: what a test sees freed is freed by
+    reference counting alone."""
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if enabled:
+            gc.enable()
+
+
+_PLAY = "0 write-bias 0 2048\n0 write-rf 0 5\n20000 play 0 0 0 0\n"
+
+
+def _refused(sim, error, stimulus, t_end_ns):
+    """Run ``sim`` and drop the ``error`` it raises, with its traceback."""
+    try:
+        sim.run(stimulus, t_end_ns)
+    except error:
+        return
+    pytest.fail(f"the run did not raise {error.__name__}")
+
+
+def test_a_never_run_simulator_is_freed_with_its_last_reference(baseline, no_collector):
+    sim = Simulator(baseline)
+    gone = weakref.ref(sim)
+    del sim
+    assert gone() is None
+
+
+def test_a_finished_run_is_freed_with_its_last_reference(baseline, no_collector):
+    sim = Simulator(baseline)
+    trace = sim.run(_PLAY, 30_000.0)
+    text = trace.to_csv()
+    assert "".join(trace.csv_chunks()) == text
+    assert "".join(trace.vcd_chunks()) == trace.to_vcd_text()
+    sim_gone, trace_gone = weakref.ref(sim), weakref.ref(trace)
+    del sim
+    assert sim_gone() is None   # the trace does not hold its simulator
+    assert trace.to_csv() == text
+    del trace
+    assert trace_gone() is None
+
+
+@pytest.mark.parametrize("error, stimulus, t_end_ns", [
+    (StimulusError, "0 write-bias 0 1\n0 write-bias 0 4096\n", 1_000.0),
+    (StimulusError, "0 write-bias 0 1\n0 frobnicate\n", 1_000.0),
+    (ValueError, "0 ramp-mode on\n", 1e9),   # over MAX_RAMP_STEPS
+], ids=["stimulus-check", "stimulus-parse", "ramp-limit"])
+def test_a_refused_run_is_freed_with_its_last_reference(baseline, no_collector,
+                                                        error, stimulus, t_end_ns):
+    sim = Simulator(baseline)
+    _refused(sim, error, stimulus, t_end_ns)
+    gone = weakref.ref(sim)
+    del sim
+    assert gone() is None
+
+
+def test_a_second_run_is_refused_and_the_simulator_freed(baseline, no_collector):
+    sim = Simulator(baseline)
+    sim.run(_PLAY, 30_000.0)
+    _refused(sim, RuntimeError, _PLAY, 30_000.0)
+    gone = weakref.ref(sim)
+    del sim
+    assert gone() is None
+
+
+def test_a_run_that_a_handler_ends_leaves_no_event_queued(baseline, no_collector):
+    # a handler that raises mid-run leaves events queued that refer to the
+    # simulator; the run empties the queue on its way out
+    def broken(self, t, cmd):
+        raise KeyError("broken")
+
+    sim = Simulator(baseline)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(engine.RfController, "command_received", broken)
+        _refused(sim, KeyError, _PLAY + "25000 write-bias 1 7\n", 30_000.0)
+    assert sim._queue == []
+    assert sim.bias_ctrl.sim is sim.rf_ctrl.sim is None
+    gone = weakref.ref(sim)
+    del sim
+    assert gone() is None
+
+
+def test_the_library_leaves_no_cyclic_garbage(scenario_dir, no_collector):
+    gc.collect()
+    trace = run_simulation(baseline_scenario(), _PLAY, 30_000.0)
+    trace.to_csv()
+    del trace
+    sc = load_scenario(scenario_dir / "paper-defaults.json")
+    assemble(sc)
+    sweep(sc, "v_dd", [0.8, float("nan"), 1.1])
+    dac_sweep(sc, "rf")
+    temperature_adjust(sc, 1.8)
+    del sc
+    assert gc.collect() == 0
 
 
 def test_trace_csv_format(baseline):
@@ -1380,6 +1485,50 @@ def test_a_stimulus_that_is_never_quiet_tries_no_skip(baseline):
         fast = run_simulation(baseline, stimulus, writes * every)
     slow, _ = _per_conversion(baseline, stimulus, writes * every)
     assert counts["skip"] == 0
+    assert fast.to_csv() == slow.to_csv()
+    assert fast.stats == slow.stats
+
+
+def _skips_per_conversion(scenario, stimulus, t_end_ns):
+    """Run, and list the ``skip_quiet_rounds`` calls of each ``conversion`` call."""
+    per_call = []
+    conversion = engine.BiasController.conversion
+    skip_quiet_rounds = engine.BiasController.skip_quiet_rounds
+
+    def counting_conversion(self, t, arg):
+        per_call.append(0)
+        return conversion(self, t, arg)
+
+    def counting_skip(self, horizon):
+        per_call[-1] += 1
+        return skip_quiet_rounds(self, horizon)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(engine.BiasController, "conversion", counting_conversion)
+        mp.setattr(engine.BiasController, "skip_quiet_rounds", counting_skip)
+        trace = run_simulation(scenario, stimulus, t_end_ns)
+    return trace, per_call
+
+
+@settings(max_examples=100, deadline=None)
+@given(name=st.sampled_from(sorted(_SCENARIOS_FOR_SKIP)),
+       loads=st.lists(_code, max_size=9),
+       commands=st.lists(st.tuples(_periods, _skip_command), max_size=12),
+       t_end=st.floats(1, 700))
+# all eight electrodes written at once: each refresh of the first round
+# recharges one, and only the conversion after the last can skip
+@example(name="baseline", loads=[1, 2, 3, 2048, 4095, 1, 2, 3], commands=[], t_end=100.0)
+@example(name="baseline", loads=[1], commands=[(39, ("write-bias", 0, 0))], t_end=80.0)
+def test_a_refresh_block_tries_at_most_two_skips(name, loads, commands, t_end):
+    # A failed try names the first conversion at which a skip can succeed;
+    # the block tries again only there, and that try skips
+    scenario = _SCENARIOS_FOR_SKIP[name]
+    sim = Simulator(scenario)
+    stimulus = _skip_stimulus(loads, commands, sim)
+    t_end_ns = t_end * (sim.conversion_period_ticks / engine.TICKS_PER_NS)
+    fast, per_call = _skips_per_conversion(scenario, stimulus, t_end_ns)
+    slow, _ = _per_conversion(scenario, stimulus, t_end_ns)
+    assert max(per_call) <= 2
     assert fast.to_csv() == slow.to_csv()
     assert fast.stats == slow.stats
 
