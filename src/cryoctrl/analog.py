@@ -12,14 +12,9 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from .config import DacArchitecture, Scenario, TechnologyParams
-from .dac import (
-    DacDesign,
-    dac_analog_power,
-    dac_area,
-    dac_switch_power,
-    design_dac,
-)
+from .config import DacArchitecture, OperatingPoint, Scenario, TechnologyParams
+from .dac import DacDesign, dac_analog_power, dac_area, dac_switch_cap, design_dac
+from .digital import switching_factor
 
 
 def refresh_rate(v_range, r_off, n_bias, dv, c_out) -> float:
@@ -109,37 +104,64 @@ def rf_dac_design(sc: Scenario) -> DacDesign:
     return design_dac(sc.rf_dac_arch, sc.spec.n_rf, sc.tech, sc.rf_dac_unit)
 
 
-def bias_gen_report(sc: Scenario) -> GenReport:
-    """Area and power of the bias generation unit (DAC + sample-and-hold)."""
-    s, clocks = sc.spec, sc.clocks
+def bias_gen_sizing(sc: Scenario) -> tuple[float, float, float, float]:
+    """The bias generation unit's (DAC + sample-and-hold) figures that read no
+    operating-point field, ``(area_um2, p_analog_w, c_dac_switch_f,
+    c_hold_switch_f)``: its area, its analog power at the refresh rate (which
+    follows from the sizing alone), and the gate capacitance of the DAC's
+    switches and of the hold switches, one per electrode."""
+    s, tech, f_refresh = sc.spec, sc.tech, sc.clocks.f_refresh
     d = bias_dac_design(sc)
 
-    area = dac_area(d, sc.tech) + sh_area(s.n_bias_signals, sc.c_h, sc.tech)
+    area = dac_area(d, tech) + sh_area(s.n_bias_signals, sc.c_h, tech)
 
     c_sh_total = s.n_bias_signals * sc.c_h
     if d.arch is DacArchitecture.CAP:
-        p_analog = bias_power_exact(
-            clocks.f_refresh, d.c_in, s.v_range_bias, c_sh_total, s.dv_bias
-        )
+        p_analog = bias_power_exact(f_refresh, d.c_in, s.v_range_bias, c_sh_total, s.dv_bias)
     else:
-        p_analog = dac_analog_power(d, s.v_range_bias, clocks.f_refresh) + \
-            (clocks.f_refresh / 2.0) * c_sh_total * s.dv_bias ** 2
+        p_analog = dac_analog_power(d, s.v_range_bias, f_refresh) + \
+            (f_refresh / 2.0) * c_sh_total * s.dv_bias ** 2
 
-    p_dac_sw = dac_switch_power(d, sc.op.v_dd, clocks.f_clk_bias, sc.op.sigma_con, sc.tech)
-    c_sh_sw = s.n_bias_signals * sc.tech.c_mos * sc.tech.digital_cap_scale
-    p_sh_sw = sc.op.sigma_con * clocks.f_clk_bias * sc.op.v_dd ** 2 * c_sh_sw
-    return GenReport(area, p_analog, p_dac_sw + p_sh_sw)
+    c_sh_sw = s.n_bias_signals * tech.c_mos * tech.digital_cap_scale
+    return area, p_analog, dac_switch_cap(d, tech), c_sh_sw
+
+
+def bias_gen_switching_power(sizing: tuple, op: OperatingPoint, clocks: Clocks) -> float:
+    """Switching power of the bias DAC's and the hold switches at the bias
+    clock, from the unit's :func:`bias_gen_sizing`."""
+    _, _, c_dac_sw, c_sh_sw = sizing
+    f = clocks.f_clk_bias
+    return switching_factor(f, op.v_dd, op.sigma_con) * c_dac_sw + \
+        op.sigma_con * f * op.v_dd ** 2 * c_sh_sw
+
+
+def bias_gen_report(sc: Scenario) -> GenReport:
+    """Area and power of the bias generation unit (DAC + sample-and-hold)."""
+    sizing = bias_gen_sizing(sc)
+    return GenReport(*sizing[:2], bias_gen_switching_power(sizing, sc.op, sc.clocks))
+
+
+def rf_gen_sizing(sc: Scenario) -> tuple[float, float, int, float]:
+    """The RF generation unit's (one DAC per RF electrode) figures that read
+    no operating-point field, ``(area_um2, p_analog_w, n_dacs,
+    c_dac_switch_f)``: its area, its analog power, its DAC count, and the
+    gate capacitance of one DAC's switches."""
+    s = sc.spec
+    d = rf_dac_design(sc)
+    n_dacs = s.n_rf_signals
+    return (n_dacs * dac_area(d, sc.tech),
+            n_dacs * dac_analog_power(d, s.v_range_rf, s.f_sample_rf),
+            n_dacs, dac_switch_cap(d, sc.tech))
+
+
+def rf_gen_switching_power(sizing: tuple, op: OperatingPoint, clocks: Clocks) -> float:
+    """Switching power of the RF DACs' switches at the RF clock, from the
+    unit's :func:`rf_gen_sizing`."""
+    _, _, n_dacs, c_dac_sw = sizing
+    return n_dacs * (switching_factor(clocks.f_clk_rf, op.v_dd, op.sigma_con) * c_dac_sw)
 
 
 def rf_gen_report(sc: Scenario) -> GenReport:
     """Area and power of the RF generation unit (one DAC per RF electrode)."""
-    s, clocks = sc.spec, sc.clocks
-    d = rf_dac_design(sc)
-    n_dacs = s.n_rf_signals
-
-    area = n_dacs * dac_area(d, sc.tech)
-    p_analog = n_dacs * dac_analog_power(d, s.v_range_rf, s.f_sample_rf)
-    p_digital = n_dacs * dac_switch_power(
-        d, sc.op.v_dd, clocks.f_clk_rf, sc.op.sigma_con, sc.tech
-    )
-    return GenReport(area, p_analog, p_digital)
+    sizing = rf_gen_sizing(sc)
+    return GenReport(*sizing[:2], rf_gen_switching_power(sizing, sc.op, sc.clocks))

@@ -157,8 +157,12 @@ def dac_switch_power(
     tech: TechnologyParams,
 ) -> float:
     """Switching power of the DAC's switch transistors at clock ``f`` [W]."""
-    c_gate = design.counts.switches * tech.c_mos * tech.digital_cap_scale
-    return switching_power(c_gate, f, v_dd, sigma)
+    return switching_power(dac_switch_cap(design, tech), f, v_dd, sigma)
+
+
+def dac_switch_cap(design: DacDesign, tech: TechnologyParams) -> float:
+    """Gate capacitance of the DAC's switch transistors [F]."""
+    return design.counts.switches * tech.c_mos * tech.digital_cap_scale
 
 
 def dac_output_noise(design: DacDesign, t: float, b: float = 0.0) -> float:

@@ -22,16 +22,21 @@ import math
 from functools import lru_cache
 from typing import NamedTuple
 
-from .config import MemoryArch, Scenario, make, replace
+from .config import MemoryArch, OperatingPoint, Scenario, TechnologyParams, make, replace
 
 
 def switching_power(c_gate: float, f: float, v_dd: float, sigma: float) -> float:
     """Dynamic switching power sigma * f * v_dd^2 * c_gate [W]."""
+    return switching_factor(f, v_dd, sigma) * c_gate
+
+
+def switching_factor(f: float, v_dd: float, sigma: float) -> float:
+    """Dynamic switching power per farad switched, sigma * f * v_dd^2 [W/F]."""
     if f < 0 or v_dd < 0:
         raise ValueError("f and v_dd must be non-negative")
     if not 0 <= sigma <= 1:
         raise ValueError("sigma must be in [0, 1]")
-    return sigma * f * v_dd * v_dd * c_gate
+    return sigma * f * v_dd * v_dd
 
 
 def selector_transistors(ways: int, width: int) -> int:
@@ -111,25 +116,38 @@ def _sram_periphery_transistors(d: MemoryDesign) -> int:
     return decoders + columns * SRAM_COLUMN_TRANSISTORS
 
 
-def memory_report(d: MemoryDesign, sc: Scenario) -> UnitReport:
-    """Area and operating power of both memory banks."""
-    tech, clocks = sc.tech, sc.clocks
+def memory_sizing(d: MemoryDesign, tech: TechnologyParams) -> tuple[float, float, float]:
+    """Both memory banks' figures that read no operating-point field,
+    ``(area_um2, c_bias_f, c_rf_f)``: their area and the switched capacitance
+    of each bank's bits."""
+    bias_bits, rf_bits = d.bias_bits, d.rf_bits
     if d.arch is MemoryArch.FLIP_FLOP:
-        cell_area = (d.bias_bits + d.rf_bits) * tech.a_ff * tech.logic_area_scale
+        cell_area = (bias_bits + rf_bits) * tech.a_ff * tech.logic_area_scale
         periph = _ff_periphery_transistors(d)
         c_bit = tech.c_ff_equiv
     else:
-        cell_area = (d.bias_bits + d.rf_bits) * tech.a_sram_cell * tech.sram_area_scale
+        cell_area = (bias_bits + rf_bits) * tech.a_sram_cell * tech.sram_area_scale
         periph = _sram_periphery_transistors(d)
         c_bit = tech.c_sram_bit
     area = cell_area + periph * tech.a_mos * tech.logic_area_scale
 
     c_bit = c_bit * tech.digital_cap_scale
-    power = switching_power(d.bias_bits * c_bit, clocks.f_clk_bias,
-                            sc.op.v_dd, sc.op.sigma_biasmem)
-    power += switching_power(d.rf_bits * c_bit, clocks.f_clk_rf,
-                             sc.op.v_dd, sc.op.sigma_rfmem)
-    return UnitReport(area, power)
+    return area, bias_bits * c_bit, rf_bits * c_bit
+
+
+def memory_switching_power(sizing: tuple, op: OperatingPoint, clocks) -> float:
+    """Switching power of both banks, each at its clock and activity, from
+    their :func:`memory_sizing`."""
+    _, c_bias, c_rf = sizing
+    power = switching_factor(clocks.f_clk_bias, op.v_dd, op.sigma_biasmem) * c_bias
+    power += switching_factor(clocks.f_clk_rf, op.v_dd, op.sigma_rfmem) * c_rf
+    return power
+
+
+def memory_report(d: MemoryDesign, sc: Scenario) -> UnitReport:
+    """Area and operating power of both memory banks."""
+    sizing = memory_sizing(d, sc.tech)
+    return UnitReport(sizing[0], memory_switching_power(sizing, sc.op, sc.clocks))
 
 
 # ---------------------------------------------------------------------------
@@ -161,6 +179,35 @@ _MANAGING_ROWS = {
 }
 
 
+def managing_sizing(sc: Scenario) -> tuple[float, MemoryArch, tuple[float, ...]]:
+    """The managing component's figures that read no operating-point field,
+    ``(area_um2, memory_arch, c_gates)``: its area, the memory architecture
+    whose budget it follows, and each subunit's switched capacitance, in
+    budget order."""
+    tech = sc.tech
+    area = 0.0
+    c_gates = []
+    for flipflops, logic, _, _ in _MANAGING_ROWS[sc.memory_arch]:
+        area += (flipflops * tech.a_ff + logic * tech.a_mos) * tech.logic_area_scale
+        c_gates.append((flipflops * tech.c_ff_equiv + logic * tech.c_mos) * tech.digital_cap_scale)
+    return area, sc.memory_arch, tuple(c_gates)
+
+
+def managing_switching_power(sizing: tuple, op: OperatingPoint, clocks,
+                             include_data_input: bool = False) -> float:
+    """Switching power of the subunits that run, from the component's
+    :func:`managing_sizing`: those of the operation regime, and the data-input
+    subunit too with ``include_data_input``."""
+    _, memory_arch, c_gates = sizing
+    per_farad = {"bias": switching_factor(clocks.f_clk_bias, op.v_dd, op.sigma_con),
+                 "rf": switching_factor(clocks.f_clk_rf, op.v_dd, op.sigma_con)}
+    power = 0.0
+    for c_gate, (_, _, clock, operation_regime) in zip(c_gates, _MANAGING_ROWS[memory_arch]):
+        if operation_regime or include_data_input:
+            power += per_farad[clock] * c_gate
+    return power
+
+
 def managing_report(sc: Scenario, include_data_input: bool = False) -> UnitReport:
     """Area and power of the managing component.
 
@@ -168,15 +215,6 @@ def managing_report(sc: Scenario, include_data_input: bool = False) -> UnitRepor
     it always contributes area but its power is counted only when
     ``include_data_input`` is set.
     """
-    tech = sc.tech
-    freq = {"bias": sc.clocks.f_clk_bias, "rf": sc.clocks.f_clk_rf}
-
-    area = 0.0
-    power = 0.0
-    for flipflops, logic, clock, operation_regime in _MANAGING_ROWS[sc.memory_arch]:
-        area += (flipflops * tech.a_ff + logic * tech.a_mos) * tech.logic_area_scale
-        if not operation_regime and not include_data_input:
-            continue
-        c_gate = (flipflops * tech.c_ff_equiv + logic * tech.c_mos) * tech.digital_cap_scale
-        power += switching_power(c_gate, freq[clock], sc.op.v_dd, sc.op.sigma_con)
-    return UnitReport(area, power)
+    sizing = managing_sizing(sc)
+    return UnitReport(sizing[0],
+                      managing_switching_power(sizing, sc.op, sc.clocks, include_data_input))

@@ -7,7 +7,13 @@ from operator import attrgetter, itemgetter
 from typing import NamedTuple
 
 from . import noise
-from .analog import GenReport, bias_gen_report, rf_gen_report
+from .analog import (
+    GenReport,
+    bias_gen_sizing,
+    bias_gen_switching_power,
+    rf_gen_sizing,
+    rf_gen_switching_power,
+)
 from .config import DacArchitecture, Scenario, make, replace, scenario_to_dict
 from .dac import (
     dac_analog_power,
@@ -17,12 +23,22 @@ from .dac import (
     default_unit_value,
     design_dac,
 )
-from .digital import UnitReport, managing_report, memory_design, memory_report
+from .digital import (
+    UnitReport,
+    managing_sizing,
+    managing_switching_power,
+    memory_design,
+    memory_sizing,
+    memory_switching_power,
+)
 
 # The report's units in report order. Every per-unit output (totals, dicts,
 # CSV columns, CLI tables) follows this tuple through Report.units().
 UNITS = ("bias_gen", "rf_gen", "memory", "managing")
 _unit_reports = attrgetter(*UNITS)
+# builds a unit's named tuple from its fields as the tuple's own __new__ does,
+# one call fewer on each design point
+_new = tuple.__new__
 
 
 class _ReportFields(NamedTuple):
@@ -48,14 +64,14 @@ class Report(_ReportFields):
                 notes: tuple[str, ...] = ()):
         self = tuple.__new__(cls, (scenario, bias_gen, rf_gen, memory, managing,
                                    include_data_input, notes))
-        rows = [(name, u.area_um2, u.power_w)
-                for name, u in zip(UNITS, (bias_gen, rf_gen, memory, managing))]
+        areas = (bias_gen.area_um2, rf_gen.area_um2, memory.area_um2, managing.area_um2)
+        powers = (bias_gen.power_w, rf_gen.power_w, memory.power_w, managing.power_w)
         area = power = 0.0
-        for _, a, p in rows:
+        for a in areas:
             area += a
+        for p in powers:
             power += p
-        rows.append(("total", area, power))
-        self.__dict__["_rows"] = tuple(rows)
+        self.__dict__["_rows"] = (*zip(UNITS, areas, powers), ("total", area, power))
         return self
 
     def __setattr__(self, name, value):
@@ -102,23 +118,42 @@ _NOTES_WITH_DATA_INPUT = ("digital unit figures use calibrated gate budgets",)
 _NOTES = ("operation regime: data input control excluded from power", *_NOTES_WITH_DATA_INPUT)
 
 
+def size(sc: Scenario) -> tuple:
+    """Each unit's figures that read no ``sc.op`` field, in report order: its
+    area, its analog power and the capacitances its clocks switch (the unit
+    models' ``*_sizing``)."""
+    return (bias_gen_sizing(sc), rf_gen_sizing(sc), memory_sizing(memory_design(sc), sc.tech),
+            managing_sizing(sc))
+
+
 def assemble(sc: Scenario, include_data_input: bool = False) -> Report:
     """Evaluate all four unit models for one scenario.
 
     Per-unit digital figures rest on calibrated gate budgets; the analog
     terms are closed forms. By default the power refers to the operation
     regime, i.e. the data-input subunit contributes area but no power.
+    The design is sized (:func:`size`) on its first report and the sizing
+    kept in ``sc.sizing_holder``, which the copies of ``sc`` that change only
+    ``op`` share; each report prices the four units' switching power at its
+    operating point.
     A design point whose area or power overflows raises ``ValueError``,
     naming the first unit, or else the total, that is not finite; the report
     sums its rows once, when it is built. ``sc`` was checked when it was built.
     """
+    op, clocks = sc.op, sc.clocks
     try:
+        holder = sc.sizing_holder
+        sizing = holder[0]
+        if sizing is None:   # the first report of this design
+            sizing = holder[0] = size(sc)
+        bias, rf, memory, managing = sizing
         report = Report(
             sc,
-            bias_gen_report(sc),
-            rf_gen_report(sc),
-            memory_report(memory_design(sc), sc),
-            managing_report(sc, include_data_input=include_data_input),
+            _new(GenReport, (bias[0], bias[1], bias_gen_switching_power(bias, op, clocks))),
+            _new(GenReport, (rf[0], rf[1], rf_gen_switching_power(rf, op, clocks))),
+            _new(UnitReport, (memory[0], memory_switching_power(memory, op, clocks))),
+            _new(UnitReport, (managing[0], managing_switching_power(managing, op, clocks,
+                                                                    include_data_input))),
             include_data_input,
             _NOTES_WITH_DATA_INPUT if include_data_input else _NOTES,
         )

@@ -6,6 +6,7 @@ import io
 import json
 import os
 import re
+import shutil
 import subprocess
 import sys
 import time
@@ -935,3 +936,26 @@ def test_a_cryoctrl_process_prints_what_main_does(capsys, scenario_dir, src_env,
         code, out, _ = run_cli(capsys, *argv)
         assert code == 0, argv
         assert (child.returncode, child.stdout) == (code, out), argv
+
+
+def _readme_block(readme: str, heading: str) -> str:
+    """The first fenced block after ``heading`` in the README."""
+    section = readme.split(f"\n{heading}\n", 1)[1]
+    return section.split("```", 2)[1].split("\n", 1)[1]
+
+
+def test_the_readme_commands_run(tmp_path, src_env):
+    # the documented commands, against the bundled scenarios, with the
+    # README's stimulus example as stim.txt
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    commands = _readme_block(readme, "## Command line").replace("\\\n", " ").splitlines()
+    (tmp_path / "stim.txt").write_text(_readme_block(readme, "## Stimulus format"))
+    shutil.copytree(Path(__file__).resolve().parents[1] / "scenarios", tmp_path / "scenarios")
+    assert len(commands) >= 7 and all(c.startswith("cryoctrl ") for c in commands)
+    for command in commands:
+        proc = subprocess.run([sys.executable, "-m", "cryoctrl.cli", *command.split()[1:]],
+                              cwd=tmp_path, capture_output=True, text=True, env=src_env,
+                              timeout=60)
+        assert proc.returncode == 0, (command, proc.stderr)
+    for written in ("report.json", "sweep.csv", "trace.csv"):
+        assert (tmp_path / written).stat().st_size > 0

@@ -555,3 +555,139 @@ def test_the_design_point_path_imports_nothing(monkeypatch):
     assert imports == []
     assert len(rows) == 98 and sum(r.report is not None for r in rows) == 96
     assert [len(d) for d in dacs] == [45, 45] and len(reports) == 24
+
+
+# ---------------------------------------------------------------------------
+# The sizing holder: copies of a scenario that change only ``op`` share its sizing
+
+def _figures(rep):
+    """Every figure of a report with its type, in report order."""
+    return [(name, [(type(x), repr(x)) for x in unit]) for name, unit in rep.units()]
+
+
+_OP_CHANGES = {
+    "v_dd": st.floats(1e-3, 2.0),
+    "sigma_biasmem": st.floats(1e-3, 0.5),
+    "sigma_rfmem": st.floats(1e-3, 0.5),
+    "sigma_con": st.floats(1e-3, 0.5),
+    "t_el": st.floats(0.01, 4.2),
+    # an explicit clock, this many times the slowest one the scenario admits
+    "f_clk_bias": st.floats(1.0, 100.0),
+    "f_clk_rf": st.floats(1.0, 100.0),
+}
+
+
+def _op_copy(sc, changes):
+    """``sc`` with its operating point changed as ``changes`` says, or None
+    where the scenario refuses the change."""
+    floors = {"f_clk_bias": 2.0 * sc.clocks.f_refresh, "f_clk_rf": 2.0 * sc.spec.f_sample_rf}
+    values = {name: value * floors[name] if name in floors else value
+              for name, value in changes.items()}
+    try:
+        return replace(sc, op=replace(sc.op, **values))
+    except ConfigError:   # a t_el whose hold-capacitor minimum c_h misses
+        return None
+
+
+@settings(max_examples=60, deadline=None)
+@given(name=_SCENARIO_NAMES, bias_arch=st.sampled_from(DacArchitecture),
+       rf_arch=st.sampled_from(DacArchitecture), size_base_first=st.booleans(),
+       include_data_input=st.booleans(),
+       chain=st.lists(st.sets(st.sampled_from(sorted(_OP_CHANGES)), min_size=1, max_size=3),
+                      min_size=1, max_size=3),
+       data=st.data())
+def test_an_op_copy_reports_what_a_freshly_sized_scenario_reports(
+        name, bias_arch, rf_arch, size_base_first, include_data_input, chain, data):
+    from cryoctrl.analog import bias_gen_report, rf_gen_report
+    from cryoctrl.config import scenario_from_dict, scenario_to_dict
+    from cryoctrl.digital import managing_report, memory_design, memory_report
+
+    sc = replace(REFERENCE_SCENARIOS[name](), bias_dac_arch=bias_arch, rf_dac_arch=rf_arch)
+    if size_base_first:
+        assemble(sc)
+    copies = []
+    for keys in chain:
+        changes = {key: data.draw(_OP_CHANGES[key], label=key) for key in sorted(keys)}
+        copy_ = _op_copy(copies[-1] if copies else sc, changes)
+        if copy_ is not None:
+            copies.append(copy_)
+    assume(copies)
+    for point in copies:
+        assert point.sizing_holder is sc.sizing_holder   # shared along op-only copies
+        rep = assemble(point, include_data_input=include_data_input)
+        fresh = scenario_from_dict(scenario_to_dict(point))
+        assert fresh == point and fresh.sizing_holder is not sc.sizing_holder
+        expected = assemble(fresh, include_data_input=include_data_input)
+        assert _figures(rep) == _figures(expected)
+        assert repr(rep.rows()) == repr(expected.rows())
+        units = dict(rep.units())
+        for unit, public in (("bias_gen", bias_gen_report(point)),
+                             ("rf_gen", rf_gen_report(point)),
+                             ("memory", memory_report(memory_design(point), point)),
+                             ("managing", managing_report(point, include_data_input))):
+            assert type(units[unit]) is type(public) and repr(units[unit]) == repr(public)
+
+
+def _counting_sizes(monkeypatch):
+    import cryoctrl.report as report
+
+    sized = []
+    size = report.size
+
+    def counting(sc):
+        sized.append(sc)
+        return size(sc)
+
+    monkeypatch.setattr(report, "size", counting)
+    return sized
+
+
+def test_a_supply_sweep_sizes_its_design_once_and_a_resolution_sweep_every_point(
+        baseline, monkeypatch):
+    sized = _counting_sizes(monkeypatch)
+    rows = sweep(baseline, "v_dd", [0.0125 * k for k in range(1, 97)] + [0.0, -1.0])
+    assert sum(r.report is not None for r in rows) == 96
+    assert len(sized) == 1
+    assemble(baseline)   # the base shares the sizing its supply copies filled
+    assert len(sized) == 1
+    sized.clear()
+    rows = sweep(baseline, "n_bias", range(2, 25))
+    assert len(sized) == sum(r.report is not None for r in rows) == 23
+    assert len({id(sc.sizing_holder) for sc in sized}) == 23
+
+
+def test_a_copy_that_changes_more_than_op_starts_an_empty_holder(baseline):
+    assemble(baseline)
+    op = replace(baseline.op, v_dd=0.5)
+    assert replace(baseline, op=op).sizing_holder is baseline.sizing_holder
+    for copy_ in (replace(baseline, op=op, c_h=baseline.c_h),
+                  replace(baseline, spec=replace(baseline.spec, n_bias=10)),
+                  temperature_adjust(baseline, 1.0),
+                  copy.copy(baseline), pickle.loads(pickle.dumps(baseline))):
+        assert copy_.sizing_holder == [None]
+
+
+@pytest.mark.parametrize("order", [(10, 10.0), (10.0, 10)])
+def test_an_int_and_a_float_field_are_sized_apart(order):
+    from cryoctrl.config import scenario_from_dict
+
+    areas = []
+    for a_ff in order:
+        sc = scenario_from_dict({"tech": {"a_ff": a_ff, "a_mos": 1, "logic_area_scale": 1}})
+        areas.append(repr(assemble(sc).memory.area_um2))
+    assert areas == [{int: "37780", float: "37780.0"}[type(a_ff)] for a_ff in order]
+
+
+def test_loading_bounds_and_simulating_size_nothing(monkeypatch, scenario_dir, capsys):
+    import cryoctrl.report as report
+    from cryoctrl.cli import main
+    from cryoctrl.config import load_scenario
+    from cryoctrl.sim import run_simulation
+
+    monkeypatch.setattr(report, "size", lambda sc: pytest.fail("a design was sized"))
+    path = scenario_dir / "paper-defaults.json"
+    sc = load_scenario(path)
+    run_simulation(sc, "0 write-bias 0 2048\n", 10_000.0)
+    assert main(["bounds", "--scenario", str(path)]) == 0
+    assert sc.sizing_holder == [None]
+    capsys.readouterr()
