@@ -126,19 +126,19 @@ def bias_gen_sizing(sc: Scenario) -> tuple[float, float, float, float]:
     return area, p_analog, dac_switch_cap(d, tech), c_sh_sw
 
 
-def bias_gen_switching_power(sizing: tuple, op: OperatingPoint, clocks: Clocks) -> float:
-    """Switching power of the bias DAC's and the hold switches at the bias
-    clock, from the unit's :func:`bias_gen_sizing`."""
-    _, _, c_dac_sw, c_sh_sw = sizing
+def bias_gen_priced(sizing: tuple, op: OperatingPoint, clocks: Clocks) -> GenReport:
+    """The bias generation unit's report from its :func:`bias_gen_sizing`, the
+    DAC's and the hold switches priced at the bias clock."""
+    area, p_analog, c_dac_sw, c_sh_sw = sizing
     f = clocks.f_clk_bias
-    return switching_factor(f, op.v_dd, op.sigma_con) * c_dac_sw + \
+    p_switch = switching_factor(f, op.v_dd, op.sigma_con) * c_dac_sw + \
         op.sigma_con * f * op.v_dd ** 2 * c_sh_sw
+    return tuple.__new__(GenReport, (area, p_analog, p_switch))
 
 
 def bias_gen_report(sc: Scenario) -> GenReport:
     """Area and power of the bias generation unit (DAC + sample-and-hold)."""
-    sizing = bias_gen_sizing(sc)
-    return GenReport(*sizing[:2], bias_gen_switching_power(sizing, sc.op, sc.clocks))
+    return bias_gen_priced(bias_gen_sizing(sc), sc.op, sc.clocks)
 
 
 def rf_gen_sizing(sc: Scenario) -> tuple[float, float, int, float]:
@@ -154,14 +154,14 @@ def rf_gen_sizing(sc: Scenario) -> tuple[float, float, int, float]:
             n_dacs, dac_switch_cap(d, sc.tech))
 
 
-def rf_gen_switching_power(sizing: tuple, op: OperatingPoint, clocks: Clocks) -> float:
-    """Switching power of the RF DACs' switches at the RF clock, from the
-    unit's :func:`rf_gen_sizing`."""
-    _, _, n_dacs, c_dac_sw = sizing
-    return n_dacs * (switching_factor(clocks.f_clk_rf, op.v_dd, op.sigma_con) * c_dac_sw)
+def rf_gen_priced(sizing: tuple, op: OperatingPoint, clocks: Clocks) -> GenReport:
+    """The RF generation unit's report from its :func:`rf_gen_sizing`, the RF
+    DACs' switches priced at the RF clock."""
+    area, p_analog, n_dacs, c_dac_sw = sizing
+    p_switch = n_dacs * (switching_factor(clocks.f_clk_rf, op.v_dd, op.sigma_con) * c_dac_sw)
+    return tuple.__new__(GenReport, (area, p_analog, p_switch))
 
 
 def rf_gen_report(sc: Scenario) -> GenReport:
     """Area and power of the RF generation unit (one DAC per RF electrode)."""
-    sizing = rf_gen_sizing(sc)
-    return GenReport(*sizing[:2], rf_gen_switching_power(sizing, sc.op, sc.clocks))
+    return rf_gen_priced(rf_gen_sizing(sc), sc.op, sc.clocks)

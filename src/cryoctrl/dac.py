@@ -116,9 +116,11 @@ def design_dac(
     tech: TechnologyParams,
     unit_value: float | None = None,
 ) -> DacDesign:
-    """Build a DacDesign; defaults are clamped to process minimums, an
-    explicit ``unit_value`` is taken as given. Equal designs are shared: one
-    is built once for every design point that uses it."""
+    """Build a DacDesign. A ``None`` unit becomes :func:`default_unit_value`
+    (``c_min`` or ``r_min``, or the ladder's ``DEFAULT_LADDER_UNIT_RES`` where
+    that is larger); an explicit ``unit_value`` is taken as given. Neither is
+    checked against a noise bound. Equal designs are shared: one is built
+    once for every design point that uses it."""
     if unit_value is None:
         unit_value = default_unit_value(arch, tech)
     return _shared_design(arch, n, unit_value)

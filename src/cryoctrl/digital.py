@@ -135,19 +135,18 @@ def memory_sizing(d: MemoryDesign, tech: TechnologyParams) -> tuple[float, float
     return area, bias_bits * c_bit, rf_bits * c_bit
 
 
-def memory_switching_power(sizing: tuple, op: OperatingPoint, clocks) -> float:
-    """Switching power of both banks, each at its clock and activity, from
-    their :func:`memory_sizing`."""
-    _, c_bias, c_rf = sizing
+def memory_priced(sizing: tuple, op: OperatingPoint, clocks) -> UnitReport:
+    """Both memory banks' report from their :func:`memory_sizing`, each bank
+    priced at its clock and activity."""
+    area, c_bias, c_rf = sizing
     power = switching_factor(clocks.f_clk_bias, op.v_dd, op.sigma_biasmem) * c_bias
     power += switching_factor(clocks.f_clk_rf, op.v_dd, op.sigma_rfmem) * c_rf
-    return power
+    return tuple.__new__(UnitReport, (area, power))
 
 
 def memory_report(d: MemoryDesign, sc: Scenario) -> UnitReport:
     """Area and operating power of both memory banks."""
-    sizing = memory_sizing(d, sc.tech)
-    return UnitReport(sizing[0], memory_switching_power(sizing, sc.op, sc.clocks))
+    return memory_priced(memory_sizing(d, sc.tech), sc.op, sc.clocks)
 
 
 # ---------------------------------------------------------------------------
@@ -193,19 +192,19 @@ def managing_sizing(sc: Scenario) -> tuple[float, MemoryArch, tuple[float, ...]]
     return area, sc.memory_arch, tuple(c_gates)
 
 
-def managing_switching_power(sizing: tuple, op: OperatingPoint, clocks,
-                             include_data_input: bool = False) -> float:
-    """Switching power of the subunits that run, from the component's
-    :func:`managing_sizing`: those of the operation regime, and the data-input
-    subunit too with ``include_data_input``."""
-    _, memory_arch, c_gates = sizing
+def managing_priced(sizing: tuple, op: OperatingPoint, clocks,
+                    include_data_input: bool) -> UnitReport:
+    """The managing component's report from its :func:`managing_sizing`, the
+    subunits that run priced: those of the operation regime, and the
+    data-input subunit too with ``include_data_input``."""
+    area, memory_arch, c_gates = sizing
     per_farad = {"bias": switching_factor(clocks.f_clk_bias, op.v_dd, op.sigma_con),
                  "rf": switching_factor(clocks.f_clk_rf, op.v_dd, op.sigma_con)}
     power = 0.0
     for c_gate, (_, _, clock, operation_regime) in zip(c_gates, _MANAGING_ROWS[memory_arch]):
         if operation_regime or include_data_input:
             power += per_farad[clock] * c_gate
-    return power
+    return tuple.__new__(UnitReport, (area, power))
 
 
 def managing_report(sc: Scenario, include_data_input: bool = False) -> UnitReport:
@@ -215,6 +214,4 @@ def managing_report(sc: Scenario, include_data_input: bool = False) -> UnitRepor
     it always contributes area but its power is counted only when
     ``include_data_input`` is set.
     """
-    sizing = managing_sizing(sc)
-    return UnitReport(sizing[0],
-                      managing_switching_power(sizing, sc.op, sc.clocks, include_data_input))
+    return managing_priced(managing_sizing(sc), sc.op, sc.clocks, include_data_input)

@@ -2,10 +2,13 @@
 
 Two noise mechanisms size the analog components: kT/C noise of switched
 capacitors and Johnson-Nyquist noise of resistors within the circuit
-bandwidth. Each bound is returned as an exact value; rounding up to process
-minimums (``r_min``/``c_min``) is left to the DAC design layer. A bound that
-underflows to zero or overflows is refused with a ``ValueError`` that names
-its requirement. Each bound is computed once per operands, types included, so
+bandwidth. Each bound is returned as an exact value. No DAC design raises
+its unit to its bound: ``dac.design_dac`` takes an explicit unit as given and
+a ``None`` unit as ``dac.default_unit_value``. Only the hold capacitor is
+refused below its bound, and only ``report.temperature_adjust`` raises a unit,
+the RF DAC's, to its bound at the new temperature (ROADMAP open item 2). A
+bound that underflows to zero or overflows is refused with a ``ValueError``
+that names its requirement. Each bound is computed once per operands, types included, so
 its text keeps them: ``N=8`` and ``N=8.0`` are two bounds.
 """
 

@@ -9,36 +9,28 @@ from typing import NamedTuple
 from . import noise
 from .analog import (
     GenReport,
+    bias_dac_design,
+    bias_gen_priced,
     bias_gen_sizing,
-    bias_gen_switching_power,
+    rf_dac_design,
+    rf_gen_priced,
     rf_gen_sizing,
-    rf_gen_switching_power,
 )
 from .config import DacArchitecture, Scenario, make, replace, scenario_to_dict
-from .dac import (
-    dac_analog_power,
-    dac_area,
-    dac_output_noise,
-    dac_switch_power,
-    default_unit_value,
-    design_dac,
-)
+from .dac import dac_analog_power, dac_area, dac_output_noise, dac_switch_power, design_dac
 from .digital import (
     UnitReport,
+    managing_priced,
     managing_sizing,
-    managing_switching_power,
     memory_design,
+    memory_priced,
     memory_sizing,
-    memory_switching_power,
 )
 
 # The report's units in report order. Every per-unit output (totals, dicts,
 # CSV columns, CLI tables) follows this tuple through Report.units().
 UNITS = ("bias_gen", "rf_gen", "memory", "managing")
 _unit_reports = attrgetter(*UNITS)
-# builds a unit's named tuple from its fields as the tuple's own __new__ does,
-# one call fewer on each design point
-_new = tuple.__new__
 
 
 class _ReportFields(NamedTuple):
@@ -134,8 +126,8 @@ def assemble(sc: Scenario, include_data_input: bool = False) -> Report:
     regime, i.e. the data-input subunit contributes area but no power.
     The design is sized (:func:`size`) on its first report and the sizing
     kept in ``sc.sizing_holder``, which the copies of ``sc`` that change only
-    ``op`` share; each report prices the four units' switching power at its
-    operating point.
+    ``op`` share; each report hands each unit's sizing to the unit's
+    ``*_priced``, which prices its switching power at the operating point.
     A design point whose area or power overflows raises ``ValueError``,
     naming the first unit, or else the total, that is not finite; the report
     sums its rows once, when it is built. ``sc`` was checked when it was built.
@@ -149,11 +141,10 @@ def assemble(sc: Scenario, include_data_input: bool = False) -> Report:
         bias, rf, memory, managing = sizing
         report = Report(
             sc,
-            _new(GenReport, (bias[0], bias[1], bias_gen_switching_power(bias, op, clocks))),
-            _new(GenReport, (rf[0], rf[1], rf_gen_switching_power(rf, op, clocks))),
-            _new(UnitReport, (memory[0], memory_switching_power(memory, op, clocks))),
-            _new(UnitReport, (managing[0], managing_switching_power(managing, op, clocks,
-                                                                    include_data_input))),
+            bias_gen_priced(bias, op, clocks),
+            rf_gen_priced(rf, op, clocks),
+            memory_priced(memory, op, clocks),
+            managing_priced(managing, op, clocks, include_data_input),
             include_data_input,
             _NOTES_WITH_DATA_INPUT if include_data_input else _NOTES,
         )
@@ -381,17 +372,13 @@ def temperature_adjust(sc: Scenario, t_el: float) -> Scenario:
     ratio = t_el / sc.op.t_el
     s = sc.spec
 
-    bias_unit = sc.bias_dac_unit
-    if bias_unit is None:
-        bias_unit = default_unit_value(sc.bias_dac_arch, sc.tech)
+    bias_unit = bias_dac_design(sc).unit_value
     if sc.bias_dac_arch is DacArchitecture.CAP:
         bias_unit *= ratio
     else:
         bias_unit /= ratio  # resistive bound shrinks with T
 
-    rf_unit = sc.rf_dac_unit
-    if rf_unit is None:
-        rf_unit = default_unit_value(sc.rf_dac_arch, sc.tech)
+    rf_unit = rf_dac_design(sc).unit_value
     if sc.rf_dac_arch is DacArchitecture.CAP:
         rf_unit = max(rf_unit, noise.min_unit_cap(s.n_rf, s.dv_rf, t_el).value)
     else:

@@ -18,9 +18,10 @@ trace is read or written (``TraceEvent.t_ns``, the CSV and VCD text), as
 The trace text is written from pieces shared across the rows
 (``Trace._text``): one per run of rows at a tick, ``prefix + repr(t_ns)``, and
 one per distinct ``(signal, code)``, ``sep + signal + sep + repr(value)`` and
-a newline. Each row's two pieces go to one list, joined once: ``to_csv``
-joins all rows at once, and ``csv_chunks``/``vcd_chunks`` join
-``TEXT_CHUNK_ROWS`` rows at a time, the pieces ``simulate`` writes.
+a newline. ``csv_chunks``/``vcd_chunks`` put the pieces of ``TEXT_CHUNK_ROWS``
+rows at a time into one list and join it once, the text ``simulate`` writes;
+``to_csv``/``to_vcd_text`` join those chunks, and a trace of fewer rows is one
+chunk, which the join returns without a copy.
 
 Each clocked unit is one queue handler. It reads ``Simulator.horizon()``,
 the time of the next queued event, once, handles its edges strictly before
@@ -145,11 +146,12 @@ TICKS_PER_S = 10**21
 # run's host time follows its stimulus events and its ramp steps, not its
 # simulated time. Ramp mode steps on every conversion, in closed-form blocks
 # up to the next queued event: ~0.18-0.25 us of host time and ~0.11 kB of
-# peak memory a step, ~0.7-0.9 us with the trace CSV, which adds ~0.11 kB a
-# step when built whole (``Trace.to_csv``) and next to nothing when streamed
-# (``Trace.csv_chunks``, as ``simulate`` writes it) (3 fresh-process runs
-# of 10^5 steps and one of 10^6, 2-core Xeon, Python 3.11). 10^6 steps are
-# ~0.92 s simulated at the defaults, or ~244 full 12-bit staircases.
+# peak memory a step, ~0.7-0.9 us with the trace CSV, which adds ~0.06-0.08 kB
+# a step when built whole (``Trace.to_csv``, its chunks joined) and next to
+# nothing when streamed (``Trace.csv_chunks``, as ``simulate`` writes it)
+# (fresh-process runs of 10^5 steps and of 10^6, 2-core Xeon, Python 3.11).
+# 10^6 steps are ~0.92 s simulated at the defaults, or ~244 full 12-bit
+# staircases.
 MAX_RAMP_STEPS = 1_000_000
 
 # The largest relative error of a clock period rounded to whole ticks. A
@@ -255,25 +257,25 @@ class Trace:
         return [e for e in self.events if e.signal == signal]
 
     def to_csv(self) -> str:
-        return next(self._text("", ",", "t_ns,signal,value\n", None))
+        return "".join(self.csv_chunks())
 
     def to_vcd_text(self) -> str:
         """Minimal value-change dump: one '#<t_ns> <signal> <value>' per event."""
-        return next(self._text("#", " ", "", None))
+        return "".join(self.vcd_chunks())
 
     def csv_chunks(self) -> Iterator[str]:
         """``to_csv()`` in pieces of up to ``TEXT_CHUNK_ROWS`` rows each, the
         first with the header; the pieces concatenate to exactly ``to_csv()``."""
-        return self._text("", ",", "t_ns,signal,value\n", TEXT_CHUNK_ROWS)
+        return self._text("", ",", "t_ns,signal,value\n")
 
     def vcd_chunks(self) -> Iterator[str]:
         """``to_vcd_text()`` in pieces of up to ``TEXT_CHUNK_ROWS`` rows each."""
-        return self._text("#", " ", "", TEXT_CHUNK_ROWS)
+        return self._text("#", " ", "")
 
-    def _text(self, prefix: str, sep: str, head: str, size: int | None) -> Iterator[str]:
+    def _text(self, prefix: str, sep: str, head: str) -> Iterator[str]:
         """The text of the rows, ``head`` then one ``prefix + repr(t_ns) + sep +
-        signal + sep + repr(value) + "\n"`` a row, in pieces of up to ``size``
-        rows each (all of them for ``None``). Each row's text is two pieces
+        signal + sep + repr(value) + "\n"`` a row, in pieces of up to
+        ``TEXT_CHUNK_ROWS`` rows each. Each row's text is two pieces
         shared across the rows: a time's, formatted once for each run of rows
         at its tick, and a signal and value's, once for each distinct
         ``(signal, code)``. A piece appends its rows' pieces to one list and
@@ -286,8 +288,7 @@ class Trace:
         pieces = [head]
         while True:
             append = pieces.append
-            # the whole text reads the rows directly: an islice costs it ~1%
-            for t, s, c in rows if size is None else islice(rows, size):
+            for t, s, c in islice(rows, TEXT_CHUNK_ROWS):
                 if t != last:
                     last, t_text = t, prefix + repr(t / TICKS_PER_NS)
                 append(t_text)

@@ -395,3 +395,12 @@ def test_memory_arch_values():
     assert Scenario(memory_arch="sram").memory_arch is MemoryArch.SRAM
     with pytest.raises(ConfigError, match="memory_arch"):
         scenario_from_dict({"memory_arch": "dram"})
+
+
+def test_a_scenario_file_must_hold_an_object_and_a_field_cannot_be_deleted(baseline):
+    with pytest.raises(ConfigError) as info:
+        scenario_from_dict([])
+    assert (info.type, str(info.value)) == (ConfigError, "scenario file must contain a JSON object")
+    with pytest.raises(AttributeError) as info:
+        del baseline.spec
+    assert (info.type, str(info.value)) == (AttributeError, "cannot delete field 'spec'")

@@ -203,3 +203,23 @@ def test_cap_power_scales_with_conversion_rate(n, v):
     p1 = dac_analog_power(d, v, 1e6)
     p2 = dac_analog_power(d, v, 2e6)
     assert p2 == pytest.approx(2 * p1, rel=1e-12)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: design_dac(DacArchitecture.KELVIN, 8, TECH).c_in,
+     "c_in is defined for the capacitive DAC only"),
+    (lambda: design_dac(DacArchitecture.LADDER, 8, TECH).c_in,
+     "c_in is defined for the capacitive DAC only"),
+    (lambda: design_dac(DacArchitecture.CAP, 8, TECH).r_in,
+     "r_in is defined for resistive DACs only"),
+    (lambda: dac_analog_power(design_dac(DacArchitecture.KELVIN, 8, TECH), -1.0),
+     "v_range must be non-negative"),
+    (lambda: dac_analog_power(design_dac(DacArchitecture.CAP, 8, TECH), 1.0, 0.0),
+     "capacitive DAC needs a positive conversion rate"),
+    (lambda: dac_analog_power(design_dac(DacArchitecture.CAP, 8, TECH), 1.0, -1e6),
+     "capacitive DAC needs a positive conversion rate"),
+])
+def test_a_dac_refuses_the_figures_its_architecture_lacks(call, message):
+    with pytest.raises(ValueError) as info:
+        call()
+    assert (info.type, str(info.value)) == (ValueError, message)

@@ -11,7 +11,7 @@ from cryoctrl import (
     switching_power,
 )
 from cryoctrl.config import Node, apply_node, replace
-from cryoctrl.digital import MANAGING_BUDGET, SRAM_COLUMN_TRANSISTORS
+from cryoctrl.digital import MANAGING_BUDGET, SRAM_COLUMN_TRANSISTORS, switching_factor
 
 
 def _sram(sc):
@@ -143,3 +143,16 @@ def test_the_budget_table_names_each_subunit_once():
     assert [name for name, row in MANAGING_BUDGET.items() if not row[-1]] == [
         "data_input_control"]
     assert SRAM_COLUMN_TRANSISTORS > 0
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: switching_factor(-1.0, 1.0, 0.5), "f and v_dd must be non-negative"),
+    (lambda: switching_factor(1.0, -1.0, 0.5), "f and v_dd must be non-negative"),
+    (lambda: switching_factor(1.0, 1.0, -0.1), "sigma must be in [0, 1]"),
+    (lambda: switching_factor(1.0, 1.0, 1.5), "sigma must be in [0, 1]"),
+    (lambda: selector_transistors(0, 1), "ways must be >= 1 and width >= 0"),
+])
+def test_the_switching_and_selector_models_refuse_their_domain(call, message):
+    with pytest.raises(ValueError) as info:
+        call()
+    assert (info.type, str(info.value)) == (ValueError, message)

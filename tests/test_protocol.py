@@ -208,3 +208,15 @@ def test_rf_receiver_timing():
             assert got is None
     assert got == RfCommandWord(1, 2, 3, 4)
     assert not rx.busy
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: decode_dataword("1" + "0" * 8, N_BIAS, N_RF), "frame truncated before address field"),
+    (lambda: decode_rf_command("1" * 16), "command word must be 17 bits"),
+    (lambda: decode_rf_command("1" * 18), "command word must be 17 bits"),
+    (lambda: decode_rf_command("0" + "1" * 16), "command word must start with header bit 1"),
+])
+def test_a_malformed_frame_is_refused(call, message):
+    with pytest.raises(ProtocolError) as info:
+        call()
+    assert (info.type, str(info.value)) == (ProtocolError, message)

@@ -334,3 +334,11 @@ def test_capacity_json_keeps_its_keys(capsys, scenario_dir):
     assert list(json.loads(out)) == ["budget_w", "n_qubits", "per_qubit_w"]
     assert json.loads(out) == {"budget_w": 1e-3, "n_qubits": 1428, "per_qubit_w": 7e-07}
 
+
+def test_an_unknown_package_name_is_refused_as_a_module_refuses_it():
+    import cryoctrl
+
+    with pytest.raises(AttributeError) as info:
+        cryoctrl.no_such_name
+    assert (info.type, str(info.value)) == (
+        AttributeError, "module 'cryoctrl' has no attribute 'no_such_name'")

@@ -253,6 +253,12 @@ def test_dac_sweep_csv(baseline):
     assert csv.count("\n") == 1 + 45
 
 
+def test_dac_sweep_refuses_an_unknown_condition(baseline):
+    with pytest.raises(ValueError) as info:
+        dac_sweep(baseline, "x")
+    assert (info.type, str(info.value)) == (ValueError, "condition must be 'bias' or 'rf'")
+
+
 def test_round_sig():
     assert round_sig(1.8658e-4, 2) == pytest.approx(1.9e-4)
     assert round_sig(6.9866e-7, 2) == pytest.approx(7.0e-7)
@@ -483,11 +489,32 @@ def _outcome(fn, *args):
         return type(exc), str(exc)
 
 
+def _unit_near(data, value):
+    """A DAC unit drawn as None, an int or a float, the numbers within a
+    factor of 4 of ``value`` on either side."""
+    near = value * data.draw(st.floats(0.25, 4.0))
+    return data.draw(st.sampled_from([None, max(1, round(near)), near]))
+
+
 @given(name=_SCENARIO_NAMES, bias_arch=st.sampled_from(DacArchitecture),
        rf_arch=st.sampled_from(DacArchitecture),
-       t_el=st.one_of(st.floats(), st.floats(0.01, 10.0), st.sampled_from([0.2, 4.0])))
-def test_temperature_adjust_is_the_scenario_replace_builds(name, bias_arch, rf_arch, t_el):
+       t_el=st.one_of(st.floats(), st.floats(0.01, 10.0), st.sampled_from([0.2, 4.0])),
+       data=st.data())
+def test_temperature_adjust_is_the_scenario_replace_builds(name, bias_arch, rf_arch, t_el, data):
+    from cryoctrl import max_unit_res, min_unit_cap
+    from cryoctrl.analog import bias_dac_design, rf_dac_design
+
     sc = replace(REFERENCE_SCENARIOS[name](), bias_dac_arch=bias_arch, rf_dac_arch=rf_arch)
+    s, rf_default = sc.spec, rf_dac_design(sc).unit_value
+    try:   # the RF unit's bound at the new temperature
+        rf_bound = (min_unit_cap(s.n_rf, s.dv_rf, t_el) if rf_arch is DacArchitecture.CAP else
+                    max_unit_res(rf_arch, s.n_rf, s.dv_rf, t_el, sc.op.b_rf)).value
+    except ValueError:   # t_el is refused, or gives no bound
+        rf_bound = rf_default
+    if not rf_bound * 4.0 < math.inf:   # so every unit drawn near it is finite
+        rf_bound = rf_default
+    sc = replace(sc, bias_dac_unit=_unit_near(data, bias_dac_design(sc).unit_value),
+                 rf_dac_unit=_unit_near(data, rf_bound))
     got = _outcome(temperature_adjust, sc, t_el)
     expected = _outcome(_adjusted_with_replace, sc, t_el)
     assert got == expected

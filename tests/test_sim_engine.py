@@ -67,6 +67,13 @@ def test_stimulus_parse_errors_carry_line_numbers():
             parse_stimulus(f"0 write-bias 0 1\n{t} write-bias 0 1\n")
 
 
+def test_a_play_of_a_non_integer_sequence_id_is_refused():
+    with pytest.raises(StimulusError) as info:
+        parse_stimulus("0 play 0 x 0 0")
+    assert (info.type, str(info.value)) == (
+        StimulusError, "stimulus line 1: sequence ids must be integers: '0 play 0 x 0 0'")
+
+
 def test_stimulus_comments_and_sorting():
     cmds = parse_stimulus("# header\n500 play 0 0 0 0\n0 write-bias 1 2 # inline\n")
     assert [c.op for c in cmds] == ["write-bias", "play"]
