@@ -154,16 +154,11 @@ def replace(record, /, **changes):
     part or scenario is built by the constructor's own routine over the
     record's values instead of the defaults: it checks only the changed
     fields by kind (the others were checked when ``record`` was built), then
-    runs its own ``_check`` in full; a scenario derives its ``clocks`` again.
-    A scenario copy that changes only ``op`` shares the ``sizing_holder`` of
-    ``record``, since its sizing reads no operating-point field; any other
-    copy starts an empty one."""
+    runs its own ``_check`` in full; a scenario derives its ``clocks`` again."""
     if not isinstance(record, _Record):
         return type(record)(**{**record._asdict(), **changes})
     new = object.__new__(type(record))
     new._build(record._values(record), changes)
-    if len(changes) == 1 and "op" in changes:   # only a Scenario has an ``op`` field
-        _set_sizing_holder(new, record.sizing_holder)
     return new
 
 
@@ -332,11 +327,6 @@ class Scenario(_Record):
 
     ``clocks`` holds the refresh rate and both digital clocks
     (``analog.Clocks``), derived once, when the scenario is built.
-    ``sizing_holder`` is a one-item list that holds None until
-    ``report.assemble`` first sizes the design, then its sizing
-    (``report.size``): the figures that read no ``op`` field. Copies by
-    :func:`replace` that change only ``op`` share it, so a supply sweep sizes
-    its design once; any other copy, ``copy`` or ``pickle`` starts an empty one.
     """
 
     _field_defaults = {
@@ -350,11 +340,10 @@ class Scenario(_Record):
         "bias_dac_unit": None,    # None = architecture default
         "rf_dac_unit": None,
     }
-    __slots__ = (*_field_defaults, "clocks", "sizing_holder")
+    __slots__ = (*_field_defaults, "clocks")
 
     def _check(self):
         _set_clocks(self, None)   # derived by validate
-        _set_sizing_holder(self, [None])   # filled by assemble
         self.validate()
 
     def validate(self) -> None:
@@ -379,7 +368,7 @@ class Scenario(_Record):
         clocks = self.clocks
         if clocks is None:
             clocks = analog.derived_clocks(self)
-            object.__setattr__(self, "clocks", clocks)
+            _set_clocks(self, clocks)
         for name, value in zip(clocks._fields, clocks):
             if not 0 < value < math.inf:
                 raise ConfigError(f"the derived {name} must be positive and finite; check "
@@ -396,9 +385,8 @@ class Scenario(_Record):
                                   f"twice {what}")
 
 
-# the slots' own setters, which the frozen scenario's __setattr__ refuses
+# the slot's own setter, which the frozen scenario's __setattr__ refuses
 _set_clocks = Scenario.clocks.__set__
-_set_sizing_holder = Scenario.sizing_holder.__set__
 
 
 def apply_node(tech: TechnologyParams, node: Node | str) -> TechnologyParams:

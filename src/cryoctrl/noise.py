@@ -7,14 +7,17 @@ its unit to its bound: ``dac.design_dac`` takes an explicit unit as given and
 a ``None`` unit as ``dac.default_unit_value``. Only the hold capacitor is
 refused below its bound, and only ``report.temperature_adjust`` raises a unit,
 the RF DAC's, to its bound at the new temperature (ROADMAP open item 2). A
-bound that underflows to zero or overflows is refused with a ``ValueError``
-that names its requirement. Each bound is computed once per operands, types included, so
-its text keeps them: ``N=8`` and ``N=8.0`` are two bounds.
+bound that underflows to zero, overflows, or passes through a subnormal term
+(below ``sys.float_info.min``, with fewer significant bits) is refused with a
+``ValueError`` that names its requirement. Each bound is computed once per
+operands, types included, so its text keeps them: ``N=8`` and ``N=8.0`` are
+two bounds.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from enum import Enum
 from functools import lru_cache
 from typing import NamedTuple
@@ -43,23 +46,25 @@ class SizingBound(NamedTuple):
         return self.spec.format(*self.args)
 
 
-def _bound(kind: BoundKind, value: float, spec: str, args: tuple) -> SizingBound:
-    """The bound, or ValueError where ``value`` is not positive and finite."""
+def _bound(kind: BoundKind, spec: str, args: tuple, num: float, den: float,
+           per: float = 1.0, *terms: float) -> SizingBound:
+    """``num / den / per`` as a bound (inf where ``den`` underflowed to 0); ValueError where
+    it is not positive and finite, or where it, num, den, num / den or a term is subnormal."""
+    ratio = num / den if den else math.inf
+    value = ratio / per
     if not 0 < value < math.inf:
-        raise ValueError(f"the {kind.value} bound of {spec.format(*args)} is {value!r}, "
-                         f"not positive and finite")
-    return SizingBound(kind, value, spec, args)
+        why = "not positive and finite"
+    elif min(num, den, ratio, value, *terms) < sys.float_info.min:   # none is 0 here
+        why = "imprecise: it or a term it is computed from is subnormal"
+    else:
+        return SizingBound(kind, value, spec, args)
+    raise ValueError(f"the {kind.value} bound of {spec.format(*args)} is {value!r}, {why}")
 
 
 def _require_positive(**values: float) -> None:
     for name, v in values.items():
         if not v > 0:  # NaN fails too
             raise ValueError(f"{name} must be positive, got {v!r}")
-
-
-def _ratio(num: float, den: float) -> float:
-    """``num / den`` of positive operands, inf where ``den`` underflowed to 0."""
-    return num / den if den else math.inf
 
 
 def ktc_rms(c: float, t: float) -> float:
@@ -88,8 +93,8 @@ def min_unit_cap(n: int, dv: float, t: float) -> SizingBound:
     2^(n/2) unit capacitors; odd resolutions use the real-valued power.
     """
     _require_positive(n=n, dv=dv, t=t)
-    value = _ratio(K_B * t, 2.0 ** (n / 2.0) * dv * dv)
-    return _bound(BoundKind.MIN_CAPACITANCE, value, _UNIT_CAP_SPEC, (n, dv, t))
+    return _bound(BoundKind.MIN_CAPACITANCE, _UNIT_CAP_SPEC, (n, dv, t),
+                  K_B * t, 2.0 ** (n / 2.0) * dv * dv)
 
 
 @lru_cache(maxsize=256, typed=True)
@@ -105,10 +110,10 @@ def max_unit_res(
     _require_positive(n=n, dv=dv, t=t, b=b)
     if arch is DacArchitecture.CAP:
         raise ValueError("capacitive DAC has no resistive noise bound")
-    value = _ratio(dv * dv, 4.0 * K_B * t * b)
-    if arch is DacArchitecture.KELVIN:
-        value /= 2.0 ** (n - 2)
-    return _bound(BoundKind.MAX_RESISTANCE, value, _UNIT_RES_SPEC, (arch, n, dv, t, b))
+    kt = 4.0 * K_B * t   # a term of the denominator, which B may lift out of the subnormals
+    per = 2.0 ** (n - 2) if arch is DacArchitecture.KELVIN else 1.0
+    return _bound(BoundKind.MAX_RESISTANCE, _UNIT_RES_SPEC, (arch, n, dv, t, b),
+                  dv * dv, kt * b, per, kt)
 
 
 @lru_cache(maxsize=256, typed=True)
@@ -119,5 +124,5 @@ def min_hold_cap(n_channels: int, dv: float, t: float) -> SizingBound:
     kT/C noise seen at the electrodes.
     """
     _require_positive(n_channels=n_channels, dv=dv, t=t)
-    value = _ratio(K_B * t, n_channels * dv * dv)
-    return _bound(BoundKind.MIN_CAPACITANCE, value, _HOLD_CAP_SPEC, (n_channels, dv, t))
+    return _bound(BoundKind.MIN_CAPACITANCE, _HOLD_CAP_SPEC, (n_channels, dv, t),
+                  K_B * t, n_channels * dv * dv)

@@ -108,6 +108,7 @@ class Report(_ReportFields):
 # The notes of a report, with and without the data-input power.
 _NOTES_WITH_DATA_INPUT = ("digital unit figures use calibrated gate budgets",)
 _NOTES = ("operation regime: data input control excluded from power", *_NOTES_WITH_DATA_INPUT)
+_NOT_FINITE = "area or power is not finite: "   # the refusal of an OverflowError
 
 
 def size(sc: Scenario) -> tuple:
@@ -124,32 +125,31 @@ def assemble(sc: Scenario, include_data_input: bool = False) -> Report:
     Per-unit digital figures rest on calibrated gate budgets; the analog
     terms are closed forms. By default the power refers to the operation
     regime, i.e. the data-input subunit contributes area but no power.
-    The design is sized (:func:`size`) on its first report and the sizing
-    kept in ``sc.sizing_holder``, which the copies of ``sc`` that change only
-    ``op`` share; each report hands each unit's sizing to the unit's
-    ``*_priced``, which prices its switching power at the operating point.
-    A design point whose area or power overflows raises ``ValueError``,
-    naming the first unit, or else the total, that is not finite; the report
-    sums its rows once, when it is built. ``sc`` was checked when it was built.
+    Each unit's sizing (:func:`size`) goes to the unit's ``*_priced``, which
+    prices its switching power at the operating point. A design point whose
+    area or power overflows raises ``ValueError``, naming the first unit, or
+    else the total, that is not finite; the report sums its rows once, when
+    it is built. ``sc`` was checked when it was built.
     """
-    op, clocks = sc.op, sc.clocks
     try:
-        holder = sc.sizing_holder
-        sizing = holder[0]
-        if sizing is None:   # the first report of this design
-            sizing = holder[0] = size(sc)
-        bias, rf, memory, managing = sizing
-        report = Report(
-            sc,
-            bias_gen_priced(bias, op, clocks),
-            rf_gen_priced(rf, op, clocks),
-            memory_priced(memory, op, clocks),
-            managing_priced(managing, op, clocks, include_data_input),
-            include_data_input,
-            _NOTES_WITH_DATA_INPUT if include_data_input else _NOTES,
-        )
+        return _priced(sc, size(sc), include_data_input)
     except OverflowError as exc:  # an integer count or a power beyond the float range
-        raise ValueError(f"area or power is not finite: {exc}") from None
+        raise ValueError(_NOT_FINITE + str(exc)) from None
+
+
+def _priced(sc: Scenario, sizing: tuple, include_data_input: bool) -> Report:
+    """The report of ``sc`` over ``sizing``, the :func:`size` of ``sc`` or of an ``op`` copy."""
+    op, clocks = sc.op, sc.clocks
+    bias, rf, memory, managing = sizing
+    report = Report(
+        sc,
+        bias_gen_priced(bias, op, clocks),
+        rf_gen_priced(rf, op, clocks),
+        memory_priced(memory, op, clocks),
+        managing_priced(managing, op, clocks, include_data_input),
+        include_data_input,
+        _NOTES_WITH_DATA_INPUT if include_data_input else _NOTES,
+    )
     rows = report.rows()
     _, area, power = rows[-1]
     if not (math.isfinite(area) and math.isfinite(power)):   # else every unit is finite
@@ -224,18 +224,24 @@ def sweep(sc: Scenario, param: str, values) -> list[SweepRow]:
     value with NaN last; a value that fails validation yields an invalid row
     instead of aborting the sweep. Each point is ``sc`` with that value, built
     by :func:`config.replace`, which checks only the changed field and the
-    part's and the scenario's own rules."""
+    part's and the scenario's own rules, and reported as :func:`assemble` reports it."""
     if param not in SWEEP_PARAMS:
         raise ValueError(f"unknown sweep parameter '{param}' (one of {SWEEP_PARAMS})")
     section, part = next((name, value) for name, value in sc._asdict().items()
                          if param in getattr(value, "_fields", ()))   # the part with the field
     default = part._field_defaults[param]
     rows = []
+    sizing = None
     for value in sorted(values, key=_nan_last):
         try:
             changed = replace(part, **{param: _field_value(param, value, default)})
-            point = assemble(replace(sc, **{section: changed}))
-            rows.append(SweepRow(param, value, point, "ok"))
+            point = replace(sc, **{section: changed})
+            # the sizing reads no op field, so the points of an op sweep share it
+            if sizing is None or section != "op":
+                sizing = size(point)
+            rows.append(SweepRow(param, value, _priced(point, sizing, False), "ok"))
+        except OverflowError as exc:   # an integer count or a power beyond the float range
+            rows.append(SweepRow(param, value, None, f"invalid: {_NOT_FINITE}{exc}"))
         except ValueError as exc:
             rows.append(SweepRow(param, value, None, f"invalid: {exc}"))
     return rows

@@ -142,6 +142,20 @@ def test_bounds_subcommand(capsys, scenario_dir):
     assert data["sh_min_hold_cap"] == pytest.approx(3.835e-14, rel=1e-3)
 
 
+@pytest.mark.parametrize("data", [
+    {"spec": {"dv_bias": 1e-161}, "c_h": 1e300},   # N * dv * dv = 8e-322 is subnormal
+    {"op": {"t_el": 1e-290}},                      # K_B * t_el is subnormal
+])
+def test_bounds_through_a_subnormal_term_are_refused_at_load(capsys, tmp_path, data):
+    path = tmp_path / "subnormal.json"
+    path.write_text(json.dumps(data))
+    code, out, err = run_cli(capsys, "bounds", "--scenario", str(path))
+    assert (code, out) == (1, "")
+    assert err.startswith("error: spec.dv_bias, spec.n_bias_signals and op.t_el give no "
+                          "hold-capacitor minimum: the min_capacitance bound of kT/(N*C) <= ")
+    assert err.endswith(", imprecise: it or a term it is computed from is subnormal\n")
+
+
 def test_sweep_vdd_csv(capsys, scenario_dir, tmp_path):
     csv_file = tmp_path / "sweep.csv"
     code, out, _ = run_cli(capsys, "sweep", "--scenario",

@@ -1,7 +1,8 @@
 import math
+from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from cryoctrl import (
     DacArchitecture,
@@ -98,6 +99,47 @@ def test_min_hold_cap_examples():
 def test_a_bound_that_underflows_or_overflows_names_its_requirement(bound, args, value):
     with pytest.raises(ValueError, match=r"the \w+ bound of .+ V\)\^2 at .+ is " + value):
         bound(*args)
+
+
+@pytest.mark.parametrize("bound, args", [
+    (min_hold_cap, (8, 1e-161, 0.2)),    # a subnormal denominator, N * dv * dv = 8e-322
+    (min_unit_cap, (12, 1e-161, 0.2)),
+    (max_unit_res, (DacArchitecture.LADDER, 12, 1e-161, 0.2, 10e6)),   # numerator dv * dv
+    (min_hold_cap, (8, 3e-6, 1e-290)),   # a subnormal numerator, K_B * t
+    (min_unit_cap, (12, 3e-6, 1e-290)),
+    # 4 * K_B * t is subnormal, the denominator times B is not
+    (max_unit_res, (DacArchitecture.KELVIN, 12, 3e-6, 1e-290, 1e20)),
+    # a subnormal ratio, doubled by 2 ** -(n - 2) into the normal range
+    (max_unit_res, (DacArchitecture.KELVIN, 1, 1e-150, 1e3, 1.2e27)),
+])
+def test_a_bound_through_a_subnormal_term_is_refused(bound, args):
+    with pytest.raises(ValueError, match=r"^the \w+ bound of .+ is \S+, imprecise: it or a term "
+                                         r"it is computed from is subnormal$"):
+        bound(*args)
+
+
+def _log_uniform(lo, hi):
+    return st.floats(math.log10(lo), math.log10(hi)).map(lambda e: 10.0 ** e)
+
+
+@settings(max_examples=1000)
+@given(n=st.integers(1, 64), n_channels=st.integers(1, 2 ** 20),
+       dv=_log_uniform(1e-200, 1e10), t=_log_uniform(1e-300, 1e3), b=_log_uniform(1.0, 1e12))
+def test_a_bound_is_refused_or_within_4_ulps_of_exact_arithmetic(n, n_channels, dv, t, b):
+    # exact arithmetic over the same float operands, 2.0 ** (n / 2.0) among them
+    k, v, kelvin, hz = map(Fraction, (K_B, dv, t, b))
+    p = Fraction(2.0 ** (n / 2.0))
+    for bound, args, exact in (
+            (min_unit_cap, (n, dv, t), k * kelvin / (p * v * v)),
+            (min_hold_cap, (n_channels, dv, t), k * kelvin / (n_channels * v * v)),
+            (max_unit_res, ("ladder", n, dv, t, b), v * v / (4 * k * kelvin * hz)),
+            (max_unit_res, ("kelvin", n, dv, t, b),
+             v * v / (4 * k * kelvin * hz) / Fraction(2) ** (n - 2))):
+        try:
+            value = bound(*args).value
+        except ValueError:
+            continue
+        assert abs(Fraction(value) - exact) <= 4 * Fraction(math.ulp(value)), (bound, args)
 
 
 class _Unformattable(float):

@@ -390,6 +390,7 @@ def test_sweep_refuses_an_unknown_parameter_before_any_point(baseline, monkeypat
     import cryoctrl.report as report
 
     monkeypatch.setattr(report, "assemble", lambda sc: pytest.fail("a point was built"))
+    monkeypatch.setattr(report, "size", lambda sc: pytest.fail("a point was sized"))
     with pytest.raises(ValueError, match=r"unknown sweep parameter 'foo' \(one of "):
         sweep(baseline, "foo", [1.0])
 
@@ -443,9 +444,12 @@ _SWEEP_VALUES["n_rf"] = _SWEEP_VALUES["n_bias"]
 _SCENARIO_NAMES = st.sampled_from(sorted(REFERENCE_SCENARIOS))
 
 
-@given(name=_SCENARIO_NAMES, data=st.data())
-def test_each_sweep_row_is_the_replaced_scenario_assembled(name, data):
-    sc = REFERENCE_SCENARIOS[name]()
+@given(name=_SCENARIO_NAMES, bias_arch=st.sampled_from(DacArchitecture),
+       rf_arch=st.sampled_from(DacArchitecture), data=st.data())
+def test_each_sweep_row_is_the_replaced_scenario_assembled(name, bias_arch, rf_arch, data):
+    # each expected point is sized afresh, so a v_dd row checks the sizing
+    # the sweep shares across its points
+    sc = replace(REFERENCE_SCENARIOS[name](), bias_dac_arch=bias_arch, rf_dac_arch=rf_arch)
     param = data.draw(st.sampled_from(SWEEP_PARAMS))
     values = data.draw(st.lists(_SWEEP_VALUES[param], max_size=4))
     rows = sweep(sc, param, values)
@@ -585,7 +589,7 @@ def test_the_design_point_path_imports_nothing(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# The sizing holder: copies of a scenario that change only ``op`` share its sizing
+# One sizing priced at many operating points
 
 def _figures(rep):
     """Every figure of a report with its type, in report order."""
@@ -618,20 +622,19 @@ def _op_copy(sc, changes):
 
 @settings(max_examples=60, deadline=None)
 @given(name=_SCENARIO_NAMES, bias_arch=st.sampled_from(DacArchitecture),
-       rf_arch=st.sampled_from(DacArchitecture), size_base_first=st.booleans(),
-       include_data_input=st.booleans(),
+       rf_arch=st.sampled_from(DacArchitecture), include_data_input=st.booleans(),
        chain=st.lists(st.sets(st.sampled_from(sorted(_OP_CHANGES)), min_size=1, max_size=3),
                       min_size=1, max_size=3),
        data=st.data())
 def test_an_op_copy_reports_what_a_freshly_sized_scenario_reports(
-        name, bias_arch, rf_arch, size_base_first, include_data_input, chain, data):
+        name, bias_arch, rf_arch, include_data_input, chain, data):
     from cryoctrl.analog import bias_gen_report, rf_gen_report
     from cryoctrl.config import scenario_from_dict, scenario_to_dict
     from cryoctrl.digital import managing_report, memory_design, memory_report
+    from cryoctrl.report import _priced, size
 
     sc = replace(REFERENCE_SCENARIOS[name](), bias_dac_arch=bias_arch, rf_dac_arch=rf_arch)
-    if size_base_first:
-        assemble(sc)
+    sizing = size(sc)   # priced at every op copy, as a sweep over an op field prices it
     copies = []
     for keys in chain:
         changes = {key: data.draw(_OP_CHANGES[key], label=key) for key in sorted(keys)}
@@ -640,10 +643,9 @@ def test_an_op_copy_reports_what_a_freshly_sized_scenario_reports(
             copies.append(copy_)
     assume(copies)
     for point in copies:
-        assert point.sizing_holder is sc.sizing_holder   # shared along op-only copies
-        rep = assemble(point, include_data_input=include_data_input)
+        rep = _priced(point, sizing, include_data_input)
         fresh = scenario_from_dict(scenario_to_dict(point))
-        assert fresh == point and fresh.sizing_holder is not sc.sizing_holder
+        assert fresh == point
         expected = assemble(fresh, include_data_input=include_data_input)
         assert _figures(rep) == _figures(expected)
         assert repr(rep.rows()) == repr(expected.rows())
@@ -672,26 +674,15 @@ def _counting_sizes(monkeypatch):
 def test_a_supply_sweep_sizes_its_design_once_and_a_resolution_sweep_every_point(
         baseline, monkeypatch):
     sized = _counting_sizes(monkeypatch)
+    rows = sweep(baseline, "v_dd", [0.0, -1.0, math.nan])
+    assert all(r.report is None for r in rows) and sized == []
     rows = sweep(baseline, "v_dd", [0.0125 * k for k in range(1, 97)] + [0.0, -1.0])
     assert sum(r.report is not None for r in rows) == 96
-    assert len(sized) == 1
-    assemble(baseline)   # the base shares the sizing its supply copies filled
-    assert len(sized) == 1
+    assert [sc.op.v_dd for sc in sized] == [0.0125]   # sized at its first valid point
     sized.clear()
     rows = sweep(baseline, "n_bias", range(2, 25))
     assert len(sized) == sum(r.report is not None for r in rows) == 23
-    assert len({id(sc.sizing_holder) for sc in sized}) == 23
-
-
-def test_a_copy_that_changes_more_than_op_starts_an_empty_holder(baseline):
-    assemble(baseline)
-    op = replace(baseline.op, v_dd=0.5)
-    assert replace(baseline, op=op).sizing_holder is baseline.sizing_holder
-    for copy_ in (replace(baseline, op=op, c_h=baseline.c_h),
-                  replace(baseline, spec=replace(baseline.spec, n_bias=10)),
-                  temperature_adjust(baseline, 1.0),
-                  copy.copy(baseline), pickle.loads(pickle.dumps(baseline))):
-        assert copy_.sizing_holder == [None]
+    assert [sc.spec.n_bias for sc in sized] == list(range(2, 25))
 
 
 @pytest.mark.parametrize("order", [(10, 10.0), (10.0, 10)])
@@ -716,5 +707,4 @@ def test_loading_bounds_and_simulating_size_nothing(monkeypatch, scenario_dir, c
     sc = load_scenario(path)
     run_simulation(sc, "0 write-bias 0 2048\n", 10_000.0)
     assert main(["bounds", "--scenario", str(path)]) == 0
-    assert sc.sizing_holder == [None]
     capsys.readouterr()
